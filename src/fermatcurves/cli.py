@@ -32,6 +32,8 @@ from .oracle import oracle_polyline
 from .sampling import (
     DEFAULT_TOL,
     SampledCurve,
+    _check_count,
+    _uniform_thetas,
     arc_length,
     convergence_gap,
     polyline_hausdorff,
@@ -185,15 +187,15 @@ def _full_turn(lo: float, hi: float) -> bool:
     return lo == 0.0 and hi == TWO_PI
 
 
-def _sample_curve(ns, frame: AffineFrame) -> SampledCurve:
+def _sample_curve(ns, n: int, frame: AffineFrame) -> SampledCurve:
     lo, hi = _parse_range(ns.theta_range)
     if ns.resample == "arclength":
         if not _full_turn(lo, hi):
             raise ValueError("arc-length resampling supports only the full default theta range")
-        return resample_by_arclength(ns.n, frame, ns.count, ns.tol)
+        return resample_by_arclength(n, frame, ns.count, ns.tol)
     if _full_turn(lo, hi):
-        return sample_uniform_theta(ns.n, frame, ns.count)
-    return _sample_partial(ns.n, frame, ns.count, lo, hi)
+        return sample_uniform_theta(n, frame, ns.count)
+    return _sample_partial(n, frame, ns.count, lo, hi)
 
 
 def _sample_partial(n: int, frame: AffineFrame, count: int, lo: float, hi: float) -> SampledCurve:
@@ -201,8 +203,7 @@ def _sample_partial(n: int, frame: AffineFrame, count: int, lo: float, hi: float
         raise ValueError(
             f"--theta-range must satisfy 0 <= LO < HI <= 2*pi for sampling, got {lo!r},{hi!r}"
         )
-    if count < 2:
-        raise ValueError(f"partial range needs at least 2 samples, got {count}")
+    count = _check_count(count)
     span = hi - lo
     thetas = [lo + (span * k) / (count - 1) for k in range(count)]
     thetas[-1] = min(thetas[-1], hi)
@@ -216,7 +217,7 @@ def _scalar(value: float) -> bytes:
 
 def _cmd_sample(ns) -> bytes:
     frame = _parse_frame(ns.frame)
-    curve = _sample_curve(ns, frame)
+    curve = _sample_curve(ns, ns.n, frame)
     if ns.format == "json":
         return emit_json(curve)
     if ns.format == "svg":
@@ -240,8 +241,7 @@ def _cmd_residual(ns) -> bytes:
     if ns.count < 1:
         raise ValueError(f"--count must be positive, got {ns.count}")
     worst = 0.0
-    for k in range(ns.count):
-        theta = (TWO_PI * k) / ns.count
+    for theta in _uniform_thetas(ns.count):
         point = affine_curve_point(theta, ns.n, frame)
         worst = max(worst, abs(residual_log(point, ns.n, frame)))
     return _scalar(worst)
@@ -249,13 +249,8 @@ def _cmd_residual(ns) -> bytes:
 
 def _cmd_svg(ns) -> bytes:
     frame = _parse_frame(ns.frame)
-    curves = []
-    for k in range(1, ns.n + 1):  # innermost first, so later curves draw outward
-        if ns.resample == "arclength":
-            curves.append(resample_by_arclength(k, frame, ns.count, ns.tol))
-        else:
-            curves.append(sample_uniform_theta(k, frame, ns.count))
-    return emit_svg(curves)
+    # innermost first, so later curves draw outward
+    return emit_svg([_sample_curve(ns, k, frame) for k in range(1, ns.n + 1)])
 
 
 def _cmd_oracle_diff(ns) -> bytes:

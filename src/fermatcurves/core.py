@@ -17,6 +17,12 @@ with r**(2*N) evaluated as exp(2*N*log(r)). An underflow of that term to
 zero is harmless (the factor it feeds is then exactly 1), which keeps the
 evaluation stable for every exponent up to 2**31 - 1.
 
+One private kernel, ``_evaluate``, does this work for every evaluator:
+it takes cos, sin, m, r, log(r) and log1p(r**(2*N)) once per angle and
+returns them with the clamped radial factor. The radial factor, the curve
+points, the slope, the velocity and the speed are thin wrappers over it,
+and each public call validates its angle and exponent exactly once.
+
 An affine change of coordinates (u, v) = (alpha*x + beta*y + gamma,
 delta*x + epsilon*y + zeta) generalizes the family to curves satisfying
 u**(2*N) + v**(2*N) = 1 in the mapped coordinates; the same radial factor
@@ -171,6 +177,43 @@ def normalize_angle(theta: float) -> float:
     return r
 
 
+def _evaluate(theta: float, n: int) -> tuple[float, float, float, float, float, float]:
+    """The scalar kernel behind every evaluator, for a checked angle and exponent.
+
+    Returns (rho, cos, sin, m, log(r), log1p(r**(2*N))) with rho the clamped
+    radial factor and m, r as in the module docstring; the last three are
+    the pieces ``_radial_factor_slope`` reuses. On the axes r is 0 and
+    log(r) is -inf.
+    """
+    c = math.cos(theta)
+    s = math.sin(theta)
+    ca = math.fabs(c)
+    sa = math.fabs(s)
+    # Comparisons, not max()/min(): on this hot path each builtin call costs
+    # about as much as a libm call. Both forms give the same doubles.
+    if ca >= sa:
+        m, r = ca, sa / ca
+    else:
+        m, r = sa, ca / sa
+    two_n = 2.0 * n
+    if r == 0.0:
+        log_r = -math.inf
+        log1p_power = 0.0
+        rho = 1.0 / m
+    else:
+        log_r = math.log(r)
+        log1p_power = math.log1p(math.exp(two_n * log_r))
+        rho = math.exp(-log1p_power / two_n) / m
+    # Without the clamp to the exact range [1, 2**((N-1)/(2*N))], rounding
+    # can stick out of it by about one ulp.
+    peak = math.exp(_LN2 * (n - 1) / two_n)
+    if rho < 1.0:
+        rho = 1.0
+    elif rho > peak:
+        rho = peak
+    return rho, c, s, m, log_r, log1p_power
+
+
 def radial_factor(theta: float, n: int) -> float:
     """Distance from the origin to the curve x^(2N) + y^(2N) = 1 along theta.
 
@@ -178,23 +221,9 @@ def radial_factor(theta: float, n: int) -> float:
     the value is accurate for every admissible exponent; direct power
     summation would underflow around N = 500. The result is clamped to the
     exact mathematical range [1, 2**((N-1)/(2*N))], whose upper end is the
-    value on the diagonals; without the clamp, rounding can stick out of
-    the range by about one ulp.
+    value on the diagonals.
     """
-    theta = _check_angle(theta)
-    n = _check_exponent(n)
-    c = math.fabs(math.cos(theta))
-    s = math.fabs(math.sin(theta))
-    m = max(c, s)
-    r = min(c, s) / m
-    if r == 0.0:
-        rho = 1.0 / m
-    else:
-        two_n = 2.0 * n
-        power = math.exp(two_n * math.log(r))
-        rho = math.exp(-math.log1p(power) / two_n) / m
-    peak = math.exp(_LN2 * (n - 1) / (2.0 * n))
-    return min(max(rho, 1.0), peak)
+    return _evaluate(_check_angle(theta), _check_exponent(n))[0]
 
 
 def radial_factor_limit(theta: float) -> float:
@@ -206,8 +235,8 @@ def radial_factor_limit(theta: float) -> float:
 
 def curve_point(theta: float, n: int) -> Point2:
     """Point of x^(2N) + y^(2N) = 1 in direction theta."""
-    rho = radial_factor(theta, n)
-    return (rho * math.cos(theta), rho * math.sin(theta))
+    rho, c, s = _evaluate(_check_angle(theta), _check_exponent(n))[:3]
+    return (rho * c, rho * s)
 
 
 def square_point(theta: float) -> Point2:
@@ -235,12 +264,15 @@ def forward_affine(p: Point2, frame: AffineFrame = IDENTITY) -> Point2:
 def inverse_affine(p: Point2, frame: AffineFrame = IDENTITY) -> Point2:
     """Apply the inverse of the frame's map to a point."""
     u, v = p
-    du = u - frame.gamma
-    dv = v - frame.zeta
+    return _solve_linear(frame, u - frame.gamma, v - frame.zeta)
+
+
+def _solve_linear(frame: AffineFrame, u: float, v: float) -> Point2:
+    """Apply the inverse of the frame's linear part (no translation)."""
     det = frame.det
     return (
-        (frame.epsilon * du - frame.beta * dv) / det,
-        (frame.alpha * dv - frame.delta * du) / det,
+        (frame.epsilon * u - frame.beta * v) / det,
+        (frame.alpha * v - frame.delta * u) / det,
     )
 
 
@@ -258,9 +290,8 @@ def affine_curve_point(theta: float, n: int, frame: AffineFrame = IDENTITY) -> P
 
     With the identity frame this reduces bit-for-bit to ``curve_point``.
     """
-    rho = radial_factor(theta, n)
-    target = (rho * math.cos(theta), rho * math.sin(theta))
-    return inverse_affine(target, frame)
+    rho, c, s = _evaluate(_check_angle(theta), _check_exponent(n))[:3]
+    return _solve_linear(frame, rho * c - frame.gamma, rho * s - frame.zeta)
 
 
 def residual_log(p: Point2, n: int, frame: AffineFrame = IDENTITY) -> float:
@@ -302,49 +333,38 @@ def theta_of_point(p: Point2, frame: AffineFrame = IDENTITY) -> float:
     return normalize_angle(math.atan2(v, u))
 
 
-def _radial_factor_slope(theta: float, n: int) -> float:
-    """d(radial_factor)/d(theta) in the same factored log-domain style.
+def _radial_factor_slope(
+    n: int, c: float, s: float, m: float, log_r: float, log1p_power: float
+) -> float:
+    """d(radial_factor)/d(theta) from the pieces ``_evaluate`` returns.
 
     Derivation: with S = cos^(2N) + sin^(2N), rho = S^(-1/(2N)) and
 
         drho/dtheta = S^(-1/(2N) - 1) * cos(theta) * sin(theta)
                       * (cos^(2N-2) - sin^(2N-2)),
 
-    which factors through m and r into bounded terms. Exactly zero on the
-    axes and on the diagonals, and identically zero for N = 1.
+    which factors through m and r into bounded terms; the shape factor
+    S'^(-1 - 1/(2N)) with S' = 1 + r^(2N) reuses log1p(r^(2N)). Exactly
+    zero on the axes and on the diagonals, and identically zero for N = 1.
     """
-    c = math.cos(theta)
-    s = math.sin(theta)
-    ca = math.fabs(c)
-    sa = math.fabs(s)
-    m = max(ca, sa)
-    r = min(ca, sa) / m
-    k = 2.0 * n - 2.0
-    if k == 0.0 or r == 0.0:
+    if n == 1 or log_r == -math.inf:
         return 0.0
-    lr = math.log(r)
-    low_power = math.exp(k * lr)  # r^(2N-2)
-    big_power = math.exp((k + 2.0) * lr)  # r^(2N)
-    shape = math.exp(-(1.0 + 0.5 / n) * math.log1p(big_power))
+    low_power = math.exp((2.0 * n - 2.0) * log_r)  # r^(2N-2)
+    shape = math.exp(-(1.0 + 0.5 / n) * log1p_power)
     slope = (c * s) / (m * m * m) * (1.0 - low_power) * shape
-    return slope if ca >= sa else -slope
+    return slope if math.fabs(c) >= math.fabs(s) else -slope
+
+
+def _velocity(theta: float, n: int, frame: AffineFrame) -> Point2:
+    """curve_velocity for an already-checked angle and exponent."""
+    rho, c, s, m, log_r, log1p_power = _evaluate(theta, n)
+    drho = _radial_factor_slope(n, c, s, m, log_r, log1p_power)
+    return _solve_linear(frame, drho * c - rho * s, drho * s + rho * c)
 
 
 def curve_velocity(theta: float, n: int, frame: AffineFrame = IDENTITY) -> Point2:
     """Derivative of affine_curve_point with respect to theta."""
-    theta = _check_angle(theta)
-    n = _check_exponent(n)
-    rho = radial_factor(theta, n)
-    drho = _radial_factor_slope(theta, n)
-    c = math.cos(theta)
-    s = math.sin(theta)
-    wu = drho * c - rho * s
-    wv = drho * s + rho * c
-    det = frame.det
-    return (
-        (frame.epsilon * wu - frame.beta * wv) / det,
-        (frame.alpha * wv - frame.delta * wu) / det,
-    )
+    return _velocity(_check_angle(theta), _check_exponent(n), frame)
 
 
 def curve_speed(theta: float, n: int, frame: AffineFrame = IDENTITY) -> float:
@@ -357,6 +377,6 @@ def curve_speed(theta: float, n: int, frame: AffineFrame = IDENTITY) -> float:
     theta = _check_angle(theta)
     n = _check_exponent(n)
     if _identity_linear(frame):
-        return math.hypot(radial_factor(theta, n), _radial_factor_slope(theta, n))
-    vx, vy = curve_velocity(theta, n, frame)
-    return math.hypot(vx, vy)
+        rho, c, s, m, log_r, log1p_power = _evaluate(theta, n)
+        return math.hypot(rho, _radial_factor_slope(n, c, s, m, log_r, log1p_power))
+    return math.hypot(*_velocity(theta, n, frame))

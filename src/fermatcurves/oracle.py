@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 
 from . import core
-from .core import IDENTITY, TWO_PI, AffineFrame
+from .core import IDENTITY, AffineFrame
 from .errors import OutOfRange
-from .sampling import SampledCurve
+from .sampling import SampledCurve, _check_count, _uniform_thetas
 
 __all__ = ["BRACKET_TOL", "bisect_radial_factor", "implicit_solve_x", "oracle_polyline"]
 
@@ -101,8 +101,7 @@ def oracle_polyline(
     polyline to compare the closed form against.
     """
     n = core._check_exponent(n)
-    count = int(count)
-    thetas = tuple((TWO_PI * k) / count for k in range(count))
+    thetas = _uniform_thetas(_check_count(count))
     points = []
     for t in thetas:
         radius = bisect_radial_factor(t, n)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect as _bisect
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,14 +96,24 @@ def sample_uniform_theta(
 ) -> SampledCurve:
     """Sample one full turn of the curve on the uniform theta grid 2*pi*k/count."""
     n = core._check_exponent(n)
-    count = _check_count(count)
-    thetas = tuple((TWO_PI * k) / count for k in range(count))
+    thetas = _uniform_thetas(_check_count(count))
     points = tuple(core.affine_curve_point(t, n, frame) for t in thetas)
     return SampledCurve(thetas, points, True, n, frame)
 
 
+def _uniform_thetas(count: int) -> tuple[float, ...]:
+    """The uniform grid 2*pi*k/count, k = 0 .. count-1, of a checked count."""
+    return tuple((TWO_PI * k) / count for k in range(count))
+
+
+def _check_integer(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+    return int(value)
+
+
 def _check_count(count) -> int:
-    count = int(count)
+    count = _check_integer(count, "count")
     if count < 3:
         raise TooFewSamples(f"need at least 3 samples, got {count}")
     return count
@@ -216,7 +227,7 @@ def resample_by_arclength(
     count = _check_count(count)
     tol = _check_tol(tol)
 
-    grid = [(TWO_PI * k) / _RESAMPLE_BASE for k in range(_RESAMPLE_BASE + 1)]
+    grid = (*_uniform_thetas(_RESAMPLE_BASE), TWO_PI)
     cum = [0.0] * (_RESAMPLE_BASE + 1)
     for k in range(1, _RESAMPLE_BASE + 1):
         cum[k] = cum[k - 1] + arc_length(n, frame, grid[k - 1], grid[k], tol)
@@ -260,12 +271,11 @@ def convergence_gap(
     is the largest radial gap to the square.
     """
     n = core._check_exponent(n)
-    resolution = int(resolution)
+    resolution = _check_integer(resolution, "resolution")
     if resolution < 16:
         raise ValueError(f"resolution must be at least 16, got {resolution}")
     worst = 0.0
-    for k in range(resolution):
-        t = (TWO_PI * k) / resolution
+    for t in _uniform_thetas(resolution):
         px, py = core.affine_curve_point(t, n, frame)
         qx, qy = core.limit_map(core.square_point(t), frame)
         worst = max(worst, math.hypot(px - qx, py - qy))

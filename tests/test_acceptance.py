@@ -11,6 +11,7 @@ independent chordal arc-length recomputation before being pinned.
 """
 
 import math
+import os
 import random
 import subprocess
 import sys
@@ -19,6 +20,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 
+import fermatcurves
 from fermatcurves import (
     TWO_PI,
     AffineFrame,
@@ -45,8 +47,13 @@ def _verdict(index: int, name: str, ok: bool, detail: str = ""):
 
 
 def _cli(*argv: str) -> subprocess.CompletedProcess:
+    # The child imports the same package as this process, installed or not.
+    src = os.path.dirname(os.path.dirname(fermatcurves.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     cmd = [sys.executable, "-m", "fermatcurves.cli", *argv]
-    return subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    return subprocess.run(
+        cmd, capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path}
+    )
 
 
 def test_criterion_1_stable_residuals_on_a_dense_grid():

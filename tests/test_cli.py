@@ -161,6 +161,15 @@ class TestSvgCommand:
             assert path.get("stroke-width") == "0.01"
             assert path.get("d").endswith("Z")
 
+    def test_theta_range_draws_open_arcs(self, capsys):
+        code, out, err = invoke(capsys, "svg", "--n", "3", "--count", "5", "--theta-range", "0,1")
+        assert code == 0
+        paths = [child for child in ET.fromstring(out) if child.tag.endswith("path")]
+        assert len(paths) == 3
+        for path in paths:
+            assert not path.get("d").endswith("Z")
+            assert path.get("d").count("L") == 4
+
     def test_paths_are_ordered_innermost_first(self, capsys):
         code, out, err = invoke(capsys, "svg", "--n", "5", "--count", "64")
         root = ET.fromstring(out)
@@ -216,6 +225,15 @@ class TestFailureModes:
         code, out, err = invoke(capsys, "sample", "--n", "1", "--count", "2")
         assert code == 2
         assert "samples" in err
+
+    @pytest.mark.parametrize("count", ["1", "2"])
+    def test_too_few_samples_on_a_partial_range(self, capsys, count):
+        code, out, err = invoke(
+            capsys, "sample", "--n", "2", "--theta-range", "0,1", "--count", count
+        )
+        assert code == 2
+        assert out == ""
+        assert f"need at least 3 samples, got {count}" in err
 
     def test_reversed_theta_range(self, capsys):
         code, out, err = invoke(capsys, "sample", "--n", "2", "--theta-range", "1,0.5")

@@ -1,0 +1,124 @@
+"""Golden digests of the public doubles and of the CLI output bytes.
+
+Each digest is the SHA-256 of the little-endian packed doubles (or of the
+exit code and stdout bytes) over a fixed, seeded sweep, so any change in
+the last bit of any value, the sign of zero included, changes it. The
+sweep covers the whole exponent range up to 2**31 - 1, the axis and
+diagonal angles, and four frames. The digests assume a libm whose cos,
+sin, exp, log and log1p round as glibc's do; another libm may differ in
+the last bit and then legitimately fails this file alone.
+"""
+
+import hashlib
+import math
+import random
+import struct
+
+import pytest
+
+from fermatcurves import (
+    MAX_EXPONENT,
+    AffineFrame,
+    affine_curve_point,
+    cli,
+    curve_point,
+    curve_speed,
+    curve_velocity,
+    radial_factor,
+)
+
+FRAME_TEXTS = (
+    "1,0,0,0,1,0",
+    "0.8,-0.6,0,0.6,0.8,0",
+    "2,0.5,-1,0,1.5,3",
+    "1,0.3,0.2,-0.4,0.7,-0.5",
+)
+FRAMES = tuple(AffineFrame(*(float(c) for c in text.split(","))) for text in FRAME_TEXTS)
+
+
+def _sweep() -> list[tuple[float, int]]:
+    rng = random.Random(20261018)
+    special = [k * math.pi / 4.0 for k in range(-8, 17)] + [0.0, -0.0, 1e-300, -1e-300]
+    cases = [(t, n) for n in (1, 2, 3, MAX_EXPONENT) for t in special]
+    log_max = math.log(MAX_EXPONENT)
+    for _ in range(2500):
+        n = min(MAX_EXPONENT, max(1, round(math.exp(rng.uniform(0.0, log_max)))))
+        t = rng.uniform(-10.0, 10.0)
+        cases.append((t, n))
+    for n in (1, 2, 3):
+        cases.extend((rng.uniform(-10.0, 10.0), n) for _ in range(100))
+    return cases
+
+
+def _digest(values) -> str:
+    h = hashlib.sha256()
+    for value in values:
+        if isinstance(value, tuple):
+            h.update(struct.pack("<2d", *value))
+        else:
+            h.update(struct.pack("<d", value))
+    return h.hexdigest()
+
+
+CORE_DIGESTS = {
+    "radial_factor": "8a2806595c64ad018156aaea5e3e5937c5e70ee0f025aef2d13a504b0cdd83fd",
+    "curve_point": "e44ba8b1baf0f98086305be58e254e1da085f3f5c56d0db0d4fded20e2260e02",
+    "affine_curve_point": "287c44529d00500731fa5e396eb4684447908454d61a5f5ec1aea5841d398439",
+    "curve_velocity": "b3022b5ae6f8470879cba12827afcf014a6707ba402baae7ed50a32a4039450e",
+    "curve_speed": "b1fee24629cf1b54c7466b9bef88f58b5b94461a6a7eb1d09438bd5113e021f7",
+}
+
+
+def _core_values(name: str):
+    cases = _sweep()
+    if name == "radial_factor":
+        return [radial_factor(t, n) for t, n in cases]
+    if name == "curve_point":
+        return [curve_point(t, n) for t, n in cases]
+    fn = {
+        "affine_curve_point": affine_curve_point,
+        "curve_velocity": curve_velocity,
+        "curve_speed": curve_speed,
+    }[name]
+    return [fn(t, n, frame) for frame in FRAMES for t, n in cases]
+
+
+@pytest.mark.parametrize("name", sorted(CORE_DIGESTS))
+def test_core_doubles_match_the_golden_digest(name):
+    assert _digest(_core_values(name)) == CORE_DIGESTS[name]
+
+
+CLI_DIGESTS = {
+    ("sample", "--n", "1", "--count", "64", "--frame", FRAME_TEXTS[1]):
+        "a2f88825ffa35e2750a138b8de192a660f276481cdef09fb467db0e13b18e340",
+    ("sample", "--n", "37", "--count", "64", "--frame", FRAME_TEXTS[2], "--format", "json"):
+        "2a3e6be50ff68b747bbee34dc6484ffd6506d1d801066f5436c296778426dc28",
+    ("sample", "--n", "37", "--count", "64", "--frame", FRAME_TEXTS[3]):
+        "01714d78a32c0243ccaf400a17713bd4c6bacde853d3eb0574443a8ee3c56012",
+    ("sample", "--n", "1000000", "--count", "64", "--frame", FRAME_TEXTS[1]):
+        "88736785968c08bd0defaf252d11df7163720ae2873fa480ab1a2b33659425fd",
+    ("sample", "--n", "1000000", "--count", "64", "--frame", FRAME_TEXTS[1], "--format", "json"):
+        "2b8d6c917405e1fc8992a5d817663d18c04e2efc16931f33497f294c4bf8168e",
+    ("sample", "--n", "37", "--count", "9", "--theta-range", "0.25,2.5", "--frame", FRAME_TEXTS[2]):
+        "995cdc03cb2a0a19814c484eeb5255841b9882a738374ddb152b3afa67b519e2",
+    ("svg", "--n", "3", "--count", "32", "--frame", FRAME_TEXTS[3]):
+        "4878d140e49bc98a1a7d5c7e075b84d1c184d0e769a571ad489b8ebcee885ef1",
+    ("svg", "--n", "2", "--count", "8", "--resample", "arclength", "--frame", FRAME_TEXTS[1]):
+        "cbae71267cc6a95b0f73875e53f6b5d8209f4585c94b1a75eda39065aa0fefdf",
+    ("gap", "--n", "2147483647"):
+        "af4e9dd214c67262ea66a3dd02884f7c9cde56c8e56cb96a3a44da6efd6666d3",
+    ("residual", "--n", "1000000", "--frame", FRAME_TEXTS[2]):
+        "625e8aac4ac54478fafac5f3f7ea6f1e013d82606459454c503f934cbd4042f3",
+    ("arclength", "--n", "50", "--frame", FRAME_TEXTS[2]):
+        "554314eabe56061e84e281f6ff312d3a79b707b00a369cc248041bcd8baf5bdc",
+    ("oracle-diff", "--n", "37", "--count", "64", "--frame", FRAME_TEXTS[3]):
+        "6ee7374e921cc6fd034bb042dd943e3d7a4e577f3eb6a40003f5f584af72cd2b",
+}
+
+
+@pytest.mark.parametrize("argv", list(CLI_DIGESTS), ids=" ".join)
+def test_cli_stdout_matches_the_golden_digest(capsys, argv):
+    code = cli.run(list(argv))
+    out = capsys.readouterr().out.encode("ascii")
+    assert code == 0
+    assert hashlib.sha256(out).hexdigest() == CLI_DIGESTS[argv]

@@ -7,6 +7,7 @@ being pinned here.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -96,6 +97,25 @@ class TestSampleUniformTheta:
     def test_count_too_small(self):
         with pytest.raises(TooFewSamples):
             sample_uniform_theta(1, count=2)
+
+
+SIZED_CALLS = {
+    "sample_uniform_theta": lambda size: sample_uniform_theta(3, count=size),
+    "oracle_polyline": lambda size: oracle_polyline(3, count=size),
+    "convergence_gap": lambda size: convergence_gap(3, resolution=size),
+}
+
+
+class TestSizeArguments:
+    @pytest.mark.parametrize("call", SIZED_CALLS)
+    @pytest.mark.parametrize("size", [3.9, 16.0, True])
+    def test_non_integers_and_bools_are_rejected(self, call, size):
+        with pytest.raises(TypeError):
+            SIZED_CALLS[call](size)
+
+    @pytest.mark.parametrize("call", SIZED_CALLS)
+    def test_numpy_integers_are_accepted(self, call):
+        assert SIZED_CALLS[call](np.int64(16)) == SIZED_CALLS[call](16)
 
 
 class TestArcLength:
