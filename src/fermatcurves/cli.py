@@ -23,16 +23,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from collections.abc import Sequence
 
-from .core import IDENTITY, TWO_PI, AffineFrame, affine_curve_point, residual_log
+from .core import IDENTITY, TWO_PI, AffineFrame, _affine_point, _check_exponent, _check_point, _residual
 from .errors import QuadratureFailure
 from .oracle import oracle_polyline
 from .sampling import (
+    _MIN_RESOLUTION,
     DEFAULT_TOL,
     SampledCurve,
     _check_count,
+    _polyline,
     _uniform_thetas,
     arc_length,
     convergence_gap,
@@ -78,7 +81,7 @@ def curve_from_json(data: bytes | str) -> SampledCurve:
     frame = AffineFrame(*(float(c) for c in obj["frame"]))
     thetas = tuple(float(s["theta"]) for s in obj["samples"])
     points = tuple((float(s["x"]), float(s["y"])) for s in obj["samples"])
-    return SampledCurve(thetas, points, bool(obj["closed"]), int(obj["n"]), frame)
+    return SampledCurve(thetas, points, bool(obj["closed"]), obj["n"], frame)
 
 
 def emit_svg(curves: Sequence[SampledCurve]) -> bytes:
@@ -126,34 +129,29 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+_FLAGS = {
+    "--n": dict(type=int, required=True, help="half-degree N of the curve x^(2N) + y^(2N) = 1"),
+    "--frame": dict(
+        default="1,0,0,0,1,0", help="six comma-separated coefficients alpha,beta,gamma,delta,epsilon,zeta (default: identity)"
+    ),
+    "--count": dict(type=int, default=256, help="sample count or grid resolution (default 256)"),
+    "--tol": dict(type=float, default=DEFAULT_TOL, help="quadrature error target (default 1e-10)"),
+    "--format": dict(choices=("csv", "json", "svg"), default="csv", help="output format for sample"),
+    "--resample": dict(
+        choices=("uniform", "arclength"), default="uniform", help="theta spacing: uniform angles or equal arc-length steps"
+    ),
+    "--theta-range": dict(default=None, metavar="LO,HI", help="parameter range in radians (default: full turn)"),
+    "--output": dict(default=None, metavar="PATH", help="write payload to PATH instead of stdout"),
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="fermat-curves", description=__doc__.splitlines()[0])
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--n", type=int, required=True, help="half-degree N of the curve x^(2N) + y^(2N) = 1")
-    common.add_argument(
-        "--frame",
-        default="1,0,0,0,1,0",
-        help="six comma-separated coefficients alpha,beta,gamma,delta,epsilon,zeta (default: identity)",
-    )
-    common.add_argument("--count", type=int, default=256, help="sample count or grid resolution (default 256)")
-    common.add_argument("--tol", type=float, default=DEFAULT_TOL, help="quadrature error target (default 1e-10)")
-    common.add_argument("--format", choices=("csv", "json", "svg"), default="csv", help="output format for sample")
-    common.add_argument(
-        "--resample",
-        choices=("uniform", "arclength"),
-        default="uniform",
-        help="theta spacing: uniform angles or equal arc-length steps",
-    )
-    common.add_argument("--theta-range", default=None, metavar="LO,HI", help="parameter range in radians (default: full turn)")
-    common.add_argument("--output", default=None, metavar="PATH", help="write payload to PATH instead of stdout")
-
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("sample", parents=[common], help="sample one curve")
-    sub.add_parser("arclength", parents=[common], help="arc length over a theta range")
-    sub.add_parser("gap", parents=[common], help="largest distance to the limit shape")
-    sub.add_parser("residual", parents=[common], help="worst membership residual over a grid")
-    sub.add_parser("svg", parents=[common], help="nested family drawing for exponents 1..N")
-    sub.add_parser("oracle-diff", parents=[common], help="Hausdorff distance to the bisection reference")
+    for name, (_, text, flags) in _COMMANDS.items():
+        command = sub.add_parser(name, help=text)
+        for flag in ("--n", "--frame", *flags, "--output"):
+            command.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -183,40 +181,30 @@ def _parse_range(text: str | None) -> tuple[float, float]:
     return lo, hi
 
 
-def _full_turn(lo: float, hi: float) -> bool:
-    return lo == 0.0 and hi == TWO_PI
-
-
 def _sample_curve(ns, n: int, frame: AffineFrame) -> SampledCurve:
     lo, hi = _parse_range(ns.theta_range)
+    full_turn = lo == 0.0 and hi == TWO_PI
     if ns.resample == "arclength":
-        if not _full_turn(lo, hi):
+        if not full_turn:
             raise ValueError("arc-length resampling supports only the full default theta range")
         return resample_by_arclength(n, frame, ns.count, ns.tol)
-    if _full_turn(lo, hi):
+    if full_turn:
         return sample_uniform_theta(n, frame, ns.count)
-    return _sample_partial(n, frame, ns.count, lo, hi)
-
-
-def _sample_partial(n: int, frame: AffineFrame, count: int, lo: float, hi: float) -> SampledCurve:
     if not 0.0 <= lo < hi <= TWO_PI:
         raise ValueError(
             f"--theta-range must satisfy 0 <= LO < HI <= 2*pi for sampling, got {lo!r},{hi!r}"
         )
-    count = _check_count(count)
-    span = hi - lo
-    thetas = [lo + (span * k) / (count - 1) for k in range(count)]
+    count = _check_count(ns.count)
+    thetas = [lo + ((hi - lo) * k) / (count - 1) for k in range(count)]
     thetas[-1] = min(thetas[-1], hi)
-    points = tuple(affine_curve_point(t, n, frame) for t in thetas)
-    return SampledCurve(tuple(thetas), points, False, n, frame)
+    return _polyline(thetas, _check_exponent(n), frame, False)
 
 
 def _scalar(value: float) -> bytes:
     return (fmt(value) + "\n").encode("ascii")
 
 
-def _cmd_sample(ns) -> bytes:
-    frame = _parse_frame(ns.frame)
+def _cmd_sample(ns, frame: AffineFrame) -> bytes:
     curve = _sample_curve(ns, ns.n, frame)
     if ns.format == "json":
         return emit_json(curve)
@@ -225,48 +213,50 @@ def _cmd_sample(ns) -> bytes:
     return emit_csv(curve)
 
 
-def _cmd_arclength(ns) -> bytes:
-    frame = _parse_frame(ns.frame)
+def _cmd_arclength(ns, frame: AffineFrame) -> bytes:
     lo, hi = _parse_range(ns.theta_range)
     return _scalar(arc_length(ns.n, frame, lo, hi, ns.tol))
 
 
-def _cmd_gap(ns) -> bytes:
-    frame = _parse_frame(ns.frame)
+def _cmd_gap(ns, frame: AffineFrame) -> bytes:
+    if ns.count < _MIN_RESOLUTION:
+        raise ValueError(f"--count must be at least {_MIN_RESOLUTION}, got {ns.count}")
     return _scalar(convergence_gap(ns.n, frame, resolution=ns.count))
 
 
-def _cmd_residual(ns) -> bytes:
-    frame = _parse_frame(ns.frame)
+def _cmd_residual(ns, frame: AffineFrame) -> bytes:
     if ns.count < 1:
         raise ValueError(f"--count must be positive, got {ns.count}")
+    n = _check_exponent(ns.n)
     worst = 0.0
     for theta in _uniform_thetas(ns.count):
-        point = affine_curve_point(theta, ns.n, frame)
-        worst = max(worst, abs(residual_log(point, ns.n, frame)))
+        point = _affine_point(theta, n, frame)
+        res = abs(_residual(point, n, frame))
+        if not math.isfinite(res):
+            _check_point(point)  # a non-finite point is reported as residual_log would
+        worst = max(worst, res)
     return _scalar(worst)
 
 
-def _cmd_svg(ns) -> bytes:
-    frame = _parse_frame(ns.frame)
+def _cmd_svg(ns, frame: AffineFrame) -> bytes:
     # innermost first, so later curves draw outward
     return emit_svg([_sample_curve(ns, k, frame) for k in range(1, ns.n + 1)])
 
 
-def _cmd_oracle_diff(ns) -> bytes:
-    frame = _parse_frame(ns.frame)
+def _cmd_oracle_diff(ns, frame: AffineFrame) -> bytes:
     closed_form = sample_uniform_theta(ns.n, frame, ns.count)
     reference = oracle_polyline(ns.n, frame, ns.count)
     return _scalar(polyline_hausdorff(closed_form, reference))
 
 
+# Each subcommand's function, help line, and flags read besides --n, --frame and --output.
 _COMMANDS = {
-    "sample": _cmd_sample,
-    "arclength": _cmd_arclength,
-    "gap": _cmd_gap,
-    "residual": _cmd_residual,
-    "svg": _cmd_svg,
-    "oracle-diff": _cmd_oracle_diff,
+    "sample": (_cmd_sample, "sample one curve", ("--count", "--tol", "--format", "--resample", "--theta-range")),
+    "arclength": (_cmd_arclength, "arc length over a theta range", ("--tol", "--theta-range")),
+    "gap": (_cmd_gap, "largest distance to the limit shape", ("--count",)),
+    "residual": (_cmd_residual, "worst membership residual over a grid", ("--count",)),
+    "svg": (_cmd_svg, "nested family drawing for exponents 1..N", ("--count", "--tol", "--resample", "--theta-range")),
+    "oracle-diff": (_cmd_oracle_diff, "Hausdorff distance to the bisection reference", ("--count",)),
 }
 
 
@@ -288,7 +278,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        payload = _COMMANDS[ns.command](ns)
+        payload = _COMMANDS[ns.command][0](ns, _parse_frame(ns.frame))
     except QuadratureFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

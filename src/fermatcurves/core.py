@@ -20,8 +20,9 @@ evaluation stable for every exponent up to 2**31 - 1.
 One private kernel, ``_evaluate``, does this work for every evaluator:
 it takes cos, sin, m, r, log(r) and log1p(r**(2*N)) once per angle and
 returns them with the clamped radial factor. The radial factor, the curve
-points, the slope, the velocity and the speed are thin wrappers over it,
-and each public call validates its angle and exponent exactly once.
+points, the slope, the velocity and the speed are thin wrappers over it.
+Each public function validates its arguments once and calls a private body
+that trusts them, as the package's own loops over checked values do.
 
 An affine change of coordinates (u, v) = (alpha*x + beta*y + gamma,
 delta*x + epsilon*y + zeta) generalizes the family to curves satisfying
@@ -84,10 +85,14 @@ def _check_angle(theta) -> float:
     return theta
 
 
+def _check_integer(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+    return int(value)
+
+
 def _check_exponent(n) -> int:
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise TypeError(f"exponent must be an integer, got {type(n).__name__}")
-    n = int(n)
+    n = _check_integer(n, "exponent")
     if not 1 <= n <= MAX_EXPONENT:
         raise ValueError(f"exponent must be in [1, {MAX_EXPONENT}], got {n}")
     return n
@@ -152,22 +157,17 @@ class AffineFrame:
 IDENTITY = AffineFrame()
 
 
-def _identity_linear(frame: AffineFrame) -> bool:
-    return (
-        frame.alpha == 1.0
-        and frame.beta == 0.0
-        and frame.delta == 0.0
-        and frame.epsilon == 1.0
-    )
-
-
 def normalize_angle(theta: float) -> float:
     """Map an angle in radians to the canonical range [0, 2*pi).
 
     The result is congruent to ``theta`` modulo 2*pi. NaN and infinities
     raise InvalidAngle.
     """
-    theta = _check_angle(theta)
+    return _normalize(_check_angle(theta))
+
+
+def _normalize(theta: float) -> float:
+    """normalize_angle for an already-checked angle."""
     r = math.fmod(theta, TWO_PI)
     if r < 0.0:
         r += TWO_PI
@@ -228,9 +228,7 @@ def radial_factor(theta: float, n: int) -> float:
 
 def radial_factor_limit(theta: float) -> float:
     """Large-N limit of radial_factor: distance to the unit-square boundary."""
-    theta = _check_angle(theta)
-    m = max(math.fabs(math.cos(theta)), math.fabs(math.sin(theta)))
-    return min(max(1.0 / m, 1.0), _SQRT2)
+    return min(max(1.0 / _square(_check_angle(theta))[2], 1.0), _SQRT2)
 
 
 def curve_point(theta: float, n: int) -> Point2:
@@ -245,11 +243,15 @@ def square_point(theta: float) -> Point2:
     Dividing both coordinates by the larger magnitude makes the larger
     output coordinate exactly +/-1.
     """
-    theta = _check_angle(theta)
+    return _square(_check_angle(theta))[:2]
+
+
+def _square(theta: float) -> tuple[float, float, float]:
+    """square_point's (x, y) and m = max(|cos|, |sin|) = 1 / radial_factor_limit, for a checked angle."""
     c = math.cos(theta)
     s = math.sin(theta)
     m = max(math.fabs(c), math.fabs(s))
-    return (c / m, s / m)
+    return (c / m, s / m, m)
 
 
 def forward_affine(p: Point2, frame: AffineFrame = IDENTITY) -> Point2:
@@ -262,7 +264,11 @@ def forward_affine(p: Point2, frame: AffineFrame = IDENTITY) -> Point2:
 
 
 def inverse_affine(p: Point2, frame: AffineFrame = IDENTITY) -> Point2:
-    """Apply the inverse of the frame's map to a point."""
+    """Apply the inverse of the frame's map to a point.
+
+    As ``limit_map`` it carries the square [-1, 1]^2 boundary onto the large-N
+    limit shape, which is the inverse affine image of that boundary.
+    """
     u, v = p
     return _solve_linear(frame, u - frame.gamma, v - frame.zeta)
 
@@ -276,13 +282,7 @@ def _solve_linear(frame: AffineFrame, u: float, v: float) -> Point2:
     )
 
 
-def limit_map(p: Point2, frame: AffineFrame = IDENTITY) -> Point2:
-    """Carry a point of the square boundary onto the large-N limit shape.
-
-    The limit of the generalized curves is the inverse affine image of the
-    square [-1, 1]^2 boundary, so this is exactly ``inverse_affine``.
-    """
-    return inverse_affine(p, frame)
+limit_map = inverse_affine
 
 
 def affine_curve_point(theta: float, n: int, frame: AffineFrame = IDENTITY) -> Point2:
@@ -290,7 +290,12 @@ def affine_curve_point(theta: float, n: int, frame: AffineFrame = IDENTITY) -> P
 
     With the identity frame this reduces bit-for-bit to ``curve_point``.
     """
-    rho, c, s = _evaluate(_check_angle(theta), _check_exponent(n))[:3]
+    return _affine_point(_check_angle(theta), _check_exponent(n), frame)
+
+
+def _affine_point(theta: float, n: int, frame: AffineFrame) -> Point2:
+    """affine_curve_point for an already-checked angle and exponent."""
+    rho, c, s = _evaluate(theta, n)[:3]
     return _solve_linear(frame, rho * c - frame.gamma, rho * s - frame.zeta)
 
 
@@ -303,7 +308,11 @@ def residual_log(p: Point2, n: int, frame: AffineFrame = IDENTITY) -> float:
     exactly -1.0 when both mapped coordinates are zero.
     """
     n = _check_exponent(n)
-    p = _check_point(p)
+    return _residual(_check_point(p), n, frame)
+
+
+def _residual(p: Point2, n: int, frame: AffineFrame) -> float:
+    """residual_log for an already-checked point and exponent."""
     u, v = forward_affine(p, frame)
     au = math.fabs(u)
     av = math.fabs(v)
@@ -330,7 +339,7 @@ def theta_of_point(p: Point2, frame: AffineFrame = IDENTITY) -> float:
     u, v = forward_affine(p, frame)
     if u == 0.0 and v == 0.0:
         raise OriginPoint("forward image is the origin, direction undefined")
-    return normalize_angle(math.atan2(v, u))
+    return _normalize(math.atan2(v, u))
 
 
 def _radial_factor_slope(
@@ -376,7 +385,7 @@ def curve_speed(theta: float, n: int, frame: AffineFrame = IDENTITY) -> float:
     """
     theta = _check_angle(theta)
     n = _check_exponent(n)
-    if _identity_linear(frame):
+    if frame.alpha == 1.0 and frame.beta == 0.0 and frame.delta == 0.0 and frame.epsilon == 1.0:
         rho, c, s, m, log_r, log1p_power = _evaluate(theta, n)
         return math.hypot(rho, _radial_factor_slope(n, c, s, m, log_r, log1p_power))
     return math.hypot(*_velocity(theta, n, frame))

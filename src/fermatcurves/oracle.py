@@ -32,8 +32,11 @@ def bisect_radial_factor(theta: float, n: int) -> float:
     runs until the bracket is 1e-14 wide. Exceeding the iteration cap is an
     internal defect and raises RuntimeError.
     """
-    theta = core._check_angle(theta)
-    n = core._check_exponent(n)
+    return _bisect(core._check_angle(theta), core._check_exponent(n))
+
+
+def _bisect(theta: float, n: int) -> float:
+    """bisect_radial_factor for an already-checked angle and exponent."""
     c = math.fabs(math.cos(theta))
     s = math.fabs(math.sin(theta))
     log_c = math.log(c) if c > 0.0 else -math.inf
@@ -104,7 +107,7 @@ def oracle_polyline(
     thetas = _uniform_thetas(_check_count(count))
     points = []
     for t in thetas:
-        radius = bisect_radial_factor(t, n)
+        radius = _bisect(t, n)
         target = (radius * math.cos(t), radius * math.sin(t))
         points.append(core.inverse_affine(target, frame))
     return SampledCurve(thetas, tuple(points), True, n, frame)

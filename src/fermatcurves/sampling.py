@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import bisect as _bisect
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +36,7 @@ RESIDUAL_TOL = 1e-9
 ARC_ROOT_TOL = 1e-10
 
 _MAX_DEPTH = 60
+_MIN_RESOLUTION = 16
 _MIN_TOL = 1e-14
 _RESAMPLE_BASE = 4096
 _QUARTER_PI = math.pi / 4.0
@@ -81,8 +81,9 @@ class SampledCurve:
             if not a < b:
                 raise ValueError("thetas must be strictly increasing")
         for t, p in zip(self.thetas, self.points):
-            res = core.residual_log(p, self.exponent, self.frame)
+            res = core._residual(p, self.exponent, self.frame)
             if not abs(res) <= RESIDUAL_TOL:
+                core._check_point(p)  # a non-finite point fails too: report it as residual_log does
                 raise ValueError(
                     f"point {p!r} at theta={t!r} is off the curve: residual {res:.3e}"
                 )
@@ -96,9 +97,13 @@ def sample_uniform_theta(
 ) -> SampledCurve:
     """Sample one full turn of the curve on the uniform theta grid 2*pi*k/count."""
     n = core._check_exponent(n)
-    thetas = _uniform_thetas(_check_count(count))
-    points = tuple(core.affine_curve_point(t, n, frame) for t in thetas)
-    return SampledCurve(thetas, points, True, n, frame)
+    return _polyline(_uniform_thetas(_check_count(count)), n, frame, True)
+
+
+def _polyline(thetas, n: int, frame: AffineFrame, closed: bool) -> SampledCurve:
+    """The SampledCurve through the curve points at checked angles and exponent."""
+    points = tuple(core._affine_point(t, n, frame) for t in thetas)
+    return SampledCurve(tuple(thetas), points, closed, n, frame)
 
 
 def _uniform_thetas(count: int) -> tuple[float, ...]:
@@ -106,14 +111,8 @@ def _uniform_thetas(count: int) -> tuple[float, ...]:
     return tuple((TWO_PI * k) / count for k in range(count))
 
 
-def _check_integer(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
-    return int(value)
-
-
 def _check_count(count) -> int:
-    count = _check_integer(count, "count")
+    count = core._check_integer(count, "count")
     if count < 3:
         raise TooFewSamples(f"need at least 3 samples, got {count}")
     return count
@@ -151,17 +150,19 @@ def arc_length(
         raise ValueError(
             f"theta span must lie in [0, 2*pi], got {span!r} from ({theta_a!r}, {theta_b!r})"
         )
+    return _arc_length(n, frame, core._normalize(theta_a), min(span, TWO_PI), tol)
+
+
+def _arc_length(n: int, frame: AffineFrame, a: float, span: float, tol: float) -> float:
+    """arc_length over [a, a + span] for checked arguments, 0 <= a < 2*pi, 0 <= span <= 2*pi."""
     if span == 0.0:
         return 0.0
-    span = min(span, TWO_PI)
-    a = core.normalize_angle(theta_a)
-    b = a + span
 
     def speed(t: float) -> float:
         return core.curve_speed(t, n, frame)
 
     total = 0.0
-    for lo, hi in _split_at_kinks(a, b):
+    for lo, hi in _split_at_kinks(a, a + span):
         total += _adaptive_simpson(speed, lo, hi, tol)
     return total
 
@@ -230,7 +231,7 @@ def resample_by_arclength(
     grid = (*_uniform_thetas(_RESAMPLE_BASE), TWO_PI)
     cum = [0.0] * (_RESAMPLE_BASE + 1)
     for k in range(1, _RESAMPLE_BASE + 1):
-        cum[k] = cum[k - 1] + arc_length(n, frame, grid[k - 1], grid[k], tol)
+        cum[k] = cum[k - 1] + _arc_length(n, frame, grid[k - 1], grid[k] - grid[k - 1], tol)
     total = cum[-1]
 
     thetas = [0.0]
@@ -240,18 +241,15 @@ def resample_by_arclength(
         i = _bisect.bisect_right(cum, target) - 1
         i = min(max(i, 0), _RESAMPLE_BASE - 1)
         thetas.append(_invert_arclength(n, frame, grid[i], cum[i], grid[i + 1], target, tol))
-    points = tuple(core.affine_curve_point(t, n, frame) for t in thetas)
-    return SampledCurve(tuple(thetas), points, True, n, frame)
+    return _polyline(thetas, n, frame, True)
 
 
 def _invert_arclength(n, frame, cell_start, cell_cum, cell_end, target, tol):
     """Bisect inside one table cell for the theta whose cumulative arc is target."""
-    lo = cell_start
-    hi = cell_end
-    mid = 0.5 * (lo + hi)
+    lo, hi = cell_start, cell_end
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        gap = cell_cum + arc_length(n, frame, cell_start, mid, tol) - target
+        gap = cell_cum + _arc_length(n, frame, cell_start, mid - cell_start, tol) - target
         if abs(gap) <= ARC_ROOT_TOL or hi - lo <= math.ulp(hi):
             return mid
         if gap > 0.0:
@@ -271,13 +269,13 @@ def convergence_gap(
     is the largest radial gap to the square.
     """
     n = core._check_exponent(n)
-    resolution = _check_integer(resolution, "resolution")
-    if resolution < 16:
-        raise ValueError(f"resolution must be at least 16, got {resolution}")
+    resolution = core._check_integer(resolution, "resolution")
+    if resolution < _MIN_RESOLUTION:
+        raise ValueError(f"resolution must be at least {_MIN_RESOLUTION}, got {resolution}")
     worst = 0.0
     for t in _uniform_thetas(resolution):
-        px, py = core.affine_curve_point(t, n, frame)
-        qx, qy = core.limit_map(core.square_point(t), frame)
+        px, py = core._affine_point(t, n, frame)
+        qx, qy = core.limit_map(core._square(t)[:2], frame)
         worst = max(worst, math.hypot(px - qx, py - qy))
     return worst
 

@@ -90,6 +90,13 @@ class TestSampleCommand:
         assert curve.exponent == 3
         assert curve.closed
 
+    @pytest.mark.parametrize("n, text", [(3, "3.7"), (1, "true")])
+    def test_json_exponent_must_be_an_integer(self, n, text):
+        # The points lie on the N = n curve, so only the exponent check can object.
+        data = cli.emit_json(sample_uniform_theta(n, count=8)).decode("ascii")
+        with pytest.raises(TypeError, match="exponent must be an integer"):
+            cli.curve_from_json(data.replace(f'"n":{n},', f'"n":{text},'))
+
     def test_partial_theta_range_keeps_both_endpoints(self, capsys):
         hi = math.pi / 2.0
         code, out, err = invoke(
@@ -184,6 +191,18 @@ class TestSvgCommand:
         assert len(diagonal_radii) == 5
 
 
+# The flags each subcommand does not read; every other pairing of the six
+# subcommands and eight flags is read by the subcommand.
+IGNORED_FLAGS = {
+    "arclength": ("--count", "--format", "--resample"),
+    "gap": ("--tol", "--format", "--resample", "--theta-range"),
+    "residual": ("--tol", "--format", "--resample", "--theta-range"),
+    "svg": ("--format",),
+    "oracle-diff": ("--tol", "--format", "--resample", "--theta-range"),
+}
+FLAG_VALUES = {"--count": "64", "--tol": "1e-3", "--format": "json", "--resample": "uniform", "--theta-range": "0,1"}
+
+
 class TestFailureModes:
     def test_singular_frame_exits_two(self, capsys):
         code, out, err = invoke(capsys, "sample", "--n", "2", "--frame", "1,2,0,2,4,0")
@@ -246,6 +265,30 @@ class TestFailureModes:
         )
         assert code == 2
         assert "arc-length" in err
+
+    def test_gap_grid_minimum_names_the_count_flag(self, capsys):
+        code, out, err = invoke(capsys, "gap", "--n", "3", "--count", "8")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --count must be at least 16, got 8\n"
+
+    @pytest.mark.parametrize("command", ["sample", "residual"])
+    def test_non_finite_points_are_reported(self, capsys, command):
+        # Finite frame, but its inverse overflows: the points come out as NaN.
+        code, out, err = invoke(capsys, command, "--n", "3", "--count", "8", "--frame", "1e160,0,1e300,0,1e160,0")
+        assert code == 2
+        assert out == ""
+        assert "point coordinates must be finite" in err
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(command, flag) for command, flags in IGNORED_FLAGS.items() for flag in flags],
+    )
+    def test_flags_a_command_does_not_read_are_rejected(self, capsys, command, flag):
+        code, out, err = invoke(capsys, command, "--n", "3", flag, FLAG_VALUES[flag])
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments" in err
 
     def test_sub_precision_tolerance(self, capsys):
         code, out, err = invoke(capsys, "arclength", "--n", "3", "--tol", "1e-16")

@@ -25,6 +25,8 @@ from fermatcurves import (
     curve_speed,
     curve_velocity,
     radial_factor,
+    radial_factor_limit,
+    square_point,
 )
 
 FRAME_TEXTS = (
@@ -66,6 +68,8 @@ CORE_DIGESTS = {
     "affine_curve_point": "287c44529d00500731fa5e396eb4684447908454d61a5f5ec1aea5841d398439",
     "curve_velocity": "b3022b5ae6f8470879cba12827afcf014a6707ba402baae7ed50a32a4039450e",
     "curve_speed": "b1fee24629cf1b54c7466b9bef88f58b5b94461a6a7eb1d09438bd5113e021f7",
+    "radial_factor_limit": "51ee47846819824d706d05818908c8602f5a3aa2f4c8781095afe0384ad40e6a",
+    "square_point": "e505215c15afaedf095faaa330b2aca072d095634d93128f191ca96db9708c08",
 }
 
 
@@ -75,6 +79,9 @@ def _core_values(name: str):
         return [radial_factor(t, n) for t, n in cases]
     if name == "curve_point":
         return [curve_point(t, n) for t, n in cases]
+    if name in ("radial_factor_limit", "square_point"):
+        limit = radial_factor_limit if name == "radial_factor_limit" else square_point
+        return [limit(t) for t, _ in cases]
     fn = {
         "affine_curve_point": affine_curve_point,
         "curve_velocity": curve_velocity,

@@ -22,6 +22,7 @@ from fermatcurves import (
     TooFewSamples,
     arc_length,
     convergence_gap,
+    core,
     curve_point,
     oracle_polyline,
     polyline_hausdorff,
@@ -74,6 +75,13 @@ class TestSampledCurve:
         with pytest.raises(ValueError, match="off the curve"):
             SampledCurve(thetas, bad, False, 2, IDENTITY)
 
+    @pytest.mark.parametrize("bad", [(math.nan, 0.0), (math.inf, 1.0)])
+    def test_rejects_non_finite_points(self, bad):
+        thetas = (0.1, 0.2, 0.3)
+        pts = (curve_point(0.1, 2), bad, curve_point(0.3, 2))
+        with pytest.raises(ValueError, match="point coordinates must be finite"):
+            SampledCurve(thetas, pts, False, 2, IDENTITY)
+
     def test_rejects_non_frame(self):
         thetas = (0.1, 0.2, 0.3)
         pts = tuple(curve_point(t, 1) for t in thetas)
@@ -116,6 +124,51 @@ class TestSizeArguments:
     @pytest.mark.parametrize("call", SIZED_CALLS)
     def test_numpy_integers_are_accepted(self, call):
         assert SIZED_CALLS[call](np.int64(16)) == SIZED_CALLS[call](16)
+
+
+def _checks_made(monkeypatch, call) -> dict[str, int]:
+    """Calls of each core input check made by call(), leaving out the two
+    checks of every curve_speed call: curve_speed is the public arc-length
+    integrand, called once per quadrature node."""
+    counts = dict.fromkeys(("_check_exponent", "_check_angle", "_check_point", "curve_speed"), 0)
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    with monkeypatch.context() as patch:
+        for name in counts:
+            patch.setattr(core, name, counted(name, getattr(core, name)))
+        call()
+    speed = counts.pop("curve_speed")
+    counts["_check_exponent"] -= speed
+    counts["_check_angle"] -= speed
+    return counts
+
+
+def _rebuild(count):
+    curve = sample_uniform_theta(7, count=count)
+    return lambda: SampledCurve(curve.thetas, curve.points, True, 7, IDENTITY)
+
+
+VALIDATING_CALLS = {
+    "sample_uniform_theta": (lambda count: lambda: sample_uniform_theta(7, count=count), (16, 4096)),
+    "convergence_gap": (lambda count: lambda: convergence_gap(7, resolution=count), (16, 4096)),
+    "oracle_polyline": (lambda count: lambda: oracle_polyline(7, count=count), (16, 512)),
+    "resample_by_arclength": (lambda count: lambda: resample_by_arclength(3, count=count, tol=1e-6), (8, 16)),
+    "SampledCurve": (_rebuild, (16, 4096)),
+}
+
+
+@pytest.mark.parametrize("name", VALIDATING_CALLS)
+def test_validation_does_not_scale_with_the_vertex_count(monkeypatch, name):
+    make, (small, large) = VALIDATING_CALLS[name]
+    checks = [_checks_made(monkeypatch, make(count)) for count in (small, large)]
+    assert checks[0] == checks[1]
+    assert all(0 <= calls <= 2 for calls in checks[0].values()), checks[0]
 
 
 class TestArcLength:
