@@ -1,14 +1,7 @@
 """Command-line front end and the CSV/JSON/SVG emitters it shares with tests.
 
-Subcommands:
-
-    sample       sample one curve and emit it as CSV, JSON, or SVG
-    arclength    print the arc length between two parameter angles
-    gap          print the largest distance between a curve and its limit shape
-    residual     print the worst membership residual over a sample grid
-    svg          emit the nested family for exponents 1..N as one SVG drawing
-    oracle-diff  print the Hausdorff distance between the closed form and the
-                 bisection reference polyline
+Subcommands (listed with their help by ``fermat-curves --help``): sample,
+arclength, gap, residual, svg and oracle-diff; each reads only its own flags.
 
 Exit codes: 0 on success, 2 for argument or domain errors (including a
 singular frame), 3 for numeric failures inside the quadrature. Diagnostics
@@ -78,10 +71,11 @@ def emit_json(curve: SampledCurve) -> bytes:
 def curve_from_json(data: bytes | str) -> SampledCurve:
     """Rebuild a SampledCurve from emit_json output."""
     obj = json.loads(data)
-    frame = AffineFrame(*(float(c) for c in obj["frame"]))
+    if not isinstance(obj["closed"], bool):
+        raise TypeError(f"closed must be true or false, got {obj['closed']!r}")
     thetas = tuple(float(s["theta"]) for s in obj["samples"])
     points = tuple((float(s["x"]), float(s["y"])) for s in obj["samples"])
-    return SampledCurve(thetas, points, bool(obj["closed"]), obj["n"], frame)
+    return SampledCurve(thetas, points, obj["closed"], obj["n"], AffineFrame(*obj["frame"]))
 
 
 def emit_svg(curves: Sequence[SampledCurve]) -> bytes:
@@ -155,29 +149,20 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_frame(text: str) -> AffineFrame:
+def _parse_numbers(text: str, flag: str, count: int, wanted: str) -> list[float]:
     parts = text.split(",")
-    if len(parts) != 6:
-        raise ValueError(
-            f"--frame needs six comma-separated numbers alpha,beta,gamma,delta,epsilon,zeta, got {text!r}"
-        )
+    if len(parts) != count:
+        raise ValueError(f"{flag} needs {wanted}, got {text!r}")
     try:
-        values = [float(part) for part in parts]
+        return [float(part) for part in parts]
     except ValueError:
-        raise ValueError(f"--frame has a non-numeric entry: {text!r}") from None
-    return AffineFrame(*values)
+        raise ValueError(f"{flag} has a non-numeric entry: {text!r}") from None
 
 
 def _parse_range(text: str | None) -> tuple[float, float]:
     if text is None:
         return 0.0, TWO_PI
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"--theta-range needs two comma-separated radians LO,HI, got {text!r}")
-    try:
-        lo, hi = (float(part) for part in parts)
-    except ValueError:
-        raise ValueError(f"--theta-range has a non-numeric entry: {text!r}") from None
+    lo, hi = _parse_numbers(text, "--theta-range", 2, "two comma-separated radians LO,HI")
     return lo, hi
 
 
@@ -278,7 +263,9 @@ def run(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        payload = _COMMANDS[ns.command][0](ns, _parse_frame(ns.frame))
+        wanted = "six comma-separated numbers alpha,beta,gamma,delta,epsilon,zeta"
+        frame = AffineFrame(*_parse_numbers(ns.frame, "--frame", 6, wanted))
+        payload = _COMMANDS[ns.command][0](ns, frame)
     except QuadratureFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -319,10 +319,10 @@ def _residual(p: Point2, n: int, frame: AffineFrame) -> float:
     if au == 0.0 and av == 0.0:
         return -1.0
     two_n = 2.0 * n
-    a = two_n * math.log(au) if au > 0.0 else -math.inf
-    b = two_n * math.log(av) if av > 0.0 else -math.inf
-    hi = max(a, b)
-    lo = min(a, b)
+    # != and >=, not > and max()/min(): a NaN image must give a NaN residual.
+    a = two_n * math.log(au) if au != 0.0 else -math.inf
+    b = two_n * math.log(av) if av != 0.0 else -math.inf
+    hi, lo = (a, b) if a >= b else (b, a)
     lse = hi + math.log1p(math.exp(lo - hi))
     try:
         return math.expm1(lse)

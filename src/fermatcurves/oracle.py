@@ -86,8 +86,6 @@ def implicit_solve_x(y: float, n: int) -> float:
     if ay == 0.0:
         return 1.0
     u = 2.0 * n * math.log(ay)
-    if u == 0.0:
-        return 0.0
     complement = -math.expm1(u)  # 1 - y^(2N), accurate near y = +/-1
     if complement == 0.0:
         return 0.0

@@ -13,8 +13,6 @@ import bisect as _bisect
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import core
 from .core import IDENTITY, TWO_PI, AffineFrame, Point2
 from .errors import QuadratureFailure, TooFewSamples
@@ -41,6 +39,7 @@ _MIN_TOL = 1e-14
 _RESAMPLE_BASE = 4096
 _QUARTER_PI = math.pi / 4.0
 _SPAN_SLACK = 4.0 * math.ulp(TWO_PI)
+_GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -290,41 +289,57 @@ def polyline_hausdorff(a, b) -> float:
     """
     pa, ca = _as_polyline(a)
     pb, cb = _as_polyline(b)
-    return max(_directed_hausdorff(pa, pb, cb), _directed_hausdorff(pb, pa, ca))
+    return math.sqrt(max(_directed_hausdorff(pa, pb, cb), _directed_hausdorff(pb, pa, ca)))
 
 
-def _as_polyline(curve) -> tuple[np.ndarray, bool]:
+def _as_polyline(curve):
     if isinstance(curve, SampledCurve):
-        pts = np.asarray(curve.points, dtype=float)
-        closed = curve.closed
-    else:
-        pts = np.asarray(curve, dtype=float)
-        closed = True
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
+        return curve.points, curve.closed
+    try:
+        pts = [(float(x), float(y)) for x, y in curve]
+    except (TypeError, ValueError):
+        pts = []
+    if len(pts) < 2:
         raise ValueError("polyline needs at least two (x, y) vertices")
-    if not np.all(np.isfinite(pts)):
+    if not all(math.isfinite(x) and math.isfinite(y) for x, y in pts):
         raise ValueError("polyline vertices must be finite")
-    return pts, closed
+    return pts, True
 
 
-def _directed_hausdorff(pts: np.ndarray, poly: np.ndarray, poly_closed: bool) -> float:
-    if poly_closed:
-        starts = poly
-        ends = np.roll(poly, -1, axis=0)
-    else:
-        starts = poly[:-1]
-        ends = poly[1:]
-    d = ends - starts
-    seg_len2 = np.einsum("ij,ij->i", d, d)
-    safe_len2 = np.where(seg_len2 > 0.0, seg_len2, 1.0)
+def _directed_hausdorff(pts, poly, poly_closed: bool) -> float:
+    """Largest squared distance from a vertex of pts to the polyline poly.
 
+    The exact early-break scan of Taha & Hanbury (IEEE TPAMI 2015): a vertex's
+    scan stops at the first segment within the running maximum, which that
+    vertex cannot raise. Vertices are visited with a stride near len(pts)/phi,
+    coprime to it, so large distances turn up early; each scan starts at the
+    proportional segment, where the nearest one usually is.
+    """
+    ends = poly[1:] + poly[:1] if poly_closed else poly[1:]
+    segments = []
+    for (sx, sy), (ex, ey) in zip(poly, ends):
+        dx, dy = ex - sx, ey - sy
+        segments.append((sx, sy, dx, dy, dx * dx + dy * dy or 1.0))  # 1.0: zero length
+    n, m = len(pts), len(segments)
+    stride = round(n / _GOLDEN_RATIO)
+    while math.gcd(stride, n) != 1:
+        stride += 1
     worst = 0.0
-    for lo in range(0, pts.shape[0], 256):
-        chunk = pts[lo : lo + 256]
-        w = chunk[:, None, :] - starts[None, :, :]
-        t = np.einsum("pij,ij->pi", w, d) / safe_len2
-        np.clip(t, 0.0, 1.0, out=t)
-        diff = w - t[:, :, None] * d[None, :, :]
-        dist2 = np.einsum("pij,pij->pi", diff, diff).min(axis=1)
-        worst = max(worst, float(dist2.max()))
-    return math.sqrt(worst)
+    for k in range(n):
+        i = k * stride % n
+        px, py = pts[i]
+        nearest = math.inf
+        for j in range(i * m // n - m, i * m // n):  # a negative index wraps around
+            sx, sy, dx, dy, len2 = segments[j]
+            wx, wy = px - sx, py - sy
+            t = (wx * dx + wy * dy) / len2
+            t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
+            ex, ey = wx - t * dx, wy - t * dy
+            d2 = ex * ex + ey * ey
+            if d2 <= worst:
+                break
+            if d2 < nearest:
+                nearest = d2
+        else:
+            worst = nearest
+    return worst

@@ -97,6 +97,17 @@ class TestSampleCommand:
         with pytest.raises(TypeError, match="exponent must be an integer"):
             cli.curve_from_json(data.replace(f'"n":{n},', f'"n":{text},'))
 
+    def test_json_closed_must_be_a_bool(self):
+        data = cli.emit_json(sample_uniform_theta(3, count=8)).decode("ascii")
+        with pytest.raises(TypeError, match="closed must be true or false"):
+            cli.curve_from_json(data.replace('"closed":true', '"closed":"false"'))
+
+    def test_json_frame_entries_must_be_numbers(self):
+        # Coerced with float(), these booleans would read as the identity frame.
+        data = cli.emit_json(sample_uniform_theta(3, count=8)).decode("ascii")
+        with pytest.raises(TypeError, match="frame coefficient alpha must be a real number"):
+            cli.curve_from_json(data.replace('"frame":[1,0,0,0,1,0]', '"frame":[true,false,0,false,true,0]'))
+
     def test_partial_theta_range_keeps_both_endpoints(self, capsys):
         hi = math.pi / 2.0
         code, out, err = invoke(

@@ -222,6 +222,17 @@ class TestResidualLog:
         assert residual_log((0.0, 0.0), 3) == -1.0
         assert residual_log((2.0, 2.0), 1000) == math.inf
 
+    @pytest.mark.parametrize(
+        "frame",
+        [AffineFrame(1e10, 1e10, 0.0, 2.0, 1.0, 1.0), AffineFrame(1.0, 0.0, 0.0, 1e10, 1e10, 0.0)],
+        ids=["u-nan", "v-nan"],
+    )
+    def test_a_nan_image_gives_a_nan_residual(self, frame):
+        # inf - inf makes one mapped coordinate NaN; that must not read as on the curve.
+        p = (1e300, -2e300)
+        assert any(math.isnan(c) for c in forward_affine(p, frame))
+        assert math.isnan(residual_log(p, 3, frame))
+
     @given(
         theta=moderate_angles,
         n=st.sampled_from([1, 2, 5, 40]),

@@ -6,6 +6,7 @@ being pinned here.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from fermatcurves import (
     QuadratureFailure,
     SampledCurve,
     TooFewSamples,
+    affine_curve_point,
     arc_length,
     convergence_gap,
     core,
@@ -29,8 +31,11 @@ from fermatcurves import (
     radial_factor,
     resample_by_arclength,
     sample_uniform_theta,
+    sampling,
 )
 from fermatcurves.sampling import _adaptive_simpson, _split_at_kinks
+from test_golden import FRAME_TEXTS as GOLDEN_FRAME_IDS
+from test_golden import FRAMES as GOLDEN_FRAMES
 
 QUARTER = math.pi / 2.0
 
@@ -81,6 +86,12 @@ class TestSampledCurve:
         pts = (curve_point(0.1, 2), bad, curve_point(0.3, 2))
         with pytest.raises(ValueError, match="point coordinates must be finite"):
             SampledCurve(thetas, pts, False, 2, IDENTITY)
+
+    def test_rejects_a_point_with_a_nan_image(self):
+        frame = AffineFrame(1e10, 1e10, 0.0, 2.0, 1.0, 1.0)
+        pts = ((1e300, -2e300),) + tuple(affine_curve_point(t, 3, frame) for t in (0.2, 0.3))
+        with pytest.raises(ValueError, match="off the curve: residual nan"):
+            SampledCurve((0.1, 0.2, 0.3), pts, False, 3, frame)
 
     def test_rejects_non_frame(self):
         thetas = (0.1, 0.2, 0.3)
@@ -380,11 +391,127 @@ class TestPolylineHausdorff:
         assert d == polyline_hausdorff(qts, pts)
         assert polyline_hausdorff(pts, pts) == 0.0
 
-    def test_rejects_degenerate_input(self):
-        with pytest.raises(ValueError):
-            polyline_hausdorff([(0.0, 0.0)], [(1.0, 0.0), (2.0, 0.0)])
-        with pytest.raises(ValueError):
-            polyline_hausdorff([(0.0, 0.0), (math.nan, 1.0)], [(1.0, 0.0), (2.0, 0.0)])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ([(0.0, 0.0)], "at least two"),
+            ([], "at least two"),
+            (5, "at least two"),
+            ([1.0, 2.0], "at least two"),
+            ([(0.0, 0.0, 0.0), (1.0, 1.0, 1.0)], "at least two"),
+            ([(0, 0), (1,)], None),
+            ("abc", None),
+            ([("a", "b"), (1.0, 2.0)], None),
+            ([(0.0, 0.0), (math.nan, 1.0)], "must be finite"),
+            ([(0.0, 0.0), (1.0, math.inf)], "must be finite"),
+        ],
+        ids=["one-vertex", "empty", "bare-number", "flat", "three-columns", "ragged",
+             "string", "non-numeric", "nan", "inf"],
+    )
+    def test_rejects_degenerate_input(self, bad, message):
+        good = [(1.0, 0.0), (2.0, 0.0)]
+        for args in ((bad, good), (good, bad)):
+            with pytest.raises(ValueError, match=message):
+                polyline_hausdorff(*args)
+
+
+def _all_pairs_directed(pts: np.ndarray, poly: np.ndarray, poly_closed: bool) -> float:
+    """Every vertex of pts against every segment of poly, in numpy chunks: the
+    reference whose double polyline_hausdorff must match bit for bit."""
+    if poly_closed:
+        starts = poly
+        ends = np.roll(poly, -1, axis=0)
+    else:
+        starts = poly[:-1]
+        ends = poly[1:]
+    d = ends - starts
+    seg_len2 = np.einsum("ij,ij->i", d, d)
+    safe_len2 = np.where(seg_len2 > 0.0, seg_len2, 1.0)
+
+    worst = 0.0
+    for lo in range(0, pts.shape[0], 256):
+        chunk = pts[lo : lo + 256]
+        w = chunk[:, None, :] - starts[None, :, :]
+        t = np.einsum("pij,ij->pi", w, d) / safe_len2
+        np.clip(t, 0.0, 1.0, out=t)
+        diff = w - t[:, :, None] * d[None, :, :]
+        dist2 = np.einsum("pij,pij->pi", diff, diff).min(axis=1)
+        worst = max(worst, float(dist2.max()))
+    return math.sqrt(worst)
+
+
+def _all_pairs_hausdorff(a, a_closed: bool, b, b_closed: bool) -> float:
+    pa = np.asarray(a, dtype=float)
+    pb = np.asarray(b, dtype=float)
+    return max(_all_pairs_directed(pa, pb, b_closed), _all_pairs_directed(pb, pa, a_closed))
+
+
+def _random_polyline(rng, size: int, scale: float) -> list[tuple[float, float]]:
+    pts = [(rng.uniform(-scale, scale), rng.uniform(-scale, scale)) for _ in range(size)]
+    for _ in range(rng.randint(0, 3)):  # repeated vertices make zero-length segments
+        k = rng.randrange(len(pts))
+        pts.insert(k, pts[k])
+    return pts
+
+
+def _random_arc(rng, n: int, frame: AffineFrame) -> SampledCurve:
+    thetas = sorted({rng.uniform(0.0, TWO_PI) for _ in range(rng.randint(3, 40))})
+    points = tuple(affine_curve_point(t, n, frame) for t in thetas)
+    return SampledCurve(tuple(thetas), points, rng.random() < 0.5, n, frame)
+
+
+class TestHausdorffMatchesTheAllPairsScan:
+    """polyline_hausdorff returns the all-pairs scan's double, compared with ==."""
+
+    def test_seeded_random_closed_pairs(self):
+        rng = random.Random(4)
+        for _ in range(400):
+            scale = 10.0 ** rng.uniform(-6.0, 3.0)
+            a = _random_polyline(rng, rng.randint(2, 40), scale)
+            b = _random_polyline(rng, rng.randint(2, 40), scale)
+            assert polyline_hausdorff(a, b) == _all_pairs_hausdorff(a, True, b, True)
+
+    def test_seeded_random_open_scans(self):
+        # Plain sequences are always closed, so the open case is checked one
+        # direction at a time, and through open SampledCurve arcs below.
+        rng = random.Random(5)
+        for _ in range(400):
+            scale = 10.0 ** rng.uniform(-6.0, 3.0)
+            a = _random_polyline(rng, rng.randint(2, 40), scale)
+            b = _random_polyline(rng, rng.randint(2, 40), scale)
+            closed = rng.random() < 0.5
+            got = math.sqrt(sampling._directed_hausdorff(a, b, closed))
+            assert got == _all_pairs_directed(np.asarray(a), np.asarray(b), closed)
+
+    def test_seeded_open_and_closed_arcs(self):
+        rng = random.Random(6)
+        for frame in GOLDEN_FRAMES:
+            for n in (1, 3, 50):
+                a, b = _random_arc(rng, n, frame), _random_arc(rng, n + 1, frame)
+                want = _all_pairs_hausdorff(a.points, a.closed, b.points, b.closed)
+                assert polyline_hausdorff(a, b) == want
+
+    def test_repeated_vertices(self):
+        square = [(0.0, 0.0), (0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+        dot = [(0.5, 2.0), (0.5, 2.0)]
+        for a, b in ((square, dot), (dot, square), (dot, dot), (square, square[::-1])):
+            assert polyline_hausdorff(a, b) == _all_pairs_hausdorff(a, True, b, True)
+
+    def test_numpy_array_input(self):
+        rng = random.Random(7)
+        a = np.asarray(_random_polyline(rng, 30, 2.0))
+        b = np.asarray(_random_polyline(rng, 17, 2.0))
+        assert polyline_hausdorff(a, b) == _all_pairs_hausdorff(a, True, b, True)
+        assert polyline_hausdorff(a, b.tolist()) == polyline_hausdorff(a.tolist(), b)
+
+    @pytest.mark.parametrize("frame", GOLDEN_FRAMES, ids=GOLDEN_FRAME_IDS)
+    @pytest.mark.parametrize("n", [1, 2, 7, 100, 10**4])
+    def test_closed_form_against_the_oracle(self, n, frame):
+        for count in (16, 97, 256):
+            closed_form = sample_uniform_theta(n, frame, count)
+            reference = oracle_polyline(n, frame, count)
+            want = _all_pairs_hausdorff(closed_form.points, True, reference.points, True)
+            assert polyline_hausdorff(closed_form, reference) == want
 
 
 class TestRadialNesting:
