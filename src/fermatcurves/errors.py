@@ -22,4 +22,4 @@ class OutOfRange(ValueError):
 
 
 class QuadratureFailure(RuntimeError):
-    """Adaptive quadrature could not meet its error target within the depth limit."""
+    """Arc-length quadrature or root finding could not meet its error target within its budget."""

@@ -1,15 +1,19 @@
 """Sampling, arc length, and convergence diagnostics for the curve family.
 
-Arc length is computed with adaptive Simpson quadrature. The integrand (the
+Arc length is integrated with Gauss-Kronrod 7/15 panels. The integrand (the
 parameterization speed) is analytic away from the axis and diagonal angles
-theta = k*pi/4; at large N it develops near-kinks on the diagonals, so every
-integral is split at those angles first and the adaptive recursion only ever
-sees smooth pieces.
+theta = k*pi/4, and at large N it has a boundary layer about 1/(4N) wide on
+each diagonal. So every integral is split at those angles first, each piece
+starts from panels that halve in width toward its diagonal, and bisection
+only refines what the error estimate still flags. Resampling by arc length
+reuses the accepted panels of the full turn as its cumulative table and
+solves for each sample by Newton's method, the speed being the derivative.
 """
 
 from __future__ import annotations
 
 import bisect as _bisect
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -33,13 +37,49 @@ DEFAULT_TOL = 1e-10
 RESIDUAL_TOL = 1e-9
 ARC_ROOT_TOL = 1e-10
 
-_MAX_DEPTH = 60
 _MIN_RESOLUTION = 16
 _MIN_TOL = 1e-14
-_RESAMPLE_BASE = 4096
 _QUARTER_PI = math.pi / 4.0
 _SPAN_SLACK = 4.0 * math.ulp(TWO_PI)
 _GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
+
+# The Gauss-Kronrod 7/15 rule on [-1, 1], as in QUADPACK's qk15 (Piessens
+# et al., 1983): the Kronrod nodes +-_XGK[j] and the centre; the Gauss nodes
+# are +-_XGK[1], +-_XGK[3], +-_XGK[5] and the centre. Added in the order
+# _gauss_kronrod uses, the weights _WGK sum to exactly 2.0 in binary64, so
+# the circle's constant speed 1.0 integrates to the exact panel width.
+_XGK = (
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+)
+_WGK = (
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+    0.209482141084727828012999174891714,
+)
+_WG = (
+    0.129484966168869693270611432679082,
+    0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
+    0.417959183673469387755102040816327,
+)
+_NODES = 15
+# QUADPACK's floor on the error test: the rounding of a 15-term sum.
+_ROUNDING = 50.0 * math.ulp(1.0)
+# Speed evaluations per quadrature: a power of two over 4x the most any
+# exponent, frame and tol were measured to take (3,975).
+_EVAL_BUDGET = 2**14
+_ROOT_STEPS = 60
 
 
 @dataclass(frozen=True)
@@ -118,8 +158,8 @@ def _check_count(count) -> int:
 
 
 def _check_tol(tol) -> float:
-    # Below ~1e-14 relative error the Simpson estimate is plain rounding
-    # noise and the recursion subdivides forever instead of failing fast.
+    # Below ~1e-14 relative error the target is under the rounding of the
+    # result itself, which no refinement can meet.
     tol = float(tol)
     if not tol >= _MIN_TOL:
         raise ValueError(f"tol must be at least {_MIN_TOL:g}, got {tol!r}")
@@ -136,9 +176,9 @@ def arc_length(
     """Arc length of the curve between parameter angles theta_a and theta_b.
 
     The span theta_b - theta_a must lie in [0, 2*pi]; a zero span returns
-    exactly 0.0 and the full span covers one closed circuit. Raises
-    QuadratureFailure if the tolerance cannot be met within the recursion
-    depth limit.
+    exactly 0.0 and the full span covers one closed circuit. The error is
+    at most about tol * max(1, arc length). Raises QuadratureFailure if the
+    tolerance cannot be met within the evaluation budget.
     """
     n = core._check_exponent(n)
     theta_a = core._check_angle(theta_a)
@@ -156,14 +196,9 @@ def _arc_length(n: int, frame: AffineFrame, a: float, span: float, tol: float) -
     """arc_length over [a, a + span] for checked arguments, 0 <= a < 2*pi, 0 <= span <= 2*pi."""
     if span == 0.0:
         return 0.0
-
-    def speed(t: float) -> float:
-        return core.curve_speed(t, n, frame)
-
-    total = 0.0
-    for lo, hi in _split_at_kinks(a, a + span):
-        total += _adaptive_simpson(speed, lo, hi, tol)
-    return total
+    # fsum: the panel widths telescope exactly, so a constant speed of 1.0
+    # (the circle) sums to the exact span.
+    return math.fsum(value for _, _, value in _panels(n, frame, a, a + span, tol))
 
 
 def _split_at_kinks(a: float, b: float) -> list[tuple[float, float]]:
@@ -181,34 +216,75 @@ def _split_at_kinks(a: float, b: float) -> list[tuple[float, float]]:
     return list(zip(cuts, cuts[1:]))
 
 
-def _adaptive_simpson(f, a: float, b: float, tol: float) -> float:
-    fa = f(a)
-    fm = f(0.5 * (a + b))
-    fb = f(b)
-    whole = (b - a) * ((fa + 4.0 * fm + fb) / 6.0)
-    return _refine(f, a, b, fa, fm, fb, whole, tol, 0)
+def _panels(n: int, frame: AffineFrame, a: float, b: float, tol: float):
+    """Accepted Gauss-Kronrod panels (x0, x1, integral) that cover [a, b], in order.
+
+    The error target tol * max(1, L), with L the starting panels' estimate
+    of the arc length, is shared equally among those graded panels, and a
+    bisected panel passes half its share to each half. A panel is accepted
+    once |K15 - G7| is within its share or within the rounding floor of its
+    15-term sum. Raises QuadratureFailure when a bisection would take the
+    speed evaluations past the budget.
+    """
+    levels = math.ceil(math.log2(math.pi * n))
+    initial = []
+    for lo, hi in _split_at_kinks(a, b):
+        edges = _graded_edges(lo, hi, levels)
+        initial += zip(edges, edges[1:])
+    estimates = [(x0, x1, *_gauss_kronrod(n, frame, x0, x1)) for x0, x1 in initial]
+    spent = _NODES * len(estimates)
+    share = tol * max(1.0, math.fsum(kronrod for _, _, kronrod, _ in estimates)) / len(estimates)
+    stack = [(*estimate, share) for estimate in reversed(estimates)]
+    panels = []
+    while stack:
+        x0, x1, kronrod, gauss, share = stack.pop()
+        if abs(kronrod - gauss) <= max(share, _ROUNDING * kronrod):
+            panels.append((x0, x1, kronrod))
+            continue
+        if spent + 2 * _NODES > _EVAL_BUDGET:
+            raise QuadratureFailure(
+                f"arc length of N={n} in {frame!r} on [{a!r}, {b!r}] did not meet"
+                f" tol {tol:g} within {_EVAL_BUDGET} speed evaluations:"
+                f" {spent} spent, panel [{x0!r}, {x1!r}] still open"
+            )
+        spent += 2 * _NODES
+        mid = 0.5 * (x0 + x1)
+        stack.append((mid, x1, *_gauss_kronrod(n, frame, mid, x1), 0.5 * share))
+        stack.append((x0, mid, *_gauss_kronrod(n, frame, x0, mid), 0.5 * share))
+    return panels
 
 
-def _refine(f, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    left = (m - a) * ((fa + 4.0 * flm + fm) / 6.0)
-    right = (b - m) * ((fm + 4.0 * frm + fb) / 6.0)
-    refined = left + right
-    err = (refined - whole) / 15.0
-    if abs(err) <= tol * (1.0 + abs(refined)):
-        return refined + err
-    if depth >= _MAX_DEPTH:
-        raise QuadratureFailure(
-            f"error target not met on [{a!r}, {b!r}] after depth {_MAX_DEPTH}"
-        )
-    half = 0.5 * tol
-    return _refine(f, a, m, fa, flm, fm, left, half, depth + 1) + _refine(
-        f, m, b, fm, frm, fb, right, half, depth + 1
-    )
+def _graded_edges(lo: float, hi: float, levels: int) -> list[float]:
+    """Panel edges of one kink piece: lo, hi and the points pi/8, pi/16, ...,
+    pi/2**(levels + 1) away from the piece's diagonal that lie between them.
+
+    The speed has a boundary layer about 1/(4N) wide on each diagonal
+    theta = (2k + 1)*pi/4; these panels halve in width toward it, down to
+    the layer's width.
+    """
+    k = math.floor(0.5 * (lo + hi) / _QUARTER_PI)
+    offsets = [_QUARTER_PI / 2.0**j for j in range(1, levels)]
+    if k % 2 == 0:  # the diagonal is the upper end of the octant
+        inner = [(k + 1) * _QUARTER_PI - d for d in offsets]
+    else:
+        inner = [k * _QUARTER_PI + d for d in reversed(offsets)]
+    return [lo, *(x for x in inner if lo < x < hi), hi]
+
+
+def _gauss_kronrod(n: int, frame: AffineFrame, x0: float, x1: float) -> tuple[float, float]:
+    """The 15-point Kronrod and 7-point Gauss integrals of the speed over [x0, x1]."""
+    center = 0.5 * (x0 + x1)
+    half = 0.5 * (x1 - x0)
+    f = core.curve_speed(center, n, frame)
+    kronrod = _WGK[7] * f
+    gauss = _WG[3] * f
+    for j in range(7):
+        dx = half * _XGK[j]
+        pair = core.curve_speed(center - dx, n, frame) + core.curve_speed(center + dx, n, frame)
+        kronrod += _WGK[j] * pair
+        if j % 2:
+            gauss += _WG[j // 2] * pair
+    return half * kronrod, half * gauss
 
 
 def resample_by_arclength(
@@ -219,43 +295,50 @@ def resample_by_arclength(
 ) -> SampledCurve:
     """Sample one full turn at ``count`` equal arc-length steps.
 
-    A cumulative arc-length table on a 4096-node theta grid brackets each
-    target; bracketed bisection then refines every sample until its
-    cumulative arc length is within 1e-10 of the target.
+    The accepted quadrature panels of the full turn form a cumulative
+    arc-length table that brackets each target; Newton's method inside the
+    bracketing panel, with the speed as the derivative and bisection as the
+    safeguard, then refines every sample until its cumulative arc length is
+    within 1e-10 of the target. Raises QuadratureFailure if a sample misses
+    that after a fixed number of steps.
     """
     n = core._check_exponent(n)
     count = _check_count(count)
     tol = _check_tol(tol)
 
-    grid = (*_uniform_thetas(_RESAMPLE_BASE), TWO_PI)
-    cum = [0.0] * (_RESAMPLE_BASE + 1)
-    for k in range(1, _RESAMPLE_BASE + 1):
-        cum[k] = cum[k - 1] + _arc_length(n, frame, grid[k - 1], grid[k] - grid[k - 1], tol)
-    total = cum[-1]
-
+    panels = _panels(n, frame, 0.0, TWO_PI, tol)
+    cum = list(itertools.accumulate((value for _, _, value in panels), initial=0.0))
+    step = math.fsum(value for _, _, value in panels) / count
     thetas = [0.0]
-    step = total / count
     for j in range(1, count):
         target = step * j
-        i = _bisect.bisect_right(cum, target) - 1
-        i = min(max(i, 0), _RESAMPLE_BASE - 1)
-        thetas.append(_invert_arclength(n, frame, grid[i], cum[i], grid[i + 1], target, tol))
+        i = min(_bisect.bisect_right(cum, target) - 1, len(panels) - 1)
+        thetas.append(_newton_in_panel(n, frame, panels[i], cum[i], target))
     return _polyline(thetas, n, frame, True)
 
 
-def _invert_arclength(n, frame, cell_start, cell_cum, cell_end, target, tol):
-    """Bisect inside one table cell for the theta whose cumulative arc is target."""
-    lo, hi = cell_start, cell_end
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        gap = cell_cum + _arc_length(n, frame, cell_start, mid - cell_start, tol) - target
-        if abs(gap) <= ARC_ROOT_TOL or hi - lo <= math.ulp(hi):
-            return mid
+def _newton_in_panel(n: int, frame: AffineFrame, panel, cum: float, target: float) -> float:
+    """The theta in panel (x0, x1, integral), whose start lies at arc length cum,
+    where the arc length reaches target."""
+    x0, x1, value = panel
+    lo, hi = x0, x1
+    theta = x0 + (x1 - x0) * ((target - cum) / value)
+    for _ in range(_ROOT_STEPS):
+        gap = cum + _gauss_kronrod(n, frame, x0, theta)[0] - target
+        if abs(gap) <= ARC_ROOT_TOL:
+            return theta
         if gap > 0.0:
-            hi = mid
+            hi = theta
         else:
-            lo = mid
-    return mid
+            lo = theta
+        theta -= gap / core.curve_speed(theta, n, frame)
+        if not lo < theta < hi:
+            theta = 0.5 * (lo + hi)
+    raise QuadratureFailure(
+        f"arc-length resampling of N={n} in {frame!r}: theta for arc length {target!r}"
+        f" on [{x0!r}, {x1!r}] still {gap:.3e} off after {_ROOT_STEPS} steps,"
+        f" {_ROOT_STEPS * (_NODES + 1)} speed evaluations"
+    )
 
 
 def convergence_gap(
@@ -289,7 +372,15 @@ def polyline_hausdorff(a, b) -> float:
     """
     pa, ca = _as_polyline(a)
     pb, cb = _as_polyline(b)
-    return math.sqrt(max(_directed_hausdorff(pa, pb, cb), _directed_hausdorff(pb, pa, ca)))
+    # Squared distances overflow past about 1.3e154. Scaling every
+    # coordinate below 1 by a power of two keeps them in range; the scale is
+    # exact for every coordinate it leaves a normal double, so the result
+    # is then the same double as the unscaled scan's.
+    exponent = math.frexp(max(abs(c) for p in (*pa, *pb) for c in p))[1]
+    pa = [(math.ldexp(x, -exponent), math.ldexp(y, -exponent)) for x, y in pa]
+    pb = [(math.ldexp(x, -exponent), math.ldexp(y, -exponent)) for x, y in pb]
+    worst = max(_directed_hausdorff(pa, pb, cb), _directed_hausdorff(pb, pa, ca))
+    return math.ldexp(math.sqrt(worst), exponent)
 
 
 def _as_polyline(curve):

@@ -111,13 +111,13 @@ CLI_DIGESTS = {
     ("svg", "--n", "3", "--count", "32", "--frame", FRAME_TEXTS[3]):
         "4878d140e49bc98a1a7d5c7e075b84d1c184d0e769a571ad489b8ebcee885ef1",
     ("svg", "--n", "2", "--count", "8", "--resample", "arclength", "--frame", FRAME_TEXTS[1]):
-        "cbae71267cc6a95b0f73875e53f6b5d8209f4585c94b1a75eda39065aa0fefdf",
+        "a43d00a4726a1d4a9fcc8e8597d66e736ed311d0ba54de39d0e0b3ce03799041",
     ("gap", "--n", "2147483647"):
         "af4e9dd214c67262ea66a3dd02884f7c9cde56c8e56cb96a3a44da6efd6666d3",
     ("residual", "--n", "1000000", "--frame", FRAME_TEXTS[2]):
         "625e8aac4ac54478fafac5f3f7ea6f1e013d82606459454c503f934cbd4042f3",
     ("arclength", "--n", "50", "--frame", FRAME_TEXTS[2]):
-        "554314eabe56061e84e281f6ff312d3a79b707b00a369cc248041bcd8baf5bdc",
+        "827a461365eb5c815c8b636fd872cc29fcbaa45fe983dda4b2fe2986d7017bf7",
     ("oracle-diff", "--n", "37", "--count", "64", "--frame", FRAME_TEXTS[3]):
         "6ee7374e921cc6fd034bb042dd943e3d7a4e577f3eb6a40003f5f584af72cd2b",
 }

@@ -8,6 +8,7 @@ being pinned here.
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -33,7 +34,7 @@ from fermatcurves import (
     sample_uniform_theta,
     sampling,
 )
-from fermatcurves.sampling import _adaptive_simpson, _split_at_kinks
+from fermatcurves.sampling import ARC_ROOT_TOL, _panels, _split_at_kinks
 from test_golden import FRAME_TEXTS as GOLDEN_FRAME_IDS
 from test_golden import FRAMES as GOLDEN_FRAMES
 
@@ -249,12 +250,20 @@ class TestArcLength:
         with pytest.raises(ValueError, match="tol"):
             arc_length(3, tol=0.0)
 
-    def test_quadrature_failure_on_a_singular_integrand(self):
-        def singular(x):
+    def test_quadrature_failure_on_a_singular_integrand(self, monkeypatch):
+        calls = [0]
+
+        def singular(x, n, frame):
+            calls[0] += 1
             return 1.0 / x if x > 0.0 else math.inf
 
-        with pytest.raises(QuadratureFailure):
-            _adaptive_simpson(singular, 0.0, 1.0, 1e-10)
+        monkeypatch.setattr(core, "curve_speed", singular)
+        with pytest.raises(QuadratureFailure) as caught:
+            _panels(1, IDENTITY, 0.0, 1.0, 1e-10)
+        assert calls[0] <= sampling._EVAL_BUDGET
+        message = str(caught.value)
+        for part in ("N=1 ", repr(IDENTITY), "[0.0, 1.0]", f"{calls[0]} spent"):
+            assert part in message
 
     def test_split_at_kinks_covers_the_span(self):
         pieces = _split_at_kinks(0.1, 3.0)
@@ -266,6 +275,101 @@ class TestArcLength:
         for cut in interior:
             ratio = cut / (math.pi / 4.0)
             assert round(ratio) == pytest.approx(ratio, abs=1e-12)
+
+
+def _count_speed(monkeypatch) -> list[int]:
+    """Count the calls of core.curve_speed, the arc-length integrand, from now on."""
+    calls = [0]
+    original = core.curve_speed
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(core, "curve_speed", counted)
+    return calls
+
+
+def _mp_speed(t, n: int, frame: AffineFrame):
+    """curve_speed in mpmath arithmetic, from the unfactored power sum."""
+    c, s = mpmath.cos(t), mpmath.sin(t)
+    power = abs(c) ** (2 * n) + abs(s) ** (2 * n)
+    rho = power ** (-mpmath.mpf(1) / (2 * n))
+    drho = rho / power * c * s * (abs(c) ** (2 * n - 2) - abs(s) ** (2 * n - 2))
+    wu, wv = drho * c - rho * s, drho * s + rho * c
+    a, b, _, d, e, _ = (mpmath.mpf(x) for x in frame.coefficients())
+    det = a * e - b * d
+    return mpmath.hypot((e * wu - b * wv) / det, (a * wv - d * wu) / det)
+
+
+def _mp_arc_length(n: int, frame: AffineFrame, lo: float, hi: float) -> float:
+    """Arc length by mpmath's tanh-sinh quadrature on each kink piece, 20 digits."""
+    with mpmath.workdps(20):
+        pieces = [mpmath.quad(lambda t: _mp_speed(t, n, frame), [a, b]) for a, b in _split_at_kinks(lo, hi)]
+        return float(mpmath.fsum(pieces))
+
+
+class TestArcLengthMeetsTol:
+    """arc_length is within tol * max(1, arc length) of a reference."""
+
+    @pytest.mark.parametrize(
+        "n, frame_text, lo, hi, tol",
+        [
+            (372, GOLDEN_FRAME_IDS[1], 0.0, TWO_PI, 1e-6),
+            (3, GOLDEN_FRAME_IDS[2], 0.0, TWO_PI, 1e-6),
+            (50, GOLDEN_FRAME_IDS[2], 0.0, TWO_PI, 1e-12),
+            (10**4, GOLDEN_FRAME_IDS[0], 0.0, TWO_PI, 1e-10),
+            (7, GOLDEN_FRAME_IDS[3], 0.3, 2.1, 1e-12),
+            (1000, GOLDEN_FRAME_IDS[1], 4.0, 4.9, 1e-6),
+            (1, GOLDEN_FRAME_IDS[3], 1.0, 1.0 + TWO_PI, 1e-14),
+        ],
+    )
+    def test_against_mpmath_up_to_n_ten_thousand(self, n, frame_text, lo, hi, tol):
+        frame = GOLDEN_FRAMES[GOLDEN_FRAME_IDS.index(frame_text)]
+        reference = _mp_arc_length(n, frame, lo, hi)
+        assert abs(arc_length(n, frame, lo, hi, tol) - reference) <= tol * max(1.0, reference)
+
+    @pytest.mark.parametrize("n", [10**5, 50803, 10**6, 1270433919, 2**31 - 1])
+    @pytest.mark.parametrize("frame", GOLDEN_FRAMES, ids=GOLDEN_FRAME_IDS)
+    def test_against_a_tight_tol_above_ten_thousand(self, n, frame):
+        reference = arc_length(n, frame, tol=1e-13)
+        for tol in (1e-6, 1e-10):
+            assert abs(arc_length(n, frame, tol=tol) - reference) <= tol * max(1.0, reference)
+
+
+@pytest.mark.parametrize("n", [10**6, 2**31 - 1])
+@pytest.mark.parametrize("frame", GOLDEN_FRAMES, ids=GOLDEN_FRAME_IDS)
+def test_graded_panels_need_no_bisection_at_large_exponents(monkeypatch, n, frame):
+    # 15 nodes on each of ceil(log2(pi*N)) graded panels per octant: the
+    # grading resolves the diagonal boundary layer, and the rounding floor
+    # keeps tol 1e-14 from bisecting into the speed's rounding noise.
+    calls = _count_speed(monkeypatch)
+    for tol in (1e-6, 1e-14):
+        calls[0] = 0
+        arc_length(n, frame, tol=tol)
+        assert calls[0] == 8 * 15 * math.ceil(math.log2(math.pi * n))
+
+
+@pytest.mark.parametrize(
+    "n, frame",
+    [
+        (3, AffineFrame(1.0, 1.0, 0.0, 1.0, 1.0 + 5e-12, 0.0)),
+        (50803, AffineFrame(1.0, 1.0, 0.0, 1.0, 1.000000000005, 0.0)),
+    ],
+    ids=["3", "50803"],
+)
+def test_near_singular_frames_end_within_the_budget(monkeypatch, n, frame):
+    calls = _count_speed(monkeypatch)
+    try:
+        length = arc_length(n, frame)
+    except QuadratureFailure as exc:
+        for part in (f"N={n} ", repr(frame), f"{calls[0]} spent"):
+            assert part in str(exc)
+    else:
+        assert math.isfinite(length)
+        if n == 3:
+            assert length == pytest.approx(2015873513040.19448, rel=1e-15)  # mpmath, 30 digits
+    assert calls[0] <= sampling._EVAL_BUDGET
 
 
 class TestResampleByArclength:
@@ -302,6 +406,30 @@ class TestResampleByArclength:
         b = resample_by_arclength(4, count=16)
         assert a.thetas == b.thetas
         assert a.points == b.points
+
+    @pytest.mark.parametrize("n", [1, 100, 10**6])
+    @pytest.mark.parametrize("frame", GOLDEN_FRAMES, ids=GOLDEN_FRAME_IDS)
+    def test_equal_arc_gaps_on_the_golden_frames(self, n, frame):
+        count = 16
+        curve = resample_by_arclength(n, frame, count)
+        assert curve.thetas[0] == 0.0
+        bounds = (*curve.thetas, TWO_PI)
+        assert all(a < b for a, b in zip(bounds, bounds[1:]))
+        step = arc_length(n, frame) / count
+        for a, b in zip(bounds, bounds[1:]):
+            assert abs(arc_length(n, frame, a, b) - step) <= 2.0 * ARC_ROOT_TOL
+
+    def test_a_root_not_found_raises_after_the_step_cap(self, monkeypatch):
+        monkeypatch.setattr(core, "curve_speed", lambda theta, n, frame: math.nan)
+        with pytest.raises(QuadratureFailure, match=r"N=3 .* on \[0.0, 1.0\] .* after 60 steps"):
+            sampling._newton_in_panel(3, IDENTITY, (0.0, 1.0, 1.0), 0.0, 0.5)
+
+    def test_costs_fewer_speed_evaluations_than_the_bisection_table(self, monkeypatch):
+        # 136,804 is what a 4,096-cell table of adaptive Simpson integrals
+        # plus bisection inside each cell took for this call.
+        calls = _count_speed(monkeypatch)
+        resample_by_arclength(1000, count=1024)
+        assert calls[0] < 136_804
 
 
 class TestConvergenceGap:
@@ -361,6 +489,12 @@ class TestPolylineHausdorff:
         assert ac == pytest.approx(4.0, abs=1e-9)
         assert bc == pytest.approx(5.0, abs=1e-9)
         assert ac <= ab + bc + 1e-12
+
+    def test_huge_coordinates_do_not_overflow(self):
+        assert polyline_hausdorff([(1e160, 0.0), (0.0, 0.0)], [(0.0, 0.0), (1.0, 1.0)]) == pytest.approx(
+            1e160, rel=1e-15
+        )
+        assert polyline_hausdorff([(1e300, 0.0), (-1e300, 0.0)], [(1e300, 1e300), (-1e300, 1e300)]) == 1e300
 
     def test_closed_form_against_oracle(self):
         closed_form = sample_uniform_theta(100, count=2048)
