@@ -28,6 +28,7 @@ from .core import (
 )
 from .errors import (
     InvalidAngle,
+    OffCurve,
     OriginPoint,
     OutOfRange,
     QuadratureFailure,
@@ -54,6 +55,7 @@ __all__ = [
     "IDENTITY",
     "InvalidAngle",
     "MAX_EXPONENT",
+    "OffCurve",
     "OriginPoint",
     "OutOfRange",
     "Point2",

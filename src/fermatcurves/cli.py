@@ -37,7 +37,11 @@ from .sampling import (
     sample_uniform_theta,
 )
 
-__all__ = ["curve_from_json", "emit_csv", "emit_json", "emit_svg", "fmt", "main", "run"]
+__all__ = ["SVG_MAX_CURVES", "curve_from_json", "emit_csv", "emit_json", "emit_svg", "fmt", "main", "run"]
+
+# svg draws one curve per exponent 1..N and holds them all before writing,
+# so N is capped to keep its time and memory bounded.
+SVG_MAX_CURVES = 256
 
 
 def fmt(value: float) -> str:
@@ -224,6 +228,8 @@ def _cmd_residual(ns, frame: AffineFrame) -> bytes:
 
 
 def _cmd_svg(ns, frame: AffineFrame) -> bytes:
+    if ns.n > SVG_MAX_CURVES:
+        raise ValueError(f"svg draws at most {SVG_MAX_CURVES} curves, one per exponent 1..N; got N={ns.n}")
     # innermost first, so later curves draw outward
     return emit_svg([_sample_curve(ns, k, frame) for k in range(1, ns.n + 1)])
 
@@ -240,7 +246,7 @@ _COMMANDS = {
     "arclength": (_cmd_arclength, "arc length over a theta range", ("--tol", "--theta-range")),
     "gap": (_cmd_gap, "largest distance to the limit shape", ("--count",)),
     "residual": (_cmd_residual, "worst membership residual over a grid", ("--count",)),
-    "svg": (_cmd_svg, "nested family drawing for exponents 1..N", ("--count", "--tol", "--resample", "--theta-range")),
+    "svg": (_cmd_svg, f"nested family drawing for exponents 1..N, N <= {SVG_MAX_CURVES}", ("--count", "--tol", "--resample", "--theta-range")),
     "oracle-diff": (_cmd_oracle_diff, "Hausdorff distance to the bisection reference", ("--count",)),
 }
 

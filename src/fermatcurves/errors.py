@@ -21,5 +21,9 @@ class OutOfRange(ValueError):
     """Coordinate outside the solvable interval."""
 
 
+class OffCurve(ValueError):
+    """Sampled point whose membership residual exceeds the bound."""
+
+
 class QuadratureFailure(RuntimeError):
     """Arc-length quadrature or root finding could not meet its error target within its budget."""

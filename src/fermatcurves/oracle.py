@@ -16,21 +16,21 @@ from .core import IDENTITY, AffineFrame
 from .errors import OutOfRange
 from .sampling import SampledCurve, _check_count, _uniform_thetas
 
-__all__ = ["BRACKET_TOL", "bisect_radial_factor", "implicit_solve_x", "oracle_polyline"]
+__all__ = ["bisect_radial_factor", "implicit_solve_x", "oracle_polyline"]
 
-BRACKET_TOL = 1e-14
-
-_MAX_BISECT_ITER = 200
 _SQRT2 = math.sqrt(2.0)
 
 
 def bisect_radial_factor(theta: float, n: int) -> float:
     """Solve (t*cos(theta))^(2N) + (t*sin(theta))^(2N) = 1 for t by bisection.
 
-    The left side is monotone in t and evaluated in the log domain, so the
-    bracket (0, sqrt(2)] is valid for every admissible exponent. Bisection
-    runs until the bracket is 1e-14 wide. Exceeding the iteration cap is an
-    internal defect and raises RuntimeError.
+    The left side grows with t and is evaluated in the log domain. The root
+    lies in [1, sqrt(2)]: at t = 1 the sum is at most cos^2 + sin^2 = 1, and
+    at t = sqrt(2) it is at least 2. Bisection runs until the midpoint of
+    the bracket no longer lies strictly between its ends, which are then
+    adjacent doubles, and returns that midpoint, rounded to one of them.
+    Every pass strictly shrinks a bracket of finite doubles, so the loop
+    ends, after about 51 halvings.
     """
     return _bisect(core._check_angle(theta), core._check_exponent(n))
 
@@ -41,33 +41,22 @@ def _bisect(theta: float, n: int) -> float:
     s = math.fabs(math.sin(theta))
     log_c = math.log(c) if c > 0.0 else -math.inf
     log_s = math.log(s) if s > 0.0 else -math.inf
+    # finite: the larger of |cos| and |sin| is at least 1/sqrt(2)
+    log_big, log_small = max(log_c, log_s), min(log_c, log_s)
     two_n = 2.0 * n
 
-    lo = 0.0
+    lo = 1.0
     hi = _SQRT2
-    for _ in range(_MAX_BISECT_ITER):
-        if hi - lo <= BRACKET_TOL:
-            return 0.5 * (lo + hi)
-        mid = 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
         log_mid = math.log(mid)
-        lhs = _logaddexp(two_n * (log_mid + log_c), two_n * (log_mid + log_s))
-        if lhs > 0.0:
+        big = two_n * (log_mid + log_big)
+        if big + math.log1p(math.exp(two_n * (log_mid + log_small) - big)) > 0.0:
             hi = mid
         else:
             lo = mid
-    raise RuntimeError(
-        f"bisection failed to shrink the bracket below {BRACKET_TOL} "
-        f"within {_MAX_BISECT_ITER} iterations"
-    )
-
-
-def _logaddexp(a: float, b: float) -> float:
-    if a == -math.inf:
-        return b
-    if b == -math.inf:
-        return a
-    hi = max(a, b)
-    return hi + math.log1p(math.exp(min(a, b) - hi))
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
 def implicit_solve_x(y: float, n: int) -> float:

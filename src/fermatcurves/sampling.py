@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from . import core
 from .core import IDENTITY, TWO_PI, AffineFrame, Point2
-from .errors import QuadratureFailure, TooFewSamples
+from .errors import OffCurve, QuadratureFailure, TooFewSamples
 
 __all__ = [
     "ARC_ROOT_TOL",
@@ -90,7 +90,7 @@ class SampledCurve:
     last sample connects back to the first. Construction validates the
     invariants: at least three samples, strictly increasing thetas within one
     period, and every point on the curve to within a membership residual of
-    1e-9.
+    1e-9, else OffCurve.
     """
 
     thetas: tuple[float, ...]
@@ -123,8 +123,9 @@ class SampledCurve:
             res = core._residual(p, self.exponent, self.frame)
             if not abs(res) <= RESIDUAL_TOL:
                 core._check_point(p)  # a non-finite point fails too: report it as residual_log does
-                raise ValueError(
-                    f"point {p!r} at theta={t!r} is off the curve: residual {res:.3e}"
+                raise OffCurve(
+                    f"point {p!r} at theta={t!r} is off the curve: residual {res:.3e},"
+                    f" bound {RESIDUAL_TOL:g}, for N={self.exponent} in {self.frame!r}"
                 )
 
     def __len__(self) -> int:
@@ -189,31 +190,12 @@ def arc_length(
         raise ValueError(
             f"theta span must lie in [0, 2*pi], got {span!r} from ({theta_a!r}, {theta_b!r})"
         )
-    return _arc_length(n, frame, core._normalize(theta_a), min(span, TWO_PI), tol)
-
-
-def _arc_length(n: int, frame: AffineFrame, a: float, span: float, tol: float) -> float:
-    """arc_length over [a, a + span] for checked arguments, 0 <= a < 2*pi, 0 <= span <= 2*pi."""
     if span == 0.0:
         return 0.0
+    a = core._normalize(theta_a)
     # fsum: the panel widths telescope exactly, so a constant speed of 1.0
     # (the circle) sums to the exact span.
-    return math.fsum(value for _, _, value in _panels(n, frame, a, a + span, tol))
-
-
-def _split_at_kinks(a: float, b: float) -> list[tuple[float, float]]:
-    """Cut [a, b] at every multiple of pi/4 strictly inside it."""
-    cuts = [a]
-    k = math.floor(a / _QUARTER_PI) + 1
-    while True:
-        x = k * _QUARTER_PI
-        if x >= b:
-            break
-        if x > a:
-            cuts.append(x)
-        k += 1
-    cuts.append(b)
-    return list(zip(cuts, cuts[1:]))
+    return math.fsum(value for _, _, value in _panels(n, frame, a, a + min(span, TWO_PI), tol))
 
 
 def _panels(n: int, frame: AffineFrame, a: float, b: float, tol: float):
@@ -226,12 +208,8 @@ def _panels(n: int, frame: AffineFrame, a: float, b: float, tol: float):
     15-term sum. Raises QuadratureFailure when a bisection would take the
     speed evaluations past the budget.
     """
-    levels = math.ceil(math.log2(math.pi * n))
-    initial = []
-    for lo, hi in _split_at_kinks(a, b):
-        edges = _graded_edges(lo, hi, levels)
-        initial += zip(edges, edges[1:])
-    estimates = [(x0, x1, *_gauss_kronrod(n, frame, x0, x1)) for x0, x1 in initial]
+    edges = _edges(a, b, math.ceil(math.log2(math.pi * n)))
+    estimates = [(x0, x1, *_gauss_kronrod(n, frame, x0, x1)) for x0, x1 in zip(edges, edges[1:])]
     spent = _NODES * len(estimates)
     share = tol * max(1.0, math.fsum(kronrod for _, _, kronrod, _ in estimates)) / len(estimates)
     stack = [(*estimate, share) for estimate in reversed(estimates)]
@@ -254,21 +232,27 @@ def _panels(n: int, frame: AffineFrame, a: float, b: float, tol: float):
     return panels
 
 
-def _graded_edges(lo: float, hi: float, levels: int) -> list[float]:
-    """Panel edges of one kink piece: lo, hi and the points pi/8, pi/16, ...,
-    pi/2**(levels + 1) away from the piece's diagonal that lie between them.
+def _edges(a: float, b: float, levels: int) -> list[float]:
+    """The starting panel edges on [a, b]: a, b and every point strictly
+    between them that is a multiple of pi/4 or lies pi/8, pi/16, ...,
+    pi/2**(levels + 1) from a diagonal.
 
-    The speed has a boundary layer about 1/(4N) wide on each diagonal
-    theta = (2k + 1)*pi/4; these panels halve in width toward it, down to
-    the layer's width.
+    The speed has a kink at every multiple of pi/4 and a boundary layer
+    about 1/(4N) wide on each diagonal theta = (2k + 1)*pi/4; these panels
+    halve in width toward it, down to the layer's width.
     """
-    k = math.floor(0.5 * (lo + hi) / _QUARTER_PI)
     offsets = [_QUARTER_PI / 2.0**j for j in range(1, levels)]
-    if k % 2 == 0:  # the diagonal is the upper end of the octant
-        inner = [(k + 1) * _QUARTER_PI - d for d in offsets]
-    else:
-        inner = [k * _QUARTER_PI + d for d in reversed(offsets)]
-    return [lo, *(x for x in inner if lo < x < hi), hi]
+    edges = [a]
+    k = math.floor(a / _QUARTER_PI)
+    while k * _QUARTER_PI < b:
+        if k % 2 == 0:  # the diagonal is the upper end of the octant
+            inner = [(k + 1) * _QUARTER_PI - d for d in offsets]
+        else:
+            inner = [k * _QUARTER_PI + d for d in reversed(offsets)]
+        edges += (x for x in (k * _QUARTER_PI, *inner) if a < x < b)
+        k += 1
+    edges.append(b)
+    return edges
 
 
 def _gauss_kronrod(n: int, frame: AffineFrame, x0: float, x1: float) -> tuple[float, float]:

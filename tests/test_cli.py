@@ -201,6 +201,22 @@ class TestSvgCommand:
         assert diagonal_radii == sorted(diagonal_radii)
         assert len(diagonal_radii) == 5
 
+    def test_draws_up_to_the_cap(self, capsys):
+        code, out, err = invoke(capsys, "svg", "--n", str(cli.SVG_MAX_CURVES), "--count", "3")
+        assert code == 0
+        assert out.count("<path ") == cli.SVG_MAX_CURVES
+
+    def test_n_past_the_cap_exits_two_without_drawing(self, capsys, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(cli, "_sample_curve", lambda *args: drawn.append(args))
+        n = cli.SVG_MAX_CURVES + 1
+        code, out, err = invoke(capsys, "svg", "--n", str(n), "--count", "3")
+        assert code == 2
+        assert out == ""
+        assert drawn == []
+        assert f"at most {cli.SVG_MAX_CURVES} curves" in err
+        assert f"N={n}" in err
+
 
 # The flags each subcommand does not read; every other pairing of the six
 # subcommands and eight flags is read by the subcommand.

@@ -119,7 +119,7 @@ CLI_DIGESTS = {
     ("arclength", "--n", "50", "--frame", FRAME_TEXTS[2]):
         "827a461365eb5c815c8b636fd872cc29fcbaa45fe983dda4b2fe2986d7017bf7",
     ("oracle-diff", "--n", "37", "--count", "64", "--frame", FRAME_TEXTS[3]):
-        "6ee7374e921cc6fd034bb042dd943e3d7a4e577f3eb6a40003f5f584af72cd2b",
+        "31115d0707cd3a0e8bc0fec9d1dc311d7b0a79809644daef90f6990eae9a2d70",
 }
 
 

@@ -19,6 +19,7 @@ from fermatcurves import (
     TWO_PI,
     AffineFrame,
     InvalidAngle,
+    OffCurve,
     QuadratureFailure,
     SampledCurve,
     TooFewSamples,
@@ -34,7 +35,7 @@ from fermatcurves import (
     sample_uniform_theta,
     sampling,
 )
-from fermatcurves.sampling import ARC_ROOT_TOL, _panels, _split_at_kinks
+from fermatcurves.sampling import ARC_ROOT_TOL, _edges, _panels
 from test_golden import FRAME_TEXTS as GOLDEN_FRAME_IDS
 from test_golden import FRAMES as GOLDEN_FRAMES
 
@@ -93,6 +94,17 @@ class TestSampledCurve:
         pts = ((1e300, -2e300),) + tuple(affine_curve_point(t, 3, frame) for t in (0.2, 0.3))
         with pytest.raises(ValueError, match="off the curve: residual nan"):
             SampledCurve((0.1, 0.2, 0.3), pts, False, 3, frame)
+
+    def test_off_curve_error_names_the_point_n_frame_and_bound(self):
+        frame = AffineFrame(2.0, 0.5, -1.0, 0.0, 1.5, 3.0)
+        thetas = (0.1, 0.2, 0.3)
+        pts = [affine_curve_point(t, 7, frame) for t in thetas]
+        pts[1] = (pts[1][0] + 1e-6, pts[1][1])
+        with pytest.raises(OffCurve) as caught:
+            SampledCurve(thetas, pts, False, 7, frame)
+        message = str(caught.value)
+        for part in (repr(pts[1]), "theta=0.2 ", "off the curve: residual ", "bound 1e-09", "N=7 ", repr(frame)):
+            assert part in message
 
     def test_rejects_non_frame(self):
         thetas = (0.1, 0.2, 0.3)
@@ -266,15 +278,28 @@ class TestArcLength:
             assert part in message
 
     def test_split_at_kinks_covers_the_span(self):
-        pieces = _split_at_kinks(0.1, 3.0)
-        assert pieces[0][0] == 0.1
-        assert pieces[-1][1] == 3.0
-        for (a0, b0), (a1, b1) in zip(pieces, pieces[1:]):
-            assert b0 == a1
-        interior = [b for _, b in pieces[:-1]]
-        for cut in interior:
-            ratio = cut / (math.pi / 4.0)
-            assert round(ratio) == pytest.approx(ratio, abs=1e-12)
+        levels = 6
+        edges = _edges(0.1, 3.0, levels)
+        assert edges[0] == 0.1
+        assert edges[-1] == 3.0
+        assert edges == sorted(set(edges))
+        quarter = math.pi / 4.0
+        kinks = [k * quarter for k in (1, 2, 3)]
+        assert set(kinks) <= set(edges)
+        for cut in edges[1:-1]:
+            ratio = cut / quarter
+            offset = abs(cut - (2 * math.floor(cut / (2 * quarter)) + 1) * quarter)  # from the nearest diagonal
+            assert round(ratio) == pytest.approx(ratio, abs=1e-12) or any(
+                offset == pytest.approx(math.pi / 2.0**j, rel=1e-12) for j in range(3, levels + 2)
+            )
+        # inside each octant the widths halve toward its diagonal, down to pi/2**(levels + 1)
+        toward_diagonal = [math.pi / 2.0**j for j in range(3, levels + 2)] + [math.pi / 2.0 ** (levels + 1)]
+        for k in (1, 2):  # the octants [pi/4, pi/2] and [pi/2, 3*pi/4]
+            inside = [x for x in edges if kinks[k - 1] <= x <= kinks[k]]
+            widths = [x1 - x0 for x0, x1 in zip(inside, inside[1:])]
+            if k % 2:  # the diagonal is the lower end of the octant
+                widths.reverse()
+            assert widths == pytest.approx(toward_diagonal, rel=1e-12)
 
 
 def _count_speed(monkeypatch) -> list[int]:
@@ -304,8 +329,11 @@ def _mp_speed(t, n: int, frame: AffineFrame):
 
 def _mp_arc_length(n: int, frame: AffineFrame, lo: float, hi: float) -> float:
     """Arc length by mpmath's tanh-sinh quadrature on each kink piece, 20 digits."""
+    quarter = math.pi / 4.0
+    kinks = (k * quarter for k in range(math.floor(lo / quarter), math.ceil(hi / quarter) + 1))
+    cuts = [lo, *(x for x in kinks if lo < x < hi), hi]
     with mpmath.workdps(20):
-        pieces = [mpmath.quad(lambda t: _mp_speed(t, n, frame), [a, b]) for a, b in _split_at_kinks(lo, hi)]
+        pieces = [mpmath.quad(lambda t: _mp_speed(t, n, frame), [a, b]) for a, b in zip(cuts, cuts[1:])]
         return float(mpmath.fsum(pieces))
 
 

@@ -37,4 +37,4 @@ def test_every_subcommand_runs_with_numpy_blocked():
     )
     assert done.returncode == 0, done.stderr
     assert done.stderr.split() == ["sample", "arclength", "gap", "residual", "svg", "oracle-diff"]
-    assert done.stdout.splitlines()[-1] == "4.884981327598908e-15"  # as README.md shows
+    assert done.stdout.splitlines()[-1] == "3.330680367628952e-16"  # as README.md shows
