@@ -75,8 +75,6 @@ def emit_json(curve: SampledCurve) -> bytes:
 def curve_from_json(data: bytes | str) -> SampledCurve:
     """Rebuild a SampledCurve from emit_json output."""
     obj = json.loads(data)
-    if not isinstance(obj["closed"], bool):
-        raise TypeError(f"closed must be true or false, got {obj['closed']!r}")
     thetas = tuple(float(s["theta"]) for s in obj["samples"])
     points = tuple((float(s["x"]), float(s["y"])) for s in obj["samples"])
     return SampledCurve(thetas, points, obj["closed"], obj["n"], AffineFrame(*obj["frame"]))

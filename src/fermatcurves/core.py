@@ -91,6 +91,12 @@ def _check_integer(value, name: str) -> int:
     return int(value)
 
 
+def _check_real(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
+    return float(value)
+
+
 def _check_exponent(n) -> int:
     n = _check_integer(n, "exponent")
     if not 1 <= n <= MAX_EXPONENT:
@@ -127,10 +133,8 @@ class AffineFrame:
 
     def __post_init__(self):
         for name in _FRAME_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise TypeError(f"frame coefficient {name} must be a real number")
-            object.__setattr__(self, name, float(value))
+            value = _check_real(getattr(self, name), f"frame coefficient {name}")
+            object.__setattr__(self, name, value)
         if not all(math.isfinite(getattr(self, name)) for name in _FRAME_FIELDS):
             raise ValueError("frame coefficients must be finite")
         guard = (

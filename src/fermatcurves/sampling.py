@@ -22,7 +22,6 @@ from .core import IDENTITY, TWO_PI, AffineFrame, Point2
 from .errors import OffCurve, QuadratureFailure, TooFewSamples
 
 __all__ = [
-    "ARC_ROOT_TOL",
     "DEFAULT_TOL",
     "RESIDUAL_TOL",
     "SampledCurve",
@@ -35,7 +34,6 @@ __all__ = [
 
 DEFAULT_TOL = 1e-10
 RESIDUAL_TOL = 1e-9
-ARC_ROOT_TOL = 1e-10
 
 _MIN_RESOLUTION = 16
 _MIN_TOL = 1e-14
@@ -86,11 +84,11 @@ _ROOT_STEPS = 60
 class SampledCurve:
     """Ordered polyline approximation of one curve, tagged with its parameters.
 
-    ``thetas`` and ``points`` are parallel tuples; ``closed`` says whether the
-    last sample connects back to the first. Construction validates the
-    invariants: at least three samples, strictly increasing thetas within one
-    period, and every point on the curve to within a membership residual of
-    1e-9, else OffCurve.
+    ``thetas`` and ``points`` are parallel tuples; ``closed`` must be a bool
+    (else TypeError) and says whether the last sample connects back to the
+    first. Construction validates the invariants: at least three samples,
+    strictly increasing thetas within one period, and every point on the
+    curve to within a membership residual of 1e-9, else OffCurve.
     """
 
     thetas: tuple[float, ...]
@@ -104,7 +102,8 @@ class SampledCurve:
         object.__setattr__(
             self, "points", tuple((float(x), float(y)) for x, y in self.points)
         )
-        object.__setattr__(self, "closed", bool(self.closed))
+        if not isinstance(self.closed, bool):
+            raise TypeError(f"closed must be true or false, got {self.closed!r}")
         object.__setattr__(self, "exponent", core._check_exponent(self.exponent))
         if not isinstance(self.frame, AffineFrame):
             raise TypeError("frame must be an AffineFrame")
@@ -161,7 +160,7 @@ def _check_count(count) -> int:
 def _check_tol(tol) -> float:
     # Below ~1e-14 relative error the target is under the rounding of the
     # result itself, which no refinement can meet.
-    tol = float(tol)
+    tol = core._check_real(tol, "tol")
     if not tol >= _MIN_TOL:
         raise ValueError(f"tol must be at least {_MIN_TOL:g}, got {tol!r}")
     return tol
@@ -283,8 +282,9 @@ def resample_by_arclength(
     arc-length table that brackets each target; Newton's method inside the
     bracketing panel, with the speed as the derivative and bisection as the
     safeguard, then refines every sample until its cumulative arc length is
-    within 1e-10 of the target. Raises QuadratureFailure if a sample misses
-    that after a fixed number of steps.
+    within the panels' rounding floor, 50 eps relative, of the target.
+    Raises QuadratureFailure if a sample misses that after a fixed number
+    of steps.
     """
     n = core._check_exponent(n)
     count = _check_count(count)
@@ -309,7 +309,7 @@ def _newton_in_panel(n: int, frame: AffineFrame, panel, cum: float, target: floa
     theta = x0 + (x1 - x0) * ((target - cum) / value)
     for _ in range(_ROOT_STEPS):
         gap = cum + _gauss_kronrod(n, frame, x0, theta)[0] - target
-        if abs(gap) <= ARC_ROOT_TOL:
+        if abs(gap) <= _ROUNDING * target:
             return theta
         if gap > 0.0:
             hi = theta
@@ -340,8 +340,9 @@ def convergence_gap(
         raise ValueError(f"resolution must be at least {_MIN_RESOLUTION}, got {resolution}")
     worst = 0.0
     for t in _uniform_thetas(resolution):
-        px, py = core._affine_point(t, n, frame)
-        qx, qy = core.limit_map(core._square(t)[:2], frame)
+        rho, c, s, m = core._evaluate(t, n)[:4]
+        px, py = core._solve_linear(frame, rho * c - frame.gamma, rho * s - frame.zeta)
+        qx, qy = core._solve_linear(frame, c / m - frame.gamma, s / m - frame.zeta)
         worst = max(worst, math.hypot(px - qx, py - qy))
     return worst
 
@@ -388,7 +389,7 @@ def _directed_hausdorff(pts, poly, poly_closed: bool) -> float:
     scan stops at the first segment within the running maximum, which that
     vertex cannot raise. Vertices are visited with a stride near len(pts)/phi,
     coprime to it, so large distances turn up early; each scan starts at the
-    proportional segment, where the nearest one usually is.
+    two segments that meet at the proportional vertex, the likeliest nearest.
     """
     ends = poly[1:] + poly[:1] if poly_closed else poly[1:]
     segments = []
@@ -404,7 +405,8 @@ def _directed_hausdorff(pts, poly, poly_closed: bool) -> float:
         i = k * stride % n
         px, py = pts[i]
         nearest = math.inf
-        for j in range(i * m // n - m, i * m // n):  # a negative index wraps around
+        start = (i * m // n - 1) % m
+        for j in range(start - m, start):  # a negative index wraps around
             sx, sy, dx, dy, len2 = segments[j]
             wx, wy = px - sx, py - sy
             t = (wx * dx + wy * dy) / len2

@@ -35,7 +35,7 @@ from fermatcurves import (
     sample_uniform_theta,
     sampling,
 )
-from fermatcurves.sampling import ARC_ROOT_TOL, _edges, _panels
+from fermatcurves.sampling import _edges, _panels
 from test_golden import FRAME_TEXTS as GOLDEN_FRAME_IDS
 from test_golden import FRAMES as GOLDEN_FRAMES
 
@@ -111,6 +111,13 @@ class TestSampledCurve:
         pts = tuple(curve_point(t, 1) for t in thetas)
         with pytest.raises(TypeError, match="AffineFrame"):
             SampledCurve(thetas, pts, True, 1, (1, 0, 0, 0, 1, 0))
+
+    @pytest.mark.parametrize("closed", ["false", 0, 1, None])
+    def test_closed_must_be_a_bool(self, closed):
+        thetas = (0.1, 0.2, 0.3)
+        pts = tuple(curve_point(t, 1) for t in thetas)
+        with pytest.raises(TypeError, match="closed must be true or false"):
+            SampledCurve(thetas, pts, closed, 1, IDENTITY)
 
 
 class TestSampleUniformTheta:
@@ -255,6 +262,12 @@ class TestArcLength:
     def test_span_barely_over_a_turn_is_clamped(self):
         b = math.nextafter(TWO_PI, 7.0)
         assert arc_length(1, theta_a=0.0, theta_b=b) == TWO_PI
+
+    @pytest.mark.parametrize("tol", ["1e-6", True, None, 1e-6j])
+    @pytest.mark.parametrize("call", [arc_length, resample_by_arclength])
+    def test_tol_must_be_a_real_number(self, call, tol):
+        with pytest.raises(TypeError, match="tol must be a real number"):
+            call(3, tol=tol)
 
     def test_rejects_sub_precision_tolerance(self):
         with pytest.raises(ValueError, match="tol"):
@@ -445,7 +458,21 @@ class TestResampleByArclength:
         assert all(a < b for a, b in zip(bounds, bounds[1:]))
         step = arc_length(n, frame) / count
         for a, b in zip(bounds, bounds[1:]):
-            assert abs(arc_length(n, frame, a, b) - step) <= 2.0 * ARC_ROOT_TOL
+            assert abs(arc_length(n, frame, a, b) - step) <= 2e-10
+
+    @pytest.mark.parametrize("count", [64, 256])
+    def test_equal_arc_gaps_on_a_long_curve(self, count):
+        # The total arc length is about 7.3e5, so one ulp of a late target is
+        # 1.2e-10: the Newton stop must scale with the target, not sit at a
+        # fixed absolute distance below that.
+        frame = AffineFrame(1.1e-5, 0.0, 0.0, 0.0, 1.1e-5, 0.0)
+        curve = resample_by_arclength(1000, frame, count)
+        bounds = (*curve.thetas, TWO_PI)
+        total = arc_length(1000, frame)
+        assert total > 2.0**19
+        step = total / count
+        for a, b in zip(bounds, bounds[1:]):
+            assert abs(arc_length(1000, frame, a, b) - step) <= 2e-10 * max(1.0, total)
 
     def test_a_root_not_found_raises_after_the_step_cap(self, monkeypatch):
         monkeypatch.setattr(core, "curve_speed", lambda theta, n, frame: math.nan)
