@@ -38,7 +38,6 @@ from .errors import (
 from .oracle import bisect_radial_factor, implicit_solve_x, oracle_polyline
 from .sampling import (
     DEFAULT_TOL,
-    RESIDUAL_TOL,
     SampledCurve,
     arc_length,
     convergence_gap,
@@ -60,7 +59,6 @@ __all__ = [
     "OutOfRange",
     "Point2",
     "QuadratureFailure",
-    "RESIDUAL_TOL",
     "SampledCurve",
     "SingularFrame",
     "TWO_PI",

@@ -69,7 +69,7 @@ MAX_EXPONENT = 2**31 - 1
 
 _LN2 = math.log(2.0)
 _SQRT2 = math.sqrt(2.0)
-_DET_GUARD = 1e-12
+_MAX_CONDITION = 1e12  # frame guard; for a unit-scale frame it sits where a 1e-12 determinant does
 _FRAME_FIELDS = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta")
 
 Point2 = tuple[float, float]
@@ -120,8 +120,9 @@ class AffineFrame:
 
     The defaults give the identity map. Construction rejects frames whose
     linear part is singular or close enough to singular that the inverse
-    map cannot be trusted: |alpha*epsilon - beta*delta| must exceed
-    1e-12 * (max(|alpha|, |beta|) + 1) * (max(|delta|, |epsilon|) + 1).
+    map cannot be trusted: its condition number sigma_max / sigma_min, a
+    scale-free measure, must be at most 1e12 and its determinant
+    alpha*epsilon - beta*delta a normal double, else SingularFrame.
     """
 
     alpha: float = 1.0
@@ -137,15 +138,11 @@ class AffineFrame:
             object.__setattr__(self, name, value)
         if not all(math.isfinite(getattr(self, name)) for name in _FRAME_FIELDS):
             raise ValueError("frame coefficients must be finite")
-        guard = (
-            _DET_GUARD
-            * (max(abs(self.alpha), abs(self.beta)) + 1.0)
-            * (max(abs(self.delta), abs(self.epsilon)) + 1.0)
-        )
-        if abs(self.det) <= guard:
+        kappa = _frame_factor(self.alpha, self.beta, 0.0, self.delta, self.epsilon, 0.0)
+        if not (kappa <= _MAX_CONDITION and 2.0**-1022 <= abs(self.det) < math.inf):
             raise SingularFrame(
-                f"singular frame: |alpha*epsilon - beta*delta| = {abs(self.det):.6g}"
-                f" is at or below the invertibility guard {guard:.6g}"
+                f"singular frame: condition number {kappa:.6g} (must be <= {_MAX_CONDITION:g}),"
+                f" |alpha*epsilon - beta*delta| = {abs(self.det):.6g} (must be a normal double)"
             )
 
     @property
@@ -156,6 +153,19 @@ class AffineFrame:
     def coefficients(self) -> tuple[float, float, float, float, float, float]:
         """The six coefficients in (alpha, beta, gamma, delta, epsilon, zeta) order."""
         return (self.alpha, self.beta, self.gamma, self.delta, self.epsilon, self.zeta)
+
+
+def _frame_factor(alpha, beta, gamma, delta, epsilon, zeta) -> float:
+    """k = kappa * (1 + |(gamma, zeta)|), how much a frame magnifies rounding in a curve point.
+
+    kappa = sigma_max / sigma_min (inf if singular) from sigma_max * sigma_min = |det| and
+    sigma_max**2 + sigma_min**2 = ||A||_F**2, on entries scaled to at most 1 in magnitude.
+    """
+    scale = max(abs(alpha), abs(beta), abs(delta), abs(epsilon)) or 1.0
+    a, b, d, e = alpha / scale, beta / scale, delta / scale, epsilon / scale
+    det = abs(a * e - b * d)
+    t = (a * a + b * b + d * d + e * e) / (2.0 * det) if det else math.inf
+    return (t + math.sqrt(max(0.0, (t - 1.0) * (t + 1.0)))) * (1.0 + math.hypot(gamma, zeta))
 
 
 IDENTITY = AffineFrame()

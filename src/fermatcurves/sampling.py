@@ -23,7 +23,6 @@ from .errors import OffCurve, QuadratureFailure, TooFewSamples
 
 __all__ = [
     "DEFAULT_TOL",
-    "RESIDUAL_TOL",
     "SampledCurve",
     "arc_length",
     "convergence_gap",
@@ -33,7 +32,7 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-10
-RESIDUAL_TOL = 1e-9
+_MEMBERSHIP = 32.0  # SampledCurve's bound in 2N * u * k; the package's own points reach 4.7
 
 _MIN_RESOLUTION = 16
 _MIN_TOL = 1e-14
@@ -88,7 +87,9 @@ class SampledCurve:
     (else TypeError) and says whether the last sample connects back to the
     first. Construction validates the invariants: at least three samples,
     strictly increasing thetas within one period, and every point on the
-    curve to within a membership residual of 1e-9, else OffCurve.
+    curve to within rounding, else OffCurve: |log1p(residual_log)| at most
+    32 * 2N * u * k, with u = 2**-53 and k the frame's condition number
+    times 1 + |(gamma, zeta)|.
     """
 
     thetas: tuple[float, ...]
@@ -118,13 +119,16 @@ class SampledCurve:
         for a, b in zip(self.thetas, self.thetas[1:]):
             if not a < b:
                 raise ValueError("thetas must be strictly increasing")
+        k = core._frame_factor(*self.frame.coefficients())
+        bound = _MEMBERSHIP * 2.0 * self.exponent * 2.0**-53 * k
+        lo, hi = math.expm1(-bound), math.expm1(bound) if bound < 709.0 else math.inf
         for t, p in zip(self.thetas, self.points):
             res = core._residual(p, self.exponent, self.frame)
-            if not abs(res) <= RESIDUAL_TOL:
+            if not lo <= res <= hi:
                 core._check_point(p)  # a non-finite point fails too: report it as residual_log does
                 raise OffCurve(
                     f"point {p!r} at theta={t!r} is off the curve: residual {res:.3e},"
-                    f" bound {RESIDUAL_TOL:g}, for N={self.exponent} in {self.frame!r}"
+                    f" bound |log1p(residual)| <= {bound:.3e}, for N={self.exponent} in {self.frame!r}"
                 )
 
     def __len__(self) -> int:

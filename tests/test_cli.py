@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from fermatcurves import QuadratureFailure, SampledCurve, sample_uniform_theta
 from fermatcurves import cli
+from test_golden import FRAME_TEXTS as GOLDEN_FRAME_TEXTS
 
 
 def invoke(capsys, *argv):
@@ -51,6 +52,12 @@ class TestSampleCommand:
         code, out, err = invoke(capsys, "sample", "--n", "3", "--count", "17")
         assert code == 0
         assert len(out.splitlines()) == 18
+
+    @pytest.mark.parametrize("frame", GOLDEN_FRAME_TEXTS)
+    def test_large_exponent_passes_membership(self, capsys, frame):
+        code, out, err = invoke(capsys, "sample", "--n", "1270433919", "--count", "8", "--frame", frame)
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 9
 
     def test_deterministic_bytes(self, capsys):
         args = ("sample", "--n", "4", "--count", "64", "--frame", "2,0.5,-1,0,1.5,3")
@@ -301,8 +308,8 @@ class TestFailureModes:
 
     @pytest.mark.parametrize("command", ["sample", "residual"])
     def test_non_finite_points_are_reported(self, capsys, command):
-        # Finite frame, but its inverse overflows: the points come out as NaN.
-        code, out, err = invoke(capsys, command, "--n", "3", "--count", "8", "--frame", "1e160,0,1e300,0,1e160,0")
+        # Finite frame, but its inverse overflows on the translation: the points come out infinite.
+        code, out, err = invoke(capsys, command, "--n", "3", "--count", "8", "--frame", "1e154,0,1e300,0,1e154,0")
         assert code == 2
         assert out == ""
         assert "point coordinates must be finite" in err

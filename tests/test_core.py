@@ -262,6 +262,41 @@ class TestAffineFrame:
         frame = AffineFrame(1.0, 0.0, 0.0, 0.0, 1e-9, 0.0)
         assert frame.det == 1e-9
 
+    def test_small_well_conditioned_frame_is_accepted(self):
+        frame = AffineFrame(1e-7, 0.0, 0.0, 0.0, 1e-7, 0.0)
+        assert inverse_affine(forward_affine((0.3, -0.2), frame), frame) == pytest.approx((0.3, -0.2), rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "coefficients, accepted",
+        [
+            ((1.0, 0.0, 0.0, 0.0, 1.0, 0.0), True),
+            ((0.8, -0.6, 0.0, 0.6, 0.8, 0.0), True),
+            ((2.0, 0.5, -1.0, 0.0, 1.5, 3.0), True),
+            ((1.0, 0.3, 0.2, -0.4, 0.7, -0.5), True),
+            ((1.0, 1.0, 0.0, 1.0, 1.0 + 5e-12, 0.0), True),  # condition number 8e11
+            ((1.0, 1.0, 0.0, 1.0, 1.0 + 2e-12, 0.0), False),  # 2e12
+            ((1e6, 0.0, 0.0, 0.0, 1e-6, 0.0), True),  # 1e12, the cut
+            ((1e6, 0.0, 0.0, 0.0, 0.999e-6, 0.0), False),
+            ((1.0, 2.0, 0.0, 2.0, 4.0, 0.0), False),
+            ((0.0, 0.0, 1.0, 0.0, 0.0, 1.0), False),
+        ],
+    )
+    @pytest.mark.parametrize("power", [0, -40, 40])
+    def test_guard_is_on_the_condition_number_at_every_scale(self, coefficients, accepted, power):
+        scaled = [math.ldexp(c, power) for c in coefficients]
+        if accepted:
+            AffineFrame(*scaled)
+        else:
+            with pytest.raises(SingularFrame, match="singular frame: condition number"):
+                AffineFrame(*scaled)
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e160])
+    def test_determinant_must_be_a_normal_double(self, scale):
+        # Condition number 1, but alpha*epsilon underflows or overflows, so the
+        # inverse map cannot be formed.
+        with pytest.raises(SingularFrame, match="must be a normal double"):
+            AffineFrame(scale, 0.0, 0.0, 0.0, scale, 0.0)
+
     def test_nonfinite_coefficients_rejected(self):
         with pytest.raises(ValueError):
             AffineFrame(math.nan, 0.0, 0.0, 0.0, 1.0, 0.0)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from fermatcurves import (
     IDENTITY,
+    MAX_EXPONENT,
     TWO_PI,
     AffineFrame,
     InvalidAngle,
@@ -28,6 +29,7 @@ from fermatcurves import (
     convergence_gap,
     core,
     curve_point,
+    inverse_affine,
     oracle_polyline,
     polyline_hausdorff,
     radial_factor,
@@ -40,6 +42,11 @@ from test_golden import FRAME_TEXTS as GOLDEN_FRAME_IDS
 from test_golden import FRAMES as GOLDEN_FRAMES
 
 QUARTER = math.pi / 2.0
+NEAR_SINGULAR = AffineFrame(1.0, 1.0, 0.0, 1.0, 1.0 + 5e-12, 0.0)  # condition number 8e11
+# convergence_gap's relative error on the identity frame, in units of 2N * u:
+# worst 2.15 measured over every N up to 20,000 and 20,000 seeded N up to 2^31 - 1.
+GAP_ERROR = 3.0
+LOG_SPACED = sorted({min(MAX_EXPONENT, round(MAX_EXPONENT ** (i / 20))) for i in range(21)})
 
 
 def unit_square(shift=(0.0, 0.0)):
@@ -103,8 +110,21 @@ class TestSampledCurve:
         with pytest.raises(OffCurve) as caught:
             SampledCurve(thetas, pts, False, 7, frame)
         message = str(caught.value)
-        for part in (repr(pts[1]), "theta=0.2 ", "off the curve: residual ", "bound 1e-09", "N=7 ", repr(frame)):
+        for part in (repr(pts[1]), "theta=0.2 ", "off the curve: residual ", "bound |log1p(residual)| <= 3.105e-13,", "N=7 ", repr(frame)):
             assert part in message
+
+    @pytest.mark.parametrize("scale", [1.0 - 1e-12, 1.0 + 1e-12])
+    @pytest.mark.parametrize("frame", GOLDEN_FRAMES, ids=GOLDEN_FRAME_IDS)
+    def test_a_vertex_moved_radially_by_1e_12_is_rejected_at_every_exponent(self, frame, scale):
+        # In the mapped coordinates the vertex leaves the curve along its ray;
+        # the bound, 32 * u * k relative, is under 2.3e-14 on these frames.
+        thetas = (0.1, math.pi / 4.0, 1.0)
+        for n in LOG_SPACED:
+            pts = [affine_curve_point(t, n, frame) for t in thetas]
+            rho = radial_factor(thetas[1], n) * scale
+            pts[1] = inverse_affine((rho * math.cos(thetas[1]), rho * math.sin(thetas[1])), frame)
+            with pytest.raises(OffCurve, match=f"N={n} "):
+                SampledCurve(thetas, pts, False, n, frame)
 
     def test_rejects_non_frame(self):
         thetas = (0.1, 0.2, 0.3)
@@ -118,6 +138,26 @@ class TestSampledCurve:
         pts = tuple(curve_point(t, 1) for t in thetas)
         with pytest.raises(TypeError, match="closed must be true or false"):
             SampledCurve(thetas, pts, closed, 1, IDENTITY)
+
+
+class TestMembershipBound:
+    """The bound |log1p(residual)| <= 32 * 2N * u * k accepts the package's own points."""
+
+    @pytest.mark.parametrize(
+        "frame", GOLDEN_FRAMES + (NEAR_SINGULAR,), ids=GOLDEN_FRAME_IDS + ("near-singular",)
+    )
+    def test_own_points_pass_at_every_exponent(self, frame):
+        for n in LOG_SPACED:
+            sample_uniform_theta(n, frame, count=64)
+            oracle_polyline(n, frame, count=64)
+            resample_by_arclength(n, frame, count=16)
+
+    def test_largest_exponent(self):
+        assert len(oracle_polyline(MAX_EXPONENT, count=256)) == 256
+        assert len(resample_by_arclength(MAX_EXPONENT, count=8)) == 8
+
+    def test_near_singular_resampling(self):
+        assert len(resample_by_arclength(3, NEAR_SINGULAR, count=8)) == 8
 
 
 class TestSampleUniformTheta:
@@ -495,6 +535,18 @@ class TestConvergenceGap:
         gaps = [convergence_gap(2**k, resolution=1024) for k in range(11)]
         for a, b in zip(gaps, gaps[1:]):
             assert b <= a + 1e-15
+
+    @pytest.mark.parametrize("resolution", [16, 1024, 4096])
+    def test_error_is_a_few_2n_u_against_mpmath(self, resolution):
+        # The grid holds the diagonal, where the gap is sqrt(2) * -expm1(-ln 2 / (2N)).
+        # Rounding cos and sin there moves r**(2N) by about 2N ulps.
+        worst = 0.0
+        with mpmath.workdps(40):
+            for n in LOG_SPACED + [2]:
+                exact = mpmath.sqrt(2) * -mpmath.expm1(-mpmath.log(2) / (2 * n))
+                error = abs(convergence_gap(n, resolution=resolution) - exact) / exact
+                worst = max(worst, float(error) / (2 * n * 2.0**-53))
+        assert worst <= GAP_ERROR
 
     def test_matches_the_diagonal_bound(self):
         # the farthest point from the limit square sits on the diagonal,
