@@ -69,7 +69,7 @@ MAX_EXPONENT = 2**31 - 1
 
 _LN2 = math.log(2.0)
 _SQRT2 = math.sqrt(2.0)
-_MAX_CONDITION = 1e12  # frame guard; for a unit-scale frame it sits where a 1e-12 determinant does
+_MAX_FACTOR = 1e12  # frame guard on k; for a unit-scale frame it sits where a 1e-12 determinant did
 _FRAME_FIELDS = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta")
 
 Point2 = tuple[float, float]
@@ -120,9 +120,9 @@ class AffineFrame:
 
     The defaults give the identity map. Construction rejects frames whose
     linear part is singular or close enough to singular that the inverse
-    map cannot be trusted: its condition number sigma_max / sigma_min, a
-    scale-free measure, must be at most 1e12 and its determinant
-    alpha*epsilon - beta*delta a normal double, else SingularFrame.
+    map cannot be trusted, else SingularFrame: the linear part's condition
+    number (scale-free) times 1 + |(gamma, zeta)| must be at most 1e12, and
+    alpha*epsilon - beta*delta a normal double.
     """
 
     alpha: float = 1.0
@@ -138,12 +138,20 @@ class AffineFrame:
             object.__setattr__(self, name, value)
         if not all(math.isfinite(getattr(self, name)) for name in _FRAME_FIELDS):
             raise ValueError("frame coefficients must be finite")
-        kappa = _frame_factor(self.alpha, self.beta, 0.0, self.delta, self.epsilon, 0.0)
-        if not (kappa <= _MAX_CONDITION and 2.0**-1022 <= abs(self.det) < math.inf):
+        # k bounds how much the frame magnifies rounding in a curve point; kappa = sigma_max / sigma_min
+        # from sigma_max * sigma_min = |det|, sigma_max**2 + sigma_min**2 = ||A||_F**2 on entries <= 1.
+        scale = max(abs(self.alpha), abs(self.beta), abs(self.delta), abs(self.epsilon)) or 1.0
+        a, b, d, e = (c / scale for c in (self.alpha, self.beta, self.delta, self.epsilon))
+        det = abs(a * e - b * d)
+        t = (a * a + b * b + d * d + e * e) / (2.0 * det) if det else math.inf
+        kappa = t + math.sqrt(max(0.0, (t - 1.0) * (t + 1.0)))
+        k = kappa * (1.0 + math.hypot(self.gamma, self.zeta))
+        if not (k <= _MAX_FACTOR and 2.0**-1022 <= abs(self.det) < math.inf):
             raise SingularFrame(
-                f"singular frame: condition number {kappa:.6g} (must be <= {_MAX_CONDITION:g}),"
-                f" |alpha*epsilon - beta*delta| = {abs(self.det):.6g} (must be a normal double)"
+                f"singular frame: condition number {kappa:.6g} times 1 + |(gamma, zeta)| is {k:.6g}"
+                f" (must be <= {_MAX_FACTOR:g}), |det| = {abs(self.det):.6g} (must be a normal double)"
             )
+        object.__setattr__(self, "_factor", k)
 
     @property
     def det(self) -> float:
@@ -153,19 +161,6 @@ class AffineFrame:
     def coefficients(self) -> tuple[float, float, float, float, float, float]:
         """The six coefficients in (alpha, beta, gamma, delta, epsilon, zeta) order."""
         return (self.alpha, self.beta, self.gamma, self.delta, self.epsilon, self.zeta)
-
-
-def _frame_factor(alpha, beta, gamma, delta, epsilon, zeta) -> float:
-    """k = kappa * (1 + |(gamma, zeta)|), how much a frame magnifies rounding in a curve point.
-
-    kappa = sigma_max / sigma_min (inf if singular) from sigma_max * sigma_min = |det| and
-    sigma_max**2 + sigma_min**2 = ||A||_F**2, on entries scaled to at most 1 in magnitude.
-    """
-    scale = max(abs(alpha), abs(beta), abs(delta), abs(epsilon)) or 1.0
-    a, b, d, e = alpha / scale, beta / scale, delta / scale, epsilon / scale
-    det = abs(a * e - b * d)
-    t = (a * a + b * b + d * d + e * e) / (2.0 * det) if det else math.inf
-    return (t + math.sqrt(max(0.0, (t - 1.0) * (t + 1.0)))) * (1.0 + math.hypot(gamma, zeta))
 
 
 IDENTITY = AffineFrame()
@@ -327,21 +322,25 @@ def residual_log(p: Point2, n: int, frame: AffineFrame = IDENTITY) -> float:
 
 def _residual(p: Point2, n: int, frame: AffineFrame) -> float:
     """residual_log for an already-checked point and exponent."""
+    try:
+        return math.expm1(_log_sum(p, n, frame))
+    except OverflowError:
+        return math.inf
+
+
+def _log_sum(p: Point2, n: int, frame: AffineFrame) -> float:
+    """log(u^(2N) + v^(2N)) = log1p(residual) for (u, v) = forward_affine(p); -inf at the origin."""
     u, v = forward_affine(p, frame)
     au = math.fabs(u)
     av = math.fabs(v)
     if au == 0.0 and av == 0.0:
-        return -1.0
+        return -math.inf
     two_n = 2.0 * n
     # != and >=, not > and max()/min(): a NaN image must give a NaN residual.
     a = two_n * math.log(au) if au != 0.0 else -math.inf
     b = two_n * math.log(av) if av != 0.0 else -math.inf
     hi, lo = (a, b) if a >= b else (b, a)
-    lse = hi + math.log1p(math.exp(lo - hi))
-    try:
-        return math.expm1(lse)
-    except OverflowError:
-        return math.inf
+    return hi + math.log1p(math.exp(lo - hi))
 
 
 def theta_of_point(p: Point2, frame: AffineFrame = IDENTITY) -> float:

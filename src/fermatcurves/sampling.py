@@ -87,9 +87,8 @@ class SampledCurve:
     (else TypeError) and says whether the last sample connects back to the
     first. Construction validates the invariants: at least three samples,
     strictly increasing thetas within one period, and every point on the
-    curve to within rounding, else OffCurve: |log1p(residual_log)| at most
-    32 * 2N * u * k, with u = 2**-53 and k the frame's condition number
-    times 1 + |(gamma, zeta)|.
+    curve to within rounding, |log1p(residual_log)| <= 32 * 2N * u * k with
+    u = 2**-53 and k the AffineFrame guard's factor, else OffCurve.
     """
 
     thetas: tuple[float, ...]
@@ -119,15 +118,13 @@ class SampledCurve:
         for a, b in zip(self.thetas, self.thetas[1:]):
             if not a < b:
                 raise ValueError("thetas must be strictly increasing")
-        k = core._frame_factor(*self.frame.coefficients())
-        bound = _MEMBERSHIP * 2.0 * self.exponent * 2.0**-53 * k
-        lo, hi = math.expm1(-bound), math.expm1(bound) if bound < 709.0 else math.inf
+        bound = _MEMBERSHIP * 2.0 * self.exponent * 2.0**-53 * self.frame._factor
         for t, p in zip(self.thetas, self.points):
-            res = core._residual(p, self.exponent, self.frame)
-            if not lo <= res <= hi:
+            if not abs(core._log_sum(p, self.exponent, self.frame)) <= bound:
                 core._check_point(p)  # a non-finite point fails too: report it as residual_log does
                 raise OffCurve(
-                    f"point {p!r} at theta={t!r} is off the curve: residual {res:.3e},"
+                    f"point {p!r} at theta={t!r} is off the curve:"
+                    f" residual {core._residual(p, self.exponent, self.frame):.3e},"
                     f" bound |log1p(residual)| <= {bound:.3e}, for N={self.exponent} in {self.frame!r}"
                 )
 

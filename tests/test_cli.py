@@ -307,12 +307,13 @@ class TestFailureModes:
         assert err == "error: --count must be at least 16, got 8\n"
 
     @pytest.mark.parametrize("command", ["sample", "residual"])
-    def test_non_finite_points_are_reported(self, capsys, command):
-        # Finite frame, but its inverse overflows on the translation: the points come out infinite.
+    def test_far_translated_frame_is_rejected(self, capsys, command):
+        # Condition number 1, but the translation 1e300 would leave the curve's
+        # points no digits of their own (the inverse even overflows).
         code, out, err = invoke(capsys, command, "--n", "3", "--count", "8", "--frame", "1e154,0,1e300,0,1e154,0")
         assert code == 2
         assert out == ""
-        assert "point coordinates must be finite" in err
+        assert "singular frame: condition number 1 times 1 + |(gamma, zeta)| is 1e+300" in err
 
     @pytest.mark.parametrize(
         "command, flag",

@@ -279,11 +279,17 @@ class TestAffineFrame:
             ((1e6, 0.0, 0.0, 0.0, 0.999e-6, 0.0), False),
             ((1.0, 2.0, 0.0, 2.0, 4.0, 0.0), False),
             ((0.0, 0.0, 1.0, 0.0, 0.0, 1.0), False),
+            ((1.0, 0.0, 1e12 - 1.0, 0.0, 1.0, 0.0), True),  # k = 1 * (1 + 1e12 - 1), the cut
+            ((1.0, 0.0, 1e12, 0.0, 1.0, 0.0), False),
+            ((1.0, 0.0, 1e20, 0.0, 1.0, 0.0), False),
+            ((1e6, 0.0, 0.0, 0.0, 1e-6, 1.0), False),  # 1e12 * 2
         ],
     )
     @pytest.mark.parametrize("power", [0, -40, 40])
-    def test_guard_is_on_the_condition_number_at_every_scale(self, coefficients, accepted, power):
-        scaled = [math.ldexp(c, power) for c in coefficients]
+    def test_guard_is_on_the_frame_factor_at_every_scale(self, coefficients, accepted, power):
+        # Scaling the linear part leaves k alone. The translation is measured in
+        # the mapped coordinates, where the curve has unit size, so it stays put.
+        scaled = [c if i in (2, 5) else math.ldexp(c, power) for i, c in enumerate(coefficients)]
         if accepted:
             AffineFrame(*scaled)
         else:

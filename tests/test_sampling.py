@@ -126,6 +126,18 @@ class TestSampledCurve:
             with pytest.raises(OffCurve, match=f"N={n} "):
                 SampledCurve(thetas, pts, False, n, frame)
 
+    @pytest.mark.parametrize("n", [10**4, 5 * 10**6, MAX_EXPONENT])
+    @pytest.mark.parametrize("radius", [0.0, 10.0])
+    @pytest.mark.parametrize("frame", [NEAR_SINGULAR, AffineFrame(1.0, 0.0, 0.0, 0.0, 1e-9, 0.0)])
+    def test_far_vertices_are_rejected_on_ill_conditioned_frames(self, frame, radius, n):
+        # The bound in the log domain stays tight when 32 * 2N * u * k is large:
+        # a relative radial distance of 32 * u * k (at most 2.8e-3 here) at any N.
+        thetas = (0.1, 0.2, 0.3)
+        pts = [affine_curve_point(t, n, frame) for t in thetas]
+        pts[1] = inverse_affine((radius * math.cos(0.2), radius * math.sin(0.2)), frame)
+        with pytest.raises(OffCurve, match=f"N={n} "):
+            SampledCurve(thetas, pts, False, n, frame)
+
     def test_rejects_non_frame(self):
         thetas = (0.1, 0.2, 0.3)
         pts = tuple(curve_point(t, 1) for t in thetas)
