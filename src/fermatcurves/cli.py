@@ -226,7 +226,7 @@ def _cmd_residual(ns, frame: AffineFrame) -> bytes:
 
 
 def _cmd_svg(ns, frame: AffineFrame) -> bytes:
-    if ns.n > SVG_MAX_CURVES:
+    if _check_exponent(ns.n) > SVG_MAX_CURVES:
         raise ValueError(f"svg draws at most {SVG_MAX_CURVES} curves, one per exponent 1..N; got N={ns.n}")
     # innermost first, so later curves draw outward
     return emit_svg([_sample_curve(ns, k, frame) for k in range(1, ns.n + 1)])

@@ -5,9 +5,17 @@ parameterization speed) is analytic away from the axis and diagonal angles
 theta = k*pi/4, and at large N it has a boundary layer about 1/(4N) wide on
 each diagonal. So every integral is split at those angles first, each piece
 starts from panels that halve in width toward its diagonal, and bisection
-only refines what the error estimate still flags. Resampling by arc length
-reuses the accepted panels of the full turn as its cumulative table and
-solves for each sample by Newton's method, the speed being the derivative.
+only refines what the error estimate still flags. Every affine image of
+the curve is centrally symmetric, so the speed is pi-periodic in theta and a
+full turn, in any frame, is twice the half turn from its start.
+
+Resampling by arc length takes the accepted panels of the half turn [0, pi]
+as its cumulative table; a sample past the half length is the one found for
+the same arc length in the first half, moved on by pi. Inside its panel a
+sample is found by Newton's method on the integral of the panel's own
+degree-14 interpolant of the speed, a Legendre series through the 15
+Kronrod node values, so resampling evaluates the speed only at the
+quadrature nodes.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ from __future__ import annotations
 import bisect as _bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from . import core
@@ -69,6 +78,72 @@ _WG = (
     0.279705391489276667901467771423780,
     0.381830050505118944950369775488975,
     0.417959183673469387755102040816327,
+)
+# The Legendre coefficients of the degree-14 interpolant through values f[i]
+# at the 15 Kronrod nodes x_i in increasing order: c[k] = sum(_LEGENDRE[k][i]
+# * f[i]), the inverse of the matrix P_k(x_i), rounded from mpmath's at 50
+# digits. Row 0 is _WGK / 2, since K15 is interpolatory; the entries that
+# vanish by symmetry (odd rows at the centre, row 7 at the Gauss nodes) are 0.0.
+_LEGENDRE = (
+    (0.011467661005264612, 0.03154604631498928, 0.052395005161125094, 0.07032662985776296,
+     0.08450236331963396, 0.09517528903239271, 0.10221647003764944, 0.10474107054236391,
+     0.10221647003764944, 0.09517528903239271, 0.08450236331963396, 0.07032662985776296,
+     0.052395005161125094, 0.03154604631498928, 0.011467661005264612),
+    (-0.034109022293586894, -0.08982180648206232, -0.13594372777682573, -0.15644816765291022,
+     -0.14857726952547207, -0.11587928875421684, -0.06371713388351757, 0.0, 0.06371713388351757,
+     0.11587928875421684, 0.14857726952547207, 0.15644816765291022, 0.13594372777682573,
+     0.08982180648206232, 0.034109022293586894),
+    (0.05587478087847913, 0.13426135229514038, 0.16294472142989178, 0.11421141346688096,
+     0.006442194574720016, -0.12036560386608114, -0.22244252060107625, -0.2618526763559098,
+     -0.22244252060107625, -0.12036560386608114, 0.006442194574720016, 0.11421141346688096,
+     0.16294472142989178, 0.13426135229514038, 0.05587478087847913),
+    (-0.07620200797169804, -0.1576103840821567, -0.11735719493811697, 0.04575072506245405,
+     0.22231025835279045, 0.29423953041265866, 0.20696269624477193, 0.0, -0.20696269624477193,
+     -0.29423953041265866, -0.22231025835279045, -0.04575072506245405, 0.11735719493811697,
+     0.1576103840821567, 0.07620200797169804),
+    (0.09455854852494794, 0.15532301525101164, 0.008395267206013801, -0.23051798432487464,
+     -0.3018566733275861, -0.10619172999425479, 0.20353900012450304, 0.3535011130804782,
+     0.20353900012450304, -0.10619172999425479, -0.3018566733275861, -0.23051798432487464,
+     0.008395267206013801, 0.15532301525101164, 0.09455854852494794),
+    (-0.11045446778342152, -0.1261814974756487, 0.13156106990239894, 0.3185446060591244,
+     0.10973580163389182, -0.27508684673134104, -0.35322482764223134, 0.0, 0.35322482764223134,
+     0.27508684673134104, -0.10973580163389182, -0.3185446060591244, -0.13156106990239894,
+     0.1261814974756487, 0.11045446778342152),
+    (0.12345265484469584, 0.07251680283695504, -0.25663414008788155, -0.23431462719201765,
+     0.22399736501397743, 0.3697158150962807, -0.08597857097283315, -0.4255105990783534,
+     -0.08597857097283315, 0.3697158150962807, 0.22399736501397743, -0.23431462719201765,
+     -0.25663414008788155, 0.07251680283695504, 0.12345265484469584),
+    (-0.1331783704428591, 0.0, 0.32184247285373396, 0.0, -0.4095811890287014, 0.0,
+     0.4511424456559007, 0.0, -0.4511424456559007, 0.0, 0.4095811890287014, 0.0,
+     -0.32184247285373396, 0.0, 0.1331783704428591),
+    (0.13932754650543916, -0.0829759570922851, -0.2978452929581856, 0.26811000611394326,
+     0.2538022246263692, -0.42304021150439813, -0.10081947574051764, 0.48688232009926974,
+     -0.10081947574051764, -0.42304021150439813, 0.2538022246263692, 0.26811000611394326,
+     -0.2978452929581856, -0.0829759570922851, 0.13932754650543916),
+    (-0.14167366908250087, 0.16625662342216882, 0.18144256612202006, -0.4197140759322146,
+     0.1471297862156984, 0.36245417276198255, -0.46372779425153965, 0.0, 0.46372779425153965,
+     -0.36245417276198255, -0.1471297862156984, 0.4197140759322146, -0.18144256612202006,
+     -0.16625662342216882, 0.14167366908250087),
+    (0.13872995639664487, -0.2352326356157767, -0.004541631154137807, 0.363653242793321,
+     -0.47315054388256383, 0.17262410695309918, 0.30246233772285497, -0.5290896664268834,
+     0.30246233772285497, 0.17262410695309918, -0.47315054388256383, 0.363653242793321,
+     -0.004541631154137807, -0.2352326356157767, 0.13872995639664487),
+    (-0.1316843493202232, 0.28385694572069614, -0.19146076555803068, -0.10194870237333015,
+     0.4179115987863639, -0.5453592955245016, 0.3789148316938571, 0.0, -0.3789148316938571,
+     0.5453592955245016, -0.4179115987863639, 0.10194870237333015, 0.19146076555803068,
+     -0.28385694572069614, 0.1316843493202232),
+    (0.11619472935182698, -0.2917994578364213, 0.32977357709990546, -0.2126004976261196,
+     -0.02645012409582552, 0.3095594368242653, -0.533418125181995, 0.6174809229287275,
+     -0.533418125181995, 0.3095594368242653, -0.02645012409582552, -0.2126004976261196,
+     0.32977357709990546, -0.2917994578364213, 0.11619472935182698),
+    (-0.09657071433469647, 0.2676113270758079, -0.38488886570043707, 0.4378995548077848,
+     -0.42065741223756176, 0.33002741379440775, -0.18039828528440988, 0.0, 0.18039828528440988,
+     -0.33002741379440775, 0.42065741223756176, -0.4378995548077848, 0.38488886570043707,
+     -0.2676113270758079, 0.09657071433469647),
+    (0.050505252367027825, -0.14620195137938188, 0.23075524792889424, -0.3062029390379786,
+     0.37216073819317697, -0.4216517681445557, 0.45017624892715435, -0.45908165770867426,
+     0.45017624892715435, -0.4216517681445557, 0.37216073819317697, -0.3062029390379786,
+     0.23075524792889424, -0.14620195137938188, 0.050505252367027825),
 )
 _NODES = 15
 # QUADPACK's floor on the error test: the rounding of a 15-term sum.
@@ -177,9 +252,10 @@ def arc_length(
     """Arc length of the curve between parameter angles theta_a and theta_b.
 
     The span theta_b - theta_a must lie in [0, 2*pi]; a zero span returns
-    exactly 0.0 and the full span covers one closed circuit. The error is
-    at most about tol * max(1, arc length). Raises QuadratureFailure if the
-    tolerance cannot be met within the evaluation budget.
+    exactly 0.0 and the full span covers one closed circuit, integrated as
+    twice the half turn from theta_a at tol / 2. The error is at most about
+    tol * max(1, arc length). Raises QuadratureFailure if the tolerance
+    cannot be met within the evaluation budget.
     """
     n = core._check_exponent(n)
     theta_a = core._check_angle(theta_a)
@@ -194,12 +270,25 @@ def arc_length(
         return 0.0
     a = core._normalize(theta_a)
     # fsum: the panel widths telescope exactly, so a constant speed of 1.0
-    # (the circle) sums to the exact span.
-    return math.fsum(value for _, _, value in _panels(n, frame, a, a + min(span, TWO_PI), tol))
+    # (the circle) sums to the exact span, and twice pi is exactly TWO_PI.
+    if span < TWO_PI:
+        return math.fsum(panel[2] for panel in _panels(n, frame, a, a + span, tol))
+    return 2.0 * math.fsum(panel[2] for panel in _half_turn(n, frame, a, tol))
+
+
+def _half_turn(n: int, frame: AffineFrame, a: float, tol: float):
+    """Accepted panels on [a, a + pi], which stand for the full turn from a.
+
+    The speed is pi-periodic, so the full turn is twice this half; at tol / 2
+    twice the half still meets the full turn's bound tol * max(1, L).
+    """
+    return _panels(n, frame, a, a + math.pi, 0.5 * tol)
 
 
 def _panels(n: int, frame: AffineFrame, a: float, b: float, tol: float):
-    """Accepted Gauss-Kronrod panels (x0, x1, integral) that cover [a, b], in order.
+    """Accepted Gauss-Kronrod panels (x0, x1, integral, speeds) that cover
+    [a, b], in order; speeds, the speed at the 15 Kronrod nodes, serve
+    resampling.
 
     The error target tol * max(1, L), with L the starting panels' estimate
     of the arc length, is shared equally among those graded panels, and a
@@ -211,13 +300,13 @@ def _panels(n: int, frame: AffineFrame, a: float, b: float, tol: float):
     edges = _edges(a, b, math.ceil(math.log2(math.pi * n)))
     estimates = [(x0, x1, *_gauss_kronrod(n, frame, x0, x1)) for x0, x1 in zip(edges, edges[1:])]
     spent = _NODES * len(estimates)
-    share = tol * max(1.0, math.fsum(kronrod for _, _, kronrod, _ in estimates)) / len(estimates)
+    share = tol * max(1.0, math.fsum(estimate[2] for estimate in estimates)) / len(estimates)
     stack = [(*estimate, share) for estimate in reversed(estimates)]
     panels = []
     while stack:
-        x0, x1, kronrod, gauss, share = stack.pop()
+        x0, x1, kronrod, gauss, speeds, share = stack.pop()
         if abs(kronrod - gauss) <= max(share, _ROUNDING * kronrod):
-            panels.append((x0, x1, kronrod))
+            panels.append((x0, x1, kronrod, speeds))
             continue
         if spent + 2 * _NODES > _EVAL_BUDGET:
             raise QuadratureFailure(
@@ -255,20 +344,26 @@ def _edges(a: float, b: float, levels: int) -> list[float]:
     return edges
 
 
-def _gauss_kronrod(n: int, frame: AffineFrame, x0: float, x1: float) -> tuple[float, float]:
-    """The 15-point Kronrod and 7-point Gauss integrals of the speed over [x0, x1]."""
+def _gauss_kronrod(
+    n: int, frame: AffineFrame, x0: float, x1: float
+) -> tuple[float, float, tuple[float, ...]]:
+    """The 15-point Kronrod and 7-point Gauss integrals of the speed over
+    [x0, x1], and the speed at the 15 Kronrod nodes in increasing order."""
     center = 0.5 * (x0 + x1)
     half = 0.5 * (x1 - x0)
     f = core.curve_speed(center, n, frame)
     kronrod = _WGK[7] * f
     gauss = _WG[3] * f
+    left, right = [], []
     for j in range(7):
         dx = half * _XGK[j]
-        pair = core.curve_speed(center - dx, n, frame) + core.curve_speed(center + dx, n, frame)
+        left.append(core.curve_speed(center - dx, n, frame))
+        right.append(core.curve_speed(center + dx, n, frame))
+        pair = left[j] + right[j]
         kronrod += _WGK[j] * pair
         if j % 2:
             gauss += _WG[j // 2] * pair
-    return half * kronrod, half * gauss
+    return half * kronrod, half * gauss, (*left, f, *reversed(right))
 
 
 def resample_by_arclength(
@@ -279,51 +374,91 @@ def resample_by_arclength(
 ) -> SampledCurve:
     """Sample one full turn at ``count`` equal arc-length steps.
 
-    The accepted quadrature panels of the full turn form a cumulative
-    arc-length table that brackets each target; Newton's method inside the
-    bracketing panel, with the speed as the derivative and bisection as the
-    safeguard, then refines every sample until its cumulative arc length is
-    within the panels' rounding floor, 50 eps relative, of the target.
-    Raises QuadratureFailure if a sample misses that after a fixed number
-    of steps.
+    The accepted quadrature panels of the half turn [0, pi], the ones
+    arc_length integrates the full turn with, form a cumulative arc-length
+    table that brackets each target; a target past the half length is
+    placed pi on from the same arc length in the first half, and one that
+    lands on it exactly is pi. Inside the bracketing panel the arc length
+    is the antiderivative of the panel's own interpolant of the speed, so
+    no speed evaluation is made outside the quadrature. Newton's method on
+    it, with bisection as the safeguard, refines every sample until its
+    cumulative arc length is within the panels' rounding floor, 50 eps
+    relative, of the target. Raises QuadratureFailure if a sample misses
+    that after a fixed number of steps.
     """
     n = core._check_exponent(n)
     count = _check_count(count)
     tol = _check_tol(tol)
 
-    panels = _panels(n, frame, 0.0, TWO_PI, tol)
-    cum = list(itertools.accumulate((value for _, _, value in panels), initial=0.0))
-    step = math.fsum(value for _, _, value in panels) / count
+    panels = _half_turn(n, frame, 0.0, tol)
+    cum = list(itertools.accumulate((panel[2] for panel in panels), initial=0.0))
+    half = math.fsum(panel[2] for panel in panels)
+    step = 2.0 * half / count
     thetas = [0.0]
     for j in range(1, count):
         target = step * j
-        i = min(_bisect.bisect_right(cum, target) - 1, len(panels) - 1)
-        thetas.append(_newton_in_panel(n, frame, panels[i], cum[i], target))
+        if target == half:
+            thetas.append(math.pi)
+            continue
+        shift, offset = (math.pi, half) if target > half else (0.0, 0.0)
+        i = min(_bisect.bisect_right(cum, target - offset) - 1, len(panels) - 1)
+        thetas.append(shift + _newton_in_panel(n, frame, panels[i], cum[i] + offset, target))
     return _polyline(thetas, n, frame, True)
 
 
 def _newton_in_panel(n: int, frame: AffineFrame, panel, cum: float, target: float) -> float:
-    """The theta in panel (x0, x1, integral), whose start lies at arc length cum,
-    where the arc length reaches target."""
-    x0, x1, value = panel
+    """The theta in panel (x0, x1, integral, speeds), whose start lies at arc
+    length cum, where the arc length reaches target.
+
+    The arc length inside the panel is the integral of the degree-14
+    interpolant of the speed through the panel's Kronrod node values. K15 is
+    interpolatory, so over the whole panel it integrates to the panel's own
+    integral, and the cumulative table stays consistent.
+    """
+    x0, x1, value, speeds = panel
+    coefficients = [sum(map(operator.mul, row, speeds)) for row in _LEGENDRE]
     lo, hi = x0, x1
     theta = x0 + (x1 - x0) * ((target - cum) / value)
     for _ in range(_ROOT_STEPS):
-        gap = cum + _gauss_kronrod(n, frame, x0, theta)[0] - target
+        arc, speed = _legendre_integral(coefficients, x0, x1, theta)
+        gap = cum + arc - target
         if abs(gap) <= _ROUNDING * target:
             return theta
         if gap > 0.0:
             hi = theta
         else:
             lo = theta
-        theta -= gap / core.curve_speed(theta, n, frame)
+        theta -= gap / speed
         if not lo < theta < hi:
             theta = 0.5 * (lo + hi)
     raise QuadratureFailure(
         f"arc-length resampling of N={n} in {frame!r}: theta for arc length {target!r}"
-        f" on [{x0!r}, {x1!r}] still {gap:.3e} off after {_ROOT_STEPS} steps,"
-        f" {_ROOT_STEPS * (_NODES + 1)} speed evaluations"
+        f" in panel [{x0!r}, {x1!r}] still {gap:.3e} off after {_ROOT_STEPS} Newton steps"
     )
+
+
+def _legendre_integral(c, x0: float, x1: float, theta: float) -> tuple[float, float]:
+    """The integral from x0 to theta of the Legendre series c on [x0, x1], and
+    the series itself at theta.
+
+    With x the panel coordinate in [-1, 1], the integral of P_k from -1 to x
+    is (P_{k+1} - P_{k-1}) / (2k + 1) = (x^2 - 1) P_k'(x) / (k(k + 1)). P_k
+    comes from the three-term recurrence and P_k' from the first rule
+    differentiated, P_{k+1}' = P_{k-1}' + (2k + 1) P_k. The second form
+    factors the integral as (x + 1) * (c[0] + (x - 1) * tail), with x + 1
+    and x - 1 taken from theta directly, so it keeps its relative accuracy
+    near the panel start, where the differences of the first would cancel.
+    """
+    half = 0.5 * (x1 - x0)
+    x = (theta - x0) / half - 1.0
+    p0, p1, d0, d1 = 1.0, x, 0.0, 1.0  # P_{k-1}, P_k, P_{k-1}', P_k' at k = 1
+    series = c[0] + c[1] * x
+    tail = 0.5 * c[1]
+    for k in range(1, _NODES - 1):
+        p0, p1, d0, d1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1), d1, d0 + (2 * k + 1) * p1
+        series += c[k + 1] * p1
+        tail += c[k + 1] * d1 / ((k + 1) * (k + 2))
+    return (theta - x0) * (c[0] + (theta - x1) / half * tail), series
 
 
 def convergence_gap(

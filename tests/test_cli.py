@@ -213,6 +213,14 @@ class TestSvgCommand:
         assert code == 0
         assert out.count("<path ") == cli.SVG_MAX_CURVES
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_an_exponent_below_one_is_reported_as_out_of_range(self, capsys, n):
+        code, out, err = invoke(capsys, "svg", "--n", n, "--count", "8")
+        assert code == 2
+        assert out == ""
+        assert "exponent must be in [1, 2147483647]" in err
+        assert "need at least one curve" not in err
+
     def test_n_past_the_cap_exits_two_without_drawing(self, capsys, monkeypatch):
         drawn = []
         monkeypatch.setattr(cli, "_sample_curve", lambda *args: drawn.append(args))

@@ -26,9 +26,11 @@ from fermatcurves import (
     TooFewSamples,
     affine_curve_point,
     arc_length,
+    cli,
     convergence_gap,
     core,
     curve_point,
+    curve_speed,
     inverse_affine,
     oracle_polyline,
     polyline_hausdorff,
@@ -37,7 +39,7 @@ from fermatcurves import (
     sample_uniform_theta,
     sampling,
 )
-from fermatcurves.sampling import _edges, _panels
+from fermatcurves.sampling import _LEGENDRE, _XGK, _edges, _newton_in_panel, _panels
 from test_golden import FRAME_TEXTS as GOLDEN_FRAME_IDS
 from test_golden import FRAMES as GOLDEN_FRAMES
 
@@ -292,6 +294,30 @@ class TestArcLength:
     def test_large_exponent_frozen_value(self):
         assert arc_length(10**4) == pytest.approx(7.99977868373251, abs=1e-9)
 
+    @pytest.mark.parametrize("n", [1, 7, 1000, 2**31 - 1])
+    @pytest.mark.parametrize("frame", GOLDEN_FRAMES, ids=GOLDEN_FRAME_IDS)
+    def test_twice_the_half_turn_is_the_full_turn(self, n, frame):
+        # Every affine image is centrally symmetric: the two halves of a turn
+        # have the same length, and the full turn integrated panel by panel
+        # over [0, 2*pi] agrees with twice the half within tol.
+        tol = 1e-10
+        full = math.fsum(panel[2] for panel in _panels(n, frame, 0.0, TWO_PI, tol))
+        first, second = arc_length(n, frame, 0.0, math.pi, tol), arc_length(n, frame, math.pi, TWO_PI, tol)
+        assert abs(first - second) <= tol * max(1.0, full)
+        assert abs(2.0 * first - full) <= tol * max(1.0, full)
+        assert abs(arc_length(n, frame, tol=tol) - full) <= tol * max(1.0, full)
+
+    def test_a_large_exponent_in_a_skew_frame_against_mpmath(self):
+        # mpmath's quad at 30 digits on the graded _edges panels of the full
+        # turn, which takes about 9 s, gives 9.0256410886236258599. Tanh-sinh
+        # on the bare kink pieces (_mp_arc_length) misses the boundary layers
+        # at this N by 1.2e-9.
+        n, frame = 199965042, GOLDEN_FRAMES[3]
+        reference = 9.0256410886236258599
+        length = arc_length(n, frame, tol=1e-12)
+        assert cli.fmt(length) == "9.025641088623626"
+        assert abs(length - reference) <= 1e-12 * reference
+
     def test_longer_than_inscribed_polyline(self):
         curve = sample_uniform_theta(3, count=1024)
         chord = 0.0
@@ -402,6 +428,27 @@ def _mp_arc_length(n: int, frame: AffineFrame, lo: float, hi: float) -> float:
         return float(mpmath.fsum(pieces))
 
 
+def test_legendre_table_against_mpmath():
+    # The inverse of V[i][k] = P_k(x_i), x_i the Kronrod nodes in increasing
+    # order from QUADPACK's qk15 to 33 digits; exact zeros stay 0.0.
+    digits = (
+        "0.991455371120812639206854697526329", "0.949107912342758524526189684047851",
+        "0.864864423359769072789712788640926", "0.741531185599394439863864773280788",
+        "0.586087235467691130294144845693013", "0.405845151377397166906606412076961",
+        "0.207784955007898467600689403773245",
+    )
+    assert _XGK == tuple(float(d) for d in digits)
+    with mpmath.workdps(50):
+        half = [mpmath.mpf(d) for d in digits]
+        nodes = [-x for x in half] + [mpmath.mpf(0)] + half[::-1]
+        inverse = mpmath.matrix([[mpmath.legendre(k, x) for k in range(15)] for x in nodes]) ** -1
+        expected = tuple(
+            tuple(float(inverse[k, i]) if abs(inverse[k, i]) > 1e-20 else 0.0 for i in range(15))
+            for k in range(15)
+        )
+    assert _LEGENDRE == expected
+
+
 class TestArcLengthMeetsTol:
     """arc_length is within tol * max(1, arc length) of a reference."""
 
@@ -433,14 +480,15 @@ class TestArcLengthMeetsTol:
 @pytest.mark.parametrize("n", [10**6, 2**31 - 1])
 @pytest.mark.parametrize("frame", GOLDEN_FRAMES, ids=GOLDEN_FRAME_IDS)
 def test_graded_panels_need_no_bisection_at_large_exponents(monkeypatch, n, frame):
-    # 15 nodes on each of ceil(log2(pi*N)) graded panels per octant: the
-    # grading resolves the diagonal boundary layer, and the rounding floor
-    # keeps tol 1e-14 from bisecting into the speed's rounding noise.
+    # 15 nodes on each of ceil(log2(pi*N)) graded panels per octant of the
+    # half turn, four octants: the grading resolves the diagonal boundary
+    # layer, and the rounding floor keeps tol 1e-14 from bisecting into the
+    # speed's rounding noise.
     calls = _count_speed(monkeypatch)
     for tol in (1e-6, 1e-14):
         calls[0] = 0
         arc_length(n, frame, tol=tol)
-        assert calls[0] == 8 * 15 * math.ceil(math.log2(math.pi * n))
+        assert calls[0] == 4 * 15 * math.ceil(math.log2(math.pi * n))
 
 
 @pytest.mark.parametrize(
@@ -526,10 +574,31 @@ class TestResampleByArclength:
         for a, b in zip(bounds, bounds[1:]):
             assert abs(arc_length(1000, frame, a, b) - step) <= 2e-10 * max(1.0, total)
 
-    def test_a_root_not_found_raises_after_the_step_cap(self, monkeypatch):
-        monkeypatch.setattr(core, "curve_speed", lambda theta, n, frame: math.nan)
-        with pytest.raises(QuadratureFailure, match=r"N=3 .* on \[0.0, 1.0\] .* after 60 steps"):
-            sampling._newton_in_panel(3, IDENTITY, (0.0, 1.0, 1.0), 0.0, 0.5)
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_resampled_eighths_against_mpmath(self, n):
+        # A rotation of a D4-symmetric curve: the eighths of arc length lie at k*pi/4.
+        thetas = resample_by_arclength(n, GOLDEN_FRAMES[1], 8).thetas
+        with mpmath.workdps(30):
+            for k, theta in enumerate(thetas):
+                assert abs(theta - float(k * mpmath.pi / 4)) <= math.ulp(theta)
+
+    def test_a_root_not_found_raises_after_the_step_cap(self):
+        panel = (0.0, 1.0, 1.0, (math.nan,) * 15)
+        with pytest.raises(QuadratureFailure, match=r"N=3 .* in panel \[0.0, 1.0\] .* after 60 Newton steps"):
+            _newton_in_panel(3, IDENTITY, panel, 0.0, 0.5)
+
+    def test_the_step_cap_error_names_n_frame_target_panel_and_steps(self, monkeypatch):
+        frame = GOLDEN_FRAMES[3]
+        panel = _panels(7, frame, 0.0, math.pi, 1e-10)[0]
+        target = 0.5 * panel[2]
+        assert _newton_in_panel(7, frame, panel, 0.0, target) > 0.0
+        monkeypatch.setattr(sampling, "_ROOT_STEPS", 1)
+        with pytest.raises(QuadratureFailure) as caught:
+            _newton_in_panel(7, frame, panel, 0.0, target)
+        message = str(caught.value)
+        for part in ("N=7 ", repr(frame), f"arc length {target!r}", f"[{panel[0]!r}, {panel[1]!r}]", "after 1 Newton steps"):
+            assert part in message
+        assert "speed evaluations" not in message
 
     def test_costs_fewer_speed_evaluations_than_the_bisection_table(self, monkeypatch):
         # 136,804 is what a 4,096-cell table of adaptive Simpson integrals
@@ -537,6 +606,29 @@ class TestResampleByArclength:
         calls = _count_speed(monkeypatch)
         resample_by_arclength(1000, count=1024)
         assert calls[0] < 136_804
+
+    @pytest.mark.parametrize("n, count", [(1000, 1024), (7, 10), (2**31 - 1, 64)])
+    def test_evaluates_the_speed_only_in_the_quadrature(self, monkeypatch, n, count):
+        frame = GOLDEN_FRAMES[2]
+        calls = _count_speed(monkeypatch)
+        arc_length(n, frame)
+        quadrature = calls[0]
+        calls[0] = 0
+        resample_by_arclength(n, frame, count)
+        assert calls[0] == quadrature
+
+    @pytest.mark.parametrize("n", [1, 7, 1000, 2**31 - 1])
+    @pytest.mark.parametrize("frame", GOLDEN_FRAMES, ids=GOLDEN_FRAME_IDS)
+    def test_samples_half_a_turn_apart_are_pi_apart(self, n, frame):
+        # Newton stops each sample within 50 eps of its target in arc length;
+        # two such misses, divided by the speed, bound the difference in
+        # theta. The worst measured was 0.41 of this bound.
+        count = 10
+        thetas = resample_by_arclength(n, frame, count).thetas
+        floor = 2 * sampling._ROUNDING * arc_length(n, frame)
+        for j in range(count // 2):
+            bound = floor / curve_speed(thetas[j], n, frame) + 2 * math.ulp(TWO_PI)
+            assert abs(thetas[j + count // 2] - thetas[j] - math.pi) <= bound
 
 
 class TestConvergenceGap:
