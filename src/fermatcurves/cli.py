@@ -15,6 +15,7 @@ back to the exact same double, so emitted files round-trip bit-for-bit.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -141,7 +142,9 @@ _FLAGS = {
 }
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of the process, built on the first run() call."""
     parser = _Parser(prog="fermat-curves", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, text, flags) in _COMMANDS.items():
@@ -259,7 +262,11 @@ def _write(payload: bytes, path: str | None) -> None:
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    """Parse arguments, execute one subcommand, and return the exit code."""
+    """Parse arguments, execute one subcommand, and return the exit code.
+
+    May be called any number of times in one process; every call shares one
+    parser, which holds no state between calls.
+    """
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)

@@ -24,6 +24,14 @@ points, the slope, the velocity and the speed are thin wrappers over it.
 Each public function validates its arguments once and calls a private body
 that trusts them, as the package's own loops over checked values do.
 
+The checks are cheap enough to run on every call, at every quadrature node
+too: a value whose type is exactly int (an exponent or a count) or exactly
+float (an angle, a point coordinate, a tolerance, a frame coefficient) is
+accepted by one type comparison. Any other value takes the numbers.Integral
+or numbers.Real test, which admits subclasses and numpy scalars and rejects
+bool, str, bytes and None, so the fast path changes what a check costs, never
+what it accepts. A frame must be an AffineFrame, else TypeError.
+
 An affine change of coordinates (u, v) = (alpha*x + beta*y + gamma,
 delta*x + epsilon*y + zeta) generalizes the family to curves satisfying
 u**(2*N) + v**(2*N) = 1 in the mapped coordinates; the same radial factor
@@ -77,21 +85,25 @@ Point2 = tuple[float, float]
 
 def _check_angle(theta) -> float:
     try:
-        theta = float(theta)
-    except (TypeError, ValueError):
+        value = _check_real(theta, "angle")
+    except TypeError:
         raise InvalidAngle(f"angle must be a real number, got {theta!r}") from None
-    if not math.isfinite(theta):
-        raise InvalidAngle(f"angle must be finite, got {theta!r}")
-    return theta
+    if not math.isfinite(value):
+        raise InvalidAngle(f"angle must be finite, got {value!r}")
+    return value
 
 
 def _check_integer(value, name: str) -> int:
+    if type(value) is int:
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
     return int(value)
 
 
 def _check_real(value, name: str) -> float:
+    if type(value) is float:
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
     return float(value)
@@ -106,11 +118,17 @@ def _check_exponent(n) -> int:
 
 def _check_point(p) -> Point2:
     x, y = p
-    x = float(x)
-    y = float(y)
+    x = _check_real(x, "point coordinate")
+    y = _check_real(y, "point coordinate")
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"point coordinates must be finite, got {p!r}")
     return x, y
+
+
+def _check_frame(frame) -> AffineFrame:
+    if not isinstance(frame, AffineFrame):
+        raise TypeError(f"frame must be an AffineFrame, got {type(frame).__name__}")
+    return frame
 
 
 @dataclass(frozen=True)
@@ -265,6 +283,11 @@ def _square(theta: float) -> tuple[float, float, float]:
 
 def forward_affine(p: Point2, frame: AffineFrame = IDENTITY) -> Point2:
     """Apply the frame's map to a point."""
+    return _forward(p, _check_frame(frame))
+
+
+def _forward(p: Point2, frame: AffineFrame) -> Point2:
+    """forward_affine for an already-checked frame."""
     x, y = p
     return (
         frame.alpha * x + frame.beta * y + frame.gamma,
@@ -279,6 +302,7 @@ def inverse_affine(p: Point2, frame: AffineFrame = IDENTITY) -> Point2:
     limit shape, which is the inverse affine image of that boundary.
     """
     u, v = p
+    frame = _check_frame(frame)
     return _solve_linear(frame, u - frame.gamma, v - frame.zeta)
 
 
@@ -299,7 +323,7 @@ def affine_curve_point(theta: float, n: int, frame: AffineFrame = IDENTITY) -> P
 
     With the identity frame this reduces bit-for-bit to ``curve_point``.
     """
-    return _affine_point(_check_angle(theta), _check_exponent(n), frame)
+    return _affine_point(_check_angle(theta), _check_exponent(n), _check_frame(frame))
 
 
 def _affine_point(theta: float, n: int, frame: AffineFrame) -> Point2:
@@ -317,7 +341,7 @@ def residual_log(p: Point2, n: int, frame: AffineFrame = IDENTITY) -> float:
     exactly -1.0 when both mapped coordinates are zero.
     """
     n = _check_exponent(n)
-    return _residual(_check_point(p), n, frame)
+    return _residual(_check_point(p), n, _check_frame(frame))
 
 
 def _residual(p: Point2, n: int, frame: AffineFrame) -> float:
@@ -330,7 +354,7 @@ def _residual(p: Point2, n: int, frame: AffineFrame) -> float:
 
 def _log_sum(p: Point2, n: int, frame: AffineFrame) -> float:
     """log(u^(2N) + v^(2N)) = log1p(residual) for (u, v) = forward_affine(p); -inf at the origin."""
-    u, v = forward_affine(p, frame)
+    u, v = _forward(p, frame)
     au = math.fabs(u)
     av = math.fabs(v)
     if au == 0.0 and av == 0.0:
@@ -348,8 +372,7 @@ def theta_of_point(p: Point2, frame: AffineFrame = IDENTITY) -> float:
 
     Raises OriginPoint when the forward image is (0, 0).
     """
-    p = _check_point(p)
-    u, v = forward_affine(p, frame)
+    u, v = _forward(_check_point(p), _check_frame(frame))
     if u == 0.0 and v == 0.0:
         raise OriginPoint("forward image is the origin, direction undefined")
     return _normalize(math.atan2(v, u))
@@ -386,7 +409,7 @@ def _velocity(theta: float, n: int, frame: AffineFrame) -> Point2:
 
 def curve_velocity(theta: float, n: int, frame: AffineFrame = IDENTITY) -> Point2:
     """Derivative of affine_curve_point with respect to theta."""
-    return _velocity(_check_angle(theta), _check_exponent(n), frame)
+    return _velocity(_check_angle(theta), _check_exponent(n), _check_frame(frame))
 
 
 def curve_speed(theta: float, n: int, frame: AffineFrame = IDENTITY) -> float:
@@ -398,6 +421,7 @@ def curve_speed(theta: float, n: int, frame: AffineFrame = IDENTITY) -> float:
     """
     theta = _check_angle(theta)
     n = _check_exponent(n)
+    frame = _check_frame(frame)
     if frame.alpha == 1.0 and frame.beta == 0.0 and frame.delta == 0.0 and frame.epsilon == 1.0:
         rho, c, s, m, log_r, log1p_power = _evaluate(theta, n)
         return math.hypot(rho, _radial_factor_slope(n, c, s, m, log_r, log1p_power))

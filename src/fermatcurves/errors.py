@@ -2,7 +2,8 @@
 
 
 class InvalidAngle(ValueError):
-    """Angle input is NaN or infinite."""
+    """Angle input that is not a finite real number: NaN, an infinity, or a
+    value such as a str, bytes or bool that is not a real number."""
 
 
 class SingularFrame(ValueError):

@@ -91,6 +91,7 @@ def oracle_polyline(
     polyline to compare the closed form against.
     """
     n = core._check_exponent(n)
+    frame = core._check_frame(frame)
     thetas = _uniform_thetas(_check_count(count))
     points = []
     for t in thetas:

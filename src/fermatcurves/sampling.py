@@ -180,8 +180,7 @@ class SampledCurve:
         if not isinstance(self.closed, bool):
             raise TypeError(f"closed must be true or false, got {self.closed!r}")
         object.__setattr__(self, "exponent", core._check_exponent(self.exponent))
-        if not isinstance(self.frame, AffineFrame):
-            raise TypeError("frame must be an AffineFrame")
+        core._check_frame(self.frame)
         if len(self.thetas) != len(self.points):
             raise ValueError(
                 f"thetas and points lengths differ: {len(self.thetas)} != {len(self.points)}"
@@ -212,7 +211,7 @@ def sample_uniform_theta(
 ) -> SampledCurve:
     """Sample one full turn of the curve on the uniform theta grid 2*pi*k/count."""
     n = core._check_exponent(n)
-    return _polyline(_uniform_thetas(_check_count(count)), n, frame, True)
+    return _polyline(_uniform_thetas(_check_count(count)), n, core._check_frame(frame), True)
 
 
 def _polyline(thetas, n: int, frame: AffineFrame, closed: bool) -> SampledCurve:
@@ -258,6 +257,7 @@ def arc_length(
     cannot be met within the evaluation budget.
     """
     n = core._check_exponent(n)
+    frame = core._check_frame(frame)
     theta_a = core._check_angle(theta_a)
     theta_b = core._check_angle(theta_b)
     tol = _check_tol(tol)
@@ -387,6 +387,7 @@ def resample_by_arclength(
     that after a fixed number of steps.
     """
     n = core._check_exponent(n)
+    frame = core._check_frame(frame)
     count = _check_count(count)
     tol = _check_tol(tol)
 
@@ -471,6 +472,7 @@ def convergence_gap(
     is the largest radial gap to the square.
     """
     n = core._check_exponent(n)
+    frame = core._check_frame(frame)
     resolution = core._check_integer(resolution, "resolution")
     if resolution < _MIN_RESOLUTION:
         raise ValueError(f"resolution must be at least {_MIN_RESOLUTION}, got {resolution}")

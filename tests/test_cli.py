@@ -1,6 +1,8 @@
 """End-to-end tests for the command-line interface and its emitters."""
 
 import math
+import os
+import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
@@ -366,3 +368,55 @@ class TestEmittersDirectly:
             cli.main()
         assert excinfo.value.code == 0
         assert capsys.readouterr().out == "6.283185307179586\n"
+
+
+def outcome(capsys, argv):
+    """(exit code, stdout, stderr) of one run(argv), --help included."""
+    try:
+        code = cli.run(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# Flags set in one call, then left out of the next; a usage error; help texts.
+REUSE_SEQUENCE = (
+    ("sample", "--n", "3", "--count", "4", "--format", "json"),
+    ("sample", "--n", "3", "--count", "4"),
+    ("arclength", "--n", "5", "--theta-range", "0.1,0.2"),
+    ("arclength", "--n", "5"),
+    ("arclength", "--n", "5", "--count", "4"),
+    ("sample", "--n", "3", "--count", "4", "--format", "json"),
+    ("--help",),
+    ("sample", "--help"),
+)
+
+
+class TestParserReuse:
+    def test_every_call_shares_one_parser(self, capsys):
+        invoke(capsys, "arclength", "--n", "1")
+        parser = cli._build_parser()
+        invoke(capsys, "gap", "--n", "2")
+        assert cli._build_parser() is parser
+
+    def test_earlier_calls_leave_no_state_in_later_ones(self, capsys):
+        fresh = []
+        for argv in REUSE_SEQUENCE:
+            cli._build_parser.cache_clear()
+            fresh.append(outcome(capsys, argv))
+        cli._build_parser.cache_clear()
+        shared = [outcome(capsys, argv) for argv in REUSE_SEQUENCE]
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0, 0, 0, 0, 2, 0, 0, 0]
+
+    def test_importing_the_cli_builds_no_parser(self):
+        # The parser is built by the first run(), so an import costs no more than before.
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        script = "from fermatcurves import cli; print(cli._build_parser.cache_info().currsize)"
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert (done.returncode, done.stdout) == (0, "0\n"), done.stderr

@@ -8,7 +8,12 @@ and against brute-force numpy recomputations before being frozen here.
 import dataclasses
 import math
 import random
+import re
+from decimal import Decimal
+from enum import IntEnum
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -22,6 +27,7 @@ from fermatcurves import (
     OriginPoint,
     SingularFrame,
     affine_curve_point,
+    arc_length,
     bisect_radial_factor,
     curve_point,
     curve_speed,
@@ -435,3 +441,69 @@ class TestVelocityAndSpeed:
         for n in (1, 2, 1000, MAX_EXPONENT):
             for k in range(32):
                 assert curve_speed(TWO_PI * k / 32.0, n) > 0.0
+
+
+class _Three(IntEnum):
+    THREE = 3
+
+
+# Each value stands for 3; whether the exponent check (numbers.Integral) and
+# the real-number check (numbers.Real) accept it. The exact int and float
+# fast paths must leave every verdict as the ABC rule alone gives it.
+CHECKED_INPUTS = [
+    pytest.param(3, True, True, id="int"),
+    pytest.param(_Three.THREE, True, True, id="IntEnum"),
+    pytest.param(np.int64(3), True, True, id="numpy.int64"),
+    pytest.param(True, False, False, id="bool"),
+    pytest.param(3.0, False, True, id="float"),
+    pytest.param(np.float64(3.0), False, True, id="numpy.float64"),
+    pytest.param(Fraction(3), False, True, id="Fraction"),
+    pytest.param(Decimal(3), False, False, id="Decimal"),
+    pytest.param("3", False, False, id="str"),
+    pytest.param(b"3", False, False, id="bytes"),
+    pytest.param(None, False, False, id="None"),
+]
+
+
+@pytest.mark.parametrize("value, integer, real", CHECKED_INPUTS)
+class TestInputChecks:
+    def test_exponent(self, value, integer, real):
+        if integer:
+            assert radial_factor(0.3, value) == radial_factor(0.3, 3)
+        else:
+            with pytest.raises(TypeError, match="exponent must be an integer"):
+                radial_factor(0.3, value)
+
+    def test_tolerance(self, value, integer, real):
+        if real:
+            assert arc_length(2, tol=value) == arc_length(2, tol=3.0)
+        else:
+            with pytest.raises(TypeError, match="tol must be a real number"):
+                arc_length(2, tol=value)
+
+    def test_frame_coefficient(self, value, integer, real):
+        if real:
+            frame = AffineFrame(alpha=value)
+            assert frame == AffineFrame(alpha=3.0)
+            assert type(frame.alpha) is float
+        else:
+            with pytest.raises(TypeError, match="frame coefficient alpha must be a real number"):
+                AffineFrame(alpha=value)
+
+    def test_angle(self, value, integer, real):
+        if real:
+            assert radial_factor(value, 7) == radial_factor(3.0, 7)
+        else:
+            with pytest.raises(InvalidAngle, match=re.escape(f"got {value!r}")):
+                radial_factor(value, 7)
+
+    def test_point_coordinate(self, value, integer, real):
+        if real:
+            assert residual_log((value, 0.5), 7) == residual_log((3.0, 0.5), 7)
+            assert theta_of_point((0.5, value)) == theta_of_point((0.5, 3.0))
+        else:
+            with pytest.raises(TypeError, match="point coordinate must be a real number"):
+                residual_log((value, 0.5), 7)
+            with pytest.raises(TypeError, match="point coordinate must be a real number"):
+                theta_of_point((0.5, value))
+

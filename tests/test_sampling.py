@@ -211,6 +211,32 @@ class TestSizeArguments:
         assert SIZED_CALLS[call](np.int64(16)) == SIZED_CALLS[call](16)
 
 
+FRAME_CALLS = {
+    "forward_affine": lambda frame: core.forward_affine((0.5, 0.5), frame),
+    "inverse_affine": lambda frame: inverse_affine((0.5, 0.5), frame),
+    "affine_curve_point": lambda frame: affine_curve_point(0.3, 3, frame),
+    "residual_log": lambda frame: core.residual_log((1.0, 0.0), 3, frame),
+    "theta_of_point": lambda frame: core.theta_of_point((1.0, 0.0), frame),
+    "curve_velocity": lambda frame: core.curve_velocity(0.3, 3, frame),
+    "curve_speed": lambda frame: curve_speed(0.3, 3, frame),
+    "sample_uniform_theta": lambda frame: sample_uniform_theta(3, frame, 8),
+    "arc_length": lambda frame: arc_length(3, frame),
+    "resample_by_arclength": lambda frame: resample_by_arclength(3, frame, 8),
+    "convergence_gap": lambda frame: convergence_gap(3, frame),
+    "oracle_polyline": lambda frame: oracle_polyline(3, frame, 8),
+    "SampledCurve": lambda frame: SampledCurve((0.0, 1.0, 2.0), ((1.0, 0.0),) * 3, True, 3, frame),
+}
+
+
+class TestFrameArguments:
+    @pytest.mark.parametrize("call", FRAME_CALLS)
+    @pytest.mark.parametrize("frame", [None, (1, 0, 0, 0, 1, 0)], ids=["None", "tuple"])
+    def test_a_frame_that_is_not_an_affine_frame_is_a_type_error(self, call, frame):
+        name = type(frame).__name__
+        with pytest.raises(TypeError, match=f"^frame must be an AffineFrame, got {name}$"):
+            FRAME_CALLS[call](frame)
+
+
 def _checks_made(monkeypatch, call) -> dict[str, int]:
     """Calls of each core input check made by call(), leaving out the two
     checks of every curve_speed call: curve_speed is the public arc-length
