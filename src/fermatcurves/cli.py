@@ -74,11 +74,23 @@ def emit_json(curve: SampledCurve) -> bytes:
 
 
 def curve_from_json(data: bytes | str) -> SampledCurve:
-    """Rebuild a SampledCurve from emit_json output."""
+    """Rebuild a SampledCurve from emit_json output.
+
+    A document of another shape raises ValueError naming what is missing or
+    wrong; the values are then checked as SampledCurve and AffineFrame check them.
+    """
     obj = json.loads(data)
-    thetas = tuple(float(s["theta"]) for s in obj["samples"])
-    points = tuple((float(s["x"]), float(s["y"])) for s in obj["samples"])
-    return SampledCurve(thetas, points, obj["closed"], obj["n"], AffineFrame(*obj["frame"]))
+    try:
+        samples, frame, closed, n = obj["samples"], obj["frame"], obj["closed"], obj["n"]
+        thetas = tuple(s["theta"] for s in samples)
+        points = tuple((s["x"], s["y"]) for s in samples)
+    except KeyError as exc:
+        raise ValueError(f"curve JSON has no {exc} key") from None
+    except TypeError:
+        raise ValueError("curve JSON must be an object whose samples are an array of objects") from None
+    if not (isinstance(frame, list) and len(frame) == 6):
+        raise ValueError(f"curve JSON frame must be an array of six coefficients, got {frame!r}")
+    return SampledCurve(thetas, points, closed, n, AffineFrame(*frame))
 
 
 def emit_svg(curves: Sequence[SampledCurve]) -> bytes:

@@ -30,7 +30,10 @@ float (an angle, a point coordinate, a tolerance, a frame coefficient) is
 accepted by one type comparison. Any other value takes the numbers.Integral
 or numbers.Real test, which admits subclasses and numpy scalars and rejects
 bool, str, bytes and None, so the fast path changes what a check costs, never
-what it accepts. A frame must be an AffineFrame, else TypeError.
+what it accepts; an int or Fraction beyond the double range becomes an
+infinity of its sign and is then treated as one. Every point a caller passes,
+to forward_affine and inverse_affine too, takes the same check. A frame
+must be an AffineFrame, else TypeError.
 
 An affine change of coordinates (u, v) = (alpha*x + beta*y + gamma,
 delta*x + epsilon*y + zeta) generalizes the family to curves satisfying
@@ -106,7 +109,10 @@ def _check_real(value, name: str) -> float:
         return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int or Fraction beyond the double range counts as an infinity
+        return math.inf if value > 0 else -math.inf
 
 
 def _check_exponent(n) -> int:
@@ -283,7 +289,7 @@ def _square(theta: float) -> tuple[float, float, float]:
 
 def forward_affine(p: Point2, frame: AffineFrame = IDENTITY) -> Point2:
     """Apply the frame's map to a point."""
-    return _forward(p, _check_frame(frame))
+    return _forward(_check_point(p), _check_frame(frame))
 
 
 def _forward(p: Point2, frame: AffineFrame) -> Point2:
@@ -301,7 +307,7 @@ def inverse_affine(p: Point2, frame: AffineFrame = IDENTITY) -> Point2:
     As ``limit_map`` it carries the square [-1, 1]^2 boundary onto the large-N
     limit shape, which is the inverse affine image of that boundary.
     """
-    u, v = p
+    u, v = _check_point(p)
     frame = _check_frame(frame)
     return _solve_linear(frame, u - frame.gamma, v - frame.zeta)
 

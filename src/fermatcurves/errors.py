@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["InvalidAngle", "OffCurve", "OriginPoint", "OutOfRange", "QuadratureFailure", "SingularFrame", "TooFewSamples"]
+
 
 class InvalidAngle(ValueError):
     """Angle input that is not a finite real number: NaN, an infinity, or a

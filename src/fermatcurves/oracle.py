@@ -62,11 +62,12 @@ def _bisect(theta: float, n: int) -> float:
 def implicit_solve_x(y: float, n: int) -> float:
     """Nonnegative x with x^(2N) + y^(2N) = 1, solved in the log domain.
 
-    Raises OutOfRange when |y| > 1. The complement 1 - y^(2N) is formed with
+    Raises TypeError when y is not a real number and OutOfRange when it is
+    not finite or |y| > 1. The complement 1 - y^(2N) is formed with
     expm1 so no precision is lost when |y| is close to 1.
     """
     n = core._check_exponent(n)
-    y = float(y)
+    y = core._check_real(y, "y")
     if not math.isfinite(y):
         raise OutOfRange(f"y must be finite, got {y!r}")
     ay = math.fabs(y)
@@ -96,6 +97,6 @@ def oracle_polyline(
     points = []
     for t in thetas:
         radius = _bisect(t, n)
-        target = (radius * math.cos(t), radius * math.sin(t))
-        points.append(core.inverse_affine(target, frame))
+        x, y = radius * math.cos(t), radius * math.sin(t)
+        points.append(core._solve_linear(frame, x - frame.gamma, y - frame.zeta))
     return SampledCurve(thetas, tuple(points), True, n, frame)

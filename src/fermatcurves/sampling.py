@@ -82,68 +82,45 @@ _WG = (
 # The Legendre coefficients of the degree-14 interpolant through values f[i]
 # at the 15 Kronrod nodes x_i in increasing order: c[k] = sum(_LEGENDRE[k][i]
 # * f[i]), the inverse of the matrix P_k(x_i), rounded from mpmath's at 50
-# digits. Row 0 is _WGK / 2, since K15 is interpolatory; the entries that
-# vanish by symmetry (odd rows at the centre, row 7 at the Gauss nodes) are 0.0.
-_LEGENDRE = (
-    (0.011467661005264612, 0.03154604631498928, 0.052395005161125094, 0.07032662985776296,
-     0.08450236331963396, 0.09517528903239271, 0.10221647003764944, 0.10474107054236391,
-     0.10221647003764944, 0.09517528903239271, 0.08450236331963396, 0.07032662985776296,
-     0.052395005161125094, 0.03154604631498928, 0.011467661005264612),
-    (-0.034109022293586894, -0.08982180648206232, -0.13594372777682573, -0.15644816765291022,
-     -0.14857726952547207, -0.11587928875421684, -0.06371713388351757, 0.0, 0.06371713388351757,
-     0.11587928875421684, 0.14857726952547207, 0.15644816765291022, 0.13594372777682573,
-     0.08982180648206232, 0.034109022293586894),
-    (0.05587478087847913, 0.13426135229514038, 0.16294472142989178, 0.11421141346688096,
-     0.006442194574720016, -0.12036560386608114, -0.22244252060107625, -0.2618526763559098,
-     -0.22244252060107625, -0.12036560386608114, 0.006442194574720016, 0.11421141346688096,
-     0.16294472142989178, 0.13426135229514038, 0.05587478087847913),
-    (-0.07620200797169804, -0.1576103840821567, -0.11735719493811697, 0.04575072506245405,
-     0.22231025835279045, 0.29423953041265866, 0.20696269624477193, 0.0, -0.20696269624477193,
-     -0.29423953041265866, -0.22231025835279045, -0.04575072506245405, 0.11735719493811697,
-     0.1576103840821567, 0.07620200797169804),
-    (0.09455854852494794, 0.15532301525101164, 0.008395267206013801, -0.23051798432487464,
-     -0.3018566733275861, -0.10619172999425479, 0.20353900012450304, 0.3535011130804782,
-     0.20353900012450304, -0.10619172999425479, -0.3018566733275861, -0.23051798432487464,
-     0.008395267206013801, 0.15532301525101164, 0.09455854852494794),
-    (-0.11045446778342152, -0.1261814974756487, 0.13156106990239894, 0.3185446060591244,
-     0.10973580163389182, -0.27508684673134104, -0.35322482764223134, 0.0, 0.35322482764223134,
-     0.27508684673134104, -0.10973580163389182, -0.3185446060591244, -0.13156106990239894,
-     0.1261814974756487, 0.11045446778342152),
-    (0.12345265484469584, 0.07251680283695504, -0.25663414008788155, -0.23431462719201765,
-     0.22399736501397743, 0.3697158150962807, -0.08597857097283315, -0.4255105990783534,
-     -0.08597857097283315, 0.3697158150962807, 0.22399736501397743, -0.23431462719201765,
-     -0.25663414008788155, 0.07251680283695504, 0.12345265484469584),
-    (-0.1331783704428591, 0.0, 0.32184247285373396, 0.0, -0.4095811890287014, 0.0,
-     0.4511424456559007, 0.0, -0.4511424456559007, 0.0, 0.4095811890287014, 0.0,
-     -0.32184247285373396, 0.0, 0.1331783704428591),
-    (0.13932754650543916, -0.0829759570922851, -0.2978452929581856, 0.26811000611394326,
-     0.2538022246263692, -0.42304021150439813, -0.10081947574051764, 0.48688232009926974,
-     -0.10081947574051764, -0.42304021150439813, 0.2538022246263692, 0.26811000611394326,
-     -0.2978452929581856, -0.0829759570922851, 0.13932754650543916),
-    (-0.14167366908250087, 0.16625662342216882, 0.18144256612202006, -0.4197140759322146,
-     0.1471297862156984, 0.36245417276198255, -0.46372779425153965, 0.0, 0.46372779425153965,
-     -0.36245417276198255, -0.1471297862156984, 0.4197140759322146, -0.18144256612202006,
-     -0.16625662342216882, 0.14167366908250087),
-    (0.13872995639664487, -0.2352326356157767, -0.004541631154137807, 0.363653242793321,
-     -0.47315054388256383, 0.17262410695309918, 0.30246233772285497, -0.5290896664268834,
-     0.30246233772285497, 0.17262410695309918, -0.47315054388256383, 0.363653242793321,
-     -0.004541631154137807, -0.2352326356157767, 0.13872995639664487),
-    (-0.1316843493202232, 0.28385694572069614, -0.19146076555803068, -0.10194870237333015,
-     0.4179115987863639, -0.5453592955245016, 0.3789148316938571, 0.0, -0.3789148316938571,
-     0.5453592955245016, -0.4179115987863639, 0.10194870237333015, 0.19146076555803068,
-     -0.28385694572069614, 0.1316843493202232),
-    (0.11619472935182698, -0.2917994578364213, 0.32977357709990546, -0.2126004976261196,
-     -0.02645012409582552, 0.3095594368242653, -0.533418125181995, 0.6174809229287275,
-     -0.533418125181995, 0.3095594368242653, -0.02645012409582552, -0.2126004976261196,
-     0.32977357709990546, -0.2917994578364213, 0.11619472935182698),
-    (-0.09657071433469647, 0.2676113270758079, -0.38488886570043707, 0.4378995548077848,
-     -0.42065741223756176, 0.33002741379440775, -0.18039828528440988, 0.0, 0.18039828528440988,
-     -0.33002741379440775, 0.42065741223756176, -0.4378995548077848, 0.38488886570043707,
-     -0.2676113270758079, 0.09657071433469647),
-    (0.050505252367027825, -0.14620195137938188, 0.23075524792889424, -0.3062029390379786,
-     0.37216073819317697, -0.4216517681445557, 0.45017624892715435, -0.45908165770867426,
-     0.45017624892715435, -0.4216517681445557, 0.37216073819317697, -0.3062029390379786,
-     0.23075524792889424, -0.14620195137938188, 0.050505252367027825),
+# digits. The nodes are symmetric about 0 and P_k has the parity of k, so
+# _LEGENDRE[k][14 - i] == (-1)**k * _LEGENDRE[k][i]: only columns 0-7, the
+# nodes up to the centre, are stored, and the rest are built here by parity.
+# Row 0 is _WGK / 2, since K15 is interpolatory. The entries that vanish by
+# symmetry (odd rows at the centre, row 7 at the Gauss nodes) are 0.0, and
+# 0.0 - c mirrors them as 0.0, not -0.0.
+_LEGENDRE = tuple(
+    (*row, *(c if k % 2 == 0 else 0.0 - c for c in row[6::-1]))
+    for k, row in enumerate((
+        tuple(0.5 * w for w in _WGK),
+        (-0.034109022293586894, -0.08982180648206232, -0.13594372777682573, -0.15644816765291022,
+         -0.14857726952547207, -0.11587928875421684, -0.06371713388351757, 0.0),
+        (0.05587478087847913, 0.13426135229514038, 0.16294472142989178, 0.11421141346688096,
+         0.006442194574720016, -0.12036560386608114, -0.22244252060107625, -0.2618526763559098),
+        (-0.07620200797169804, -0.1576103840821567, -0.11735719493811697, 0.04575072506245405,
+         0.22231025835279045, 0.29423953041265866, 0.20696269624477193, 0.0),
+        (0.09455854852494794, 0.15532301525101164, 0.008395267206013801, -0.23051798432487464,
+         -0.3018566733275861, -0.10619172999425479, 0.20353900012450304, 0.3535011130804782),
+        (-0.11045446778342152, -0.1261814974756487, 0.13156106990239894, 0.3185446060591244,
+         0.10973580163389182, -0.27508684673134104, -0.35322482764223134, 0.0),
+        (0.12345265484469584, 0.07251680283695504, -0.25663414008788155, -0.23431462719201765,
+         0.22399736501397743, 0.3697158150962807, -0.08597857097283315, -0.4255105990783534),
+        (-0.1331783704428591, 0.0, 0.32184247285373396, 0.0,
+         -0.4095811890287014, 0.0, 0.4511424456559007, 0.0),
+        (0.13932754650543916, -0.0829759570922851, -0.2978452929581856, 0.26811000611394326,
+         0.2538022246263692, -0.42304021150439813, -0.10081947574051764, 0.48688232009926974),
+        (-0.14167366908250087, 0.16625662342216882, 0.18144256612202006, -0.4197140759322146,
+         0.1471297862156984, 0.36245417276198255, -0.46372779425153965, 0.0),
+        (0.13872995639664487, -0.2352326356157767, -0.004541631154137807, 0.363653242793321,
+         -0.47315054388256383, 0.17262410695309918, 0.30246233772285497, -0.5290896664268834),
+        (-0.1316843493202232, 0.28385694572069614, -0.19146076555803068, -0.10194870237333015,
+         0.4179115987863639, -0.5453592955245016, 0.3789148316938571, 0.0),
+        (0.11619472935182698, -0.2917994578364213, 0.32977357709990546, -0.2126004976261196,
+         -0.02645012409582552, 0.3095594368242653, -0.533418125181995, 0.6174809229287275),
+        (-0.09657071433469647, 0.2676113270758079, -0.38488886570043707, 0.4378995548077848,
+         -0.42065741223756176, 0.33002741379440775, -0.18039828528440988, 0.0),
+        (0.050505252367027825, -0.14620195137938188, 0.23075524792889424, -0.3062029390379786,
+         0.37216073819317697, -0.4216517681445557, 0.45017624892715435, -0.45908165770867426),
+    ))
 )
 _NODES = 15
 # QUADPACK's floor on the error test: the rounding of a 15-term sum.
@@ -158,10 +135,11 @@ _ROOT_STEPS = 60
 class SampledCurve:
     """Ordered polyline approximation of one curve, tagged with its parameters.
 
-    ``thetas`` and ``points`` are parallel tuples; ``closed`` must be a bool
-    (else TypeError) and says whether the last sample connects back to the
-    first. Construction validates the invariants: at least three samples,
-    strictly increasing thetas within one period, and every point on the
+    ``thetas`` and ``points`` are parallel tuples of real numbers, stored as
+    floats (else TypeError); ``closed`` must be a bool (else TypeError) and
+    says whether the last sample connects back to the first. Construction
+    validates the invariants: at least three samples, strictly increasing
+    thetas within one period [0, 2*pi], and every point on the
     curve to within rounding, |log1p(residual_log)| <= 32 * 2N * u * k with
     u = 2**-53 and k the AffineFrame guard's factor, else OffCurve.
     """
@@ -173,10 +151,14 @@ class SampledCurve:
     frame: AffineFrame
 
     def __post_init__(self):
-        object.__setattr__(self, "thetas", tuple(float(t) for t in self.thetas))
-        object.__setattr__(
-            self, "points", tuple((float(x), float(y)) for x, y in self.points)
+        # The exact-float test first: the package's own samples never reach a check.
+        thetas = tuple(t if type(t) is float else core._check_real(t, "theta") for t in self.thetas)
+        points = tuple(
+            (x, y) if type(x) is float and type(y) is float else core._check_point((x, y))
+            for x, y in self.points
         )
+        object.__setattr__(self, "thetas", thetas)
+        object.__setattr__(self, "points", points)
         if not isinstance(self.closed, bool):
             raise TypeError(f"closed must be true or false, got {self.closed!r}")
         object.__setattr__(self, "exponent", core._check_exponent(self.exponent))
@@ -188,7 +170,7 @@ class SampledCurve:
         if len(self.thetas) < 3:
             raise TooFewSamples(f"need at least 3 samples, got {len(self.thetas)}")
         if self.thetas[0] < 0.0 or self.thetas[-1] > TWO_PI:
-            raise ValueError("thetas must lie within one period [0, 2*pi)")
+            raise ValueError("thetas must lie within one period [0, 2*pi]")
         for a, b in zip(self.thetas, self.thetas[1:]):
             if not a < b:
                 raise ValueError("thetas must be strictly increasing")
@@ -510,14 +492,12 @@ def _as_polyline(curve):
     if isinstance(curve, SampledCurve):
         return curve.points, curve.closed
     try:
-        pts = [(float(x), float(y)) for x, y in curve]
+        pts = [(x, y) for x, y in curve]
     except (TypeError, ValueError):
         pts = []
     if len(pts) < 2:
         raise ValueError("polyline needs at least two (x, y) vertices")
-    if not all(math.isfinite(x) and math.isfinite(y) for x, y in pts):
-        raise ValueError("polyline vertices must be finite")
-    return pts, True
+    return [core._check_point(p) for p in pts], True
 
 
 def _directed_hausdorff(pts, poly, poly_closed: bool) -> float:

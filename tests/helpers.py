@@ -1,8 +1,11 @@
-"""Shared helpers for the test suite: seeded random affine frames."""
+"""Shared helpers for the test suite: seeded random affine frames and the
+corner-layer asymptotics of the arc length."""
 
 from __future__ import annotations
 
 import random
+
+import mpmath
 
 from fermatcurves import AffineFrame
 
@@ -29,3 +32,41 @@ def frame_family(
 ) -> list[AffineFrame]:
     rng = random.Random(seed)
     return [random_frame(rng, lo, hi, min_det) for _ in range(count)]
+
+
+def corner_deficit(u, v) -> mpmath.mpf:
+    """D for one pair of opposite corners of the limit parallelogram, which
+    together cut D / N from its perimeter.
+
+    u and v are the images, under the inverse linear part, of the directions
+    in which the square's boundary runs into the corner and out of it. Near
+    the corner, x = 1 - a/(2N) and y = 1 - b/(2N) tend to e^-a + e^-b = 1,
+    and D integrates the edges' length less the curve's over [0, inf) as
+    2 beta (|u||v| - u.v) / (|u| + beta |v| + |u + beta v|), beta = 1 / expm1(t).
+    """
+    norm_u, norm_v = mpmath.hypot(*u), mpmath.hypot(*v)
+    dot = u[0] * v[0] + u[1] * v[1]
+
+    def integrand(t):
+        beta = 1 / mpmath.expm1(t)
+        chord = mpmath.hypot(u[0] + beta * v[0], u[1] + beta * v[1])
+        return 2 * beta * (norm_u * norm_v - dot) / (norm_u + beta * norm_v + chord)
+
+    # |u + beta v| is least at beta = -u.v / |v|^2, where a sharp corner's integrand
+    # peaks in a layer too narrow for the quadrature to find unaided.
+    peak = mpmath.log1p(norm_v**2 / -dot) if dot < 0 else 1
+    return mpmath.quad(integrand, [0, peak, mpmath.inf])
+
+
+def corner_arc_length(n: int, frame: AffineFrame) -> float:
+    """Full-turn arc length from the corner-layer asymptotics, 30 digits:
+    L_N = 4(|M e1| + |M e2|) - (D+ + D-) / N + O(N^-2), M the inverse linear
+    part, D+ and D- the corner_deficit of the two pairs of opposite corners,
+    the boundary running counterclockwise through (1, 1) and (1, -1).
+    """
+    with mpmath.workdps(30):
+        a, b, _, d, e, _ = (mpmath.mpf(c) for c in frame.coefficients())
+        det = a * e - b * d
+        m1, m2 = (e / det, -d / det), (-b / det, a / det)  # M e1, M e2
+        deficits = corner_deficit(m2, (-m1[0], -m1[1])) + corner_deficit(m1, m2)
+        return float(4 * (mpmath.hypot(*m1) + mpmath.hypot(*m2)) - deficits / n)

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface and its emitters."""
 
+import json
 import math
 import os
 import subprocess
@@ -116,6 +117,23 @@ class TestSampleCommand:
         data = cli.emit_json(sample_uniform_theta(3, count=8)).decode("ascii")
         with pytest.raises(TypeError, match="frame coefficient alpha must be a real number"):
             cli.curve_from_json(data.replace('"frame":[1,0,0,0,1,0]', '"frame":[true,false,0,false,true,0]'))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: [doc], "must be an object"),
+            (lambda doc: {k: v for k, v in doc.items() if k != "samples"}, "no 'samples' key"),
+            (lambda doc: {**doc, "samples": [{"theta": 0.0, "y": 0.0}]}, "no 'x' key"),
+            (lambda doc: {**doc, "samples": 3}, "samples are an array of objects"),
+            (lambda doc: {**doc, "samples": [[0.0, 1.0, 0.0]]}, "samples are an array of objects"),
+            (lambda doc: {**doc, "frame": [1, 0, 0, 0, 1]}, "array of six coefficients"),
+        ],
+        ids=["top-level-array", "no-samples", "no-x", "samples-number", "sample-array", "five-coefficients"],
+    )
+    def test_json_of_another_shape_is_a_value_error(self, edit, message):
+        doc = json.loads(cli.emit_json(sample_uniform_theta(3, count=8)))
+        with pytest.raises(ValueError, match=message):
+            cli.curve_from_json(json.dumps(edit(doc)))
 
     def test_partial_theta_range_keeps_both_endpoints(self, capsys):
         hi = math.pi / 2.0

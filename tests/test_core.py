@@ -25,6 +25,8 @@ from fermatcurves import (
     AffineFrame,
     InvalidAngle,
     OriginPoint,
+    OutOfRange,
+    SampledCurve,
     SingularFrame,
     affine_curve_point,
     arc_length,
@@ -33,9 +35,11 @@ from fermatcurves import (
     curve_speed,
     curve_velocity,
     forward_affine,
+    implicit_solve_x,
     inverse_affine,
     limit_map,
     normalize_angle,
+    polyline_hausdorff,
     radial_factor,
     radial_factor_limit,
     residual_log,
@@ -465,6 +469,16 @@ CHECKED_INPUTS = [
 ]
 
 
+# Every public entry that takes a point, each with the point as its only varying argument.
+POINT_CALLS = {
+    "residual_log": lambda p: residual_log(p, 7),
+    "theta_of_point": theta_of_point,
+    "forward_affine": lambda p: forward_affine(p, AffineFrame(2.0, 0.5, -1.0, 0.0, 1.5, 3.0)),
+    "inverse_affine": lambda p: inverse_affine(p, AffineFrame(2.0, 0.5, -1.0, 0.0, 1.5, 3.0)),
+    "polyline_hausdorff": lambda p: polyline_hausdorff([p, (0.0, 1.0), (1.0, 1.0)], [(0.0, 0.0), (1.0, 0.0)]),
+}
+
+
 @pytest.mark.parametrize("value, integer, real", CHECKED_INPUTS)
 class TestInputChecks:
     def test_exponent(self, value, integer, real):
@@ -498,12 +512,52 @@ class TestInputChecks:
                 radial_factor(value, 7)
 
     def test_point_coordinate(self, value, integer, real):
-        if real:
-            assert residual_log((value, 0.5), 7) == residual_log((3.0, 0.5), 7)
-            assert theta_of_point((0.5, value)) == theta_of_point((0.5, 3.0))
-        else:
-            with pytest.raises(TypeError, match="point coordinate must be a real number"):
-                residual_log((value, 0.5), 7)
-            with pytest.raises(TypeError, match="point coordinate must be a real number"):
-                theta_of_point((0.5, value))
+        for call in POINT_CALLS.values():
+            if real:
+                assert call((value, 0.5)) == call((3.0, 0.5))
+                assert call((0.5, value)) == call((0.5, 3.0))
+            else:
+                for point in ((value, 0.5), (0.5, value)):
+                    with pytest.raises(TypeError, match="point coordinate must be a real number"):
+                        call(point)
 
+    def test_implicit_solve_y(self, value, integer, real):
+        if real:
+            with pytest.raises(OutOfRange, match="exceeds 1"):
+                implicit_solve_x(value, 3)
+        else:
+            with pytest.raises(TypeError, match="y must be a real number"):
+                implicit_solve_x(value, 3)
+
+    def test_sampled_curve_theta(self, value, integer, real):
+        points = tuple(curve_point(t, 7) for t in (0.0, 1.0, 3.0))
+        if real:
+            curve = SampledCurve((0.0, 1.0, value), points, False, 7, IDENTITY)
+            assert curve == SampledCurve((0.0, 1.0, 3.0), points, False, 7, IDENTITY)
+            assert type(curve.thetas[2]) is float
+        else:
+            with pytest.raises(TypeError, match="theta must be a real number"):
+                SampledCurve((0.0, 1.0, value), points, False, 7, IDENTITY)
+
+
+# Entries whose real-number check meets a value too large for a double.
+BEYOND_DOUBLE_CALLS = {
+    "radial_factor": lambda v: radial_factor(v, 3),
+    "normalize_angle": normalize_angle,
+    "AffineFrame": AffineFrame,
+    "residual_log": lambda v: residual_log((v, 0.0), 3),
+    "forward_affine": lambda v: forward_affine((0.0, v)),
+    "implicit_solve_x": lambda v: implicit_solve_x(v, 3),
+    "SampledCurve": lambda v: SampledCurve((0.0, 1.0, 2.0), ((v, 0.0),) * 3, True, 3, IDENTITY),
+}
+
+
+@pytest.mark.parametrize("call", BEYOND_DOUBLE_CALLS)
+@pytest.mark.parametrize("huge", [10**400, -(10**400), Fraction(10**400, 3), Fraction(-(10**400), 3)],
+                         ids=["int", "negative-int", "Fraction", "negative-Fraction"])
+def test_a_real_beyond_the_double_range_is_rejected_as_an_infinity(call, huge):
+    with pytest.raises(ValueError) as infinity:
+        BEYOND_DOUBLE_CALLS[call](math.inf if huge > 0 else -math.inf)
+    with pytest.raises(ValueError) as beyond:
+        BEYOND_DOUBLE_CALLS[call](huge)
+    assert beyond.type is infinity.type

@@ -1,0 +1,39 @@
+"""The package's public names: each is listed once, in its own module's ``__all__``."""
+
+import ast
+import collections
+import pathlib
+
+import fermatcurves
+from fermatcurves import cli, core, errors, oracle, sampling
+
+PUBLIC_NAMES = [
+    "AffineFrame", "DEFAULT_TOL", "IDENTITY", "InvalidAngle", "MAX_EXPONENT", "OffCurve",
+    "OriginPoint", "OutOfRange", "Point2", "QuadratureFailure", "SampledCurve", "SingularFrame",
+    "TWO_PI", "TooFewSamples", "__version__", "affine_curve_point", "arc_length",
+    "bisect_radial_factor", "convergence_gap", "curve_point", "curve_speed", "curve_velocity",
+    "forward_affine", "implicit_solve_x", "inverse_affine", "limit_map", "normalize_angle",
+    "oracle_polyline", "polyline_hausdorff", "radial_factor", "radial_factor_limit",
+    "resample_by_arclength", "residual_log", "sample_uniform_theta", "square_point",
+    "theta_of_point",
+]
+
+
+def test_the_package_exports_its_public_names():
+    assert len(PUBLIC_NAMES) == 36
+    assert sorted(fermatcurves.__all__) == PUBLIC_NAMES
+    assert all(hasattr(fermatcurves, name) for name in PUBLIC_NAMES)
+
+
+def test_each_public_name_is_written_in_one_all():
+    modules = (core, errors, oracle, sampling, cli)
+    counts = collections.Counter(name for module in modules for name in module.__all__)
+    assert max(counts.values()) == 1, counts
+    assert all(hasattr(module, name) for module in modules for name in module.__all__)
+    # The package's own __all__ writes out only the one name it defines.
+    tree = ast.parse(pathlib.Path(fermatcurves.__file__).read_text(encoding="utf-8"))
+    (assignment,) = (node for node in tree.body if isinstance(node, ast.Assign)
+                     and any(getattr(target, "id", None) == "__all__" for target in node.targets))
+    literals = [node.value for node in ast.walk(assignment.value) if isinstance(node, ast.Constant)]
+    assert literals == ["__version__"]
+    assert set(fermatcurves.__all__) == {"__version__", *counts} - set(cli.__all__)

@@ -40,6 +40,7 @@ from fermatcurves import (
     sampling,
 )
 from fermatcurves.sampling import _LEGENDRE, _XGK, _edges, _newton_in_panel, _panels
+from helpers import corner_arc_length, corner_deficit
 from test_golden import FRAME_TEXTS as GOLDEN_FRAME_IDS
 from test_golden import FRAMES as GOLDEN_FRAMES
 
@@ -343,6 +344,22 @@ class TestArcLength:
         length = arc_length(n, frame, tol=1e-12)
         assert cli.fmt(length) == "9.025641088623626"
         assert abs(length - reference) <= 1e-12 * reference
+
+    def test_the_corner_deficit_of_the_square(self):
+        # On the identity frame each pair of corners loses C / N, C = 1.10660659944103143474.
+        with mpmath.workdps(30):
+            deficit = corner_deficit((mpmath.mpf(1), mpmath.mpf(0)), (mpmath.mpf(0), mpmath.mpf(1)))
+            assert abs(deficit - mpmath.mpf("1.10660659944103143474")) < mpmath.mpf("1e-20")
+
+    @pytest.mark.parametrize(
+        "frame", GOLDEN_FRAMES + (NEAR_SINGULAR,), ids=GOLDEN_FRAME_IDS + ("near-singular",)
+    )
+    def test_large_exponents_against_the_corner_asymptotics(self, frame):
+        # An independent witness: the O(N^-2) remainder is about 0.06 L / N^2 on these frames.
+        for n in (10**7, 199965042, MAX_EXPONENT):
+            reference = corner_arc_length(n, frame)
+            length = arc_length(n, frame, tol=1e-14)
+            assert abs(length - reference) <= 1e-14 * reference + 0.1 * reference / n**2, (n, length, reference)
 
     def test_longer_than_inscribed_polyline(self):
         curve = sample_uniform_theta(3, count=1024)
@@ -763,26 +780,26 @@ class TestPolylineHausdorff:
         assert polyline_hausdorff(pts, pts) == 0.0
 
     @pytest.mark.parametrize(
-        "bad, message",
+        "bad, error, message",
         [
-            ([(0.0, 0.0)], "at least two"),
-            ([], "at least two"),
-            (5, "at least two"),
-            ([1.0, 2.0], "at least two"),
-            ([(0.0, 0.0, 0.0), (1.0, 1.0, 1.0)], "at least two"),
-            ([(0, 0), (1,)], None),
-            ("abc", None),
-            ([("a", "b"), (1.0, 2.0)], None),
-            ([(0.0, 0.0), (math.nan, 1.0)], "must be finite"),
-            ([(0.0, 0.0), (1.0, math.inf)], "must be finite"),
+            ([(0.0, 0.0)], ValueError, "at least two"),
+            ([], ValueError, "at least two"),
+            (5, ValueError, "at least two"),
+            ([1.0, 2.0], ValueError, "at least two"),
+            ([(0.0, 0.0, 0.0), (1.0, 1.0, 1.0)], ValueError, "at least two"),
+            ([(0, 0), (1,)], ValueError, None),
+            ("abc", ValueError, None),
+            ([("a", "b"), (1.0, 2.0)], TypeError, "point coordinate must be a real number"),
+            ([(0.0, 0.0), (math.nan, 1.0)], ValueError, "must be finite"),
+            ([(0.0, 0.0), (1.0, math.inf)], ValueError, "must be finite"),
         ],
         ids=["one-vertex", "empty", "bare-number", "flat", "three-columns", "ragged",
              "string", "non-numeric", "nan", "inf"],
     )
-    def test_rejects_degenerate_input(self, bad, message):
+    def test_rejects_degenerate_input(self, bad, error, message):
         good = [(1.0, 0.0), (2.0, 0.0)]
         for args in ((bad, good), (good, bad)):
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(error, match=message):
                 polyline_hausdorff(*args)
 
 
