@@ -17,11 +17,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from collections.abc import Sequence
 
-from .core import IDENTITY, TWO_PI, AffineFrame, _affine_point, _check_exponent, _check_point, _residual
+from .core import IDENTITY, TWO_PI, AffineFrame, _affine_point, _check_exponent, _residual
 from .errors import QuadratureFailure
 from .oracle import oracle_polyline
 from .sampling import (
@@ -29,7 +28,6 @@ from .sampling import (
     DEFAULT_TOL,
     SampledCurve,
     _check_count,
-    _polyline,
     _uniform_thetas,
     arc_length,
     convergence_gap,
@@ -196,10 +194,12 @@ def _sample_curve(ns, n: int, frame: AffineFrame) -> SampledCurve:
         raise ValueError(
             f"--theta-range must satisfy 0 <= LO < HI <= 2*pi for sampling, got {lo!r},{hi!r}"
         )
+    # The public constructor: a grid from user input can tie, and it says so.
     count = _check_count(ns.count)
+    n = _check_exponent(n)
     thetas = [lo + ((hi - lo) * k) / (count - 1) for k in range(count)]
     thetas[-1] = min(thetas[-1], hi)
-    return _polyline(thetas, _check_exponent(n), frame, False)
+    return SampledCurve(thetas, [_affine_point(t, n, frame) for t in thetas], False, n, frame)
 
 
 def _scalar(value: float) -> bytes:
@@ -233,10 +233,7 @@ def _cmd_residual(ns, frame: AffineFrame) -> bytes:
     worst = 0.0
     for theta in _uniform_thetas(ns.count):
         point = _affine_point(theta, n, frame)
-        res = abs(_residual(point, n, frame))
-        if not math.isfinite(res):
-            _check_point(point)  # a non-finite point is reported as residual_log would
-        worst = max(worst, res)
+        worst = max(worst, abs(_residual(point, n, frame)))
     return _scalar(worst)
 
 

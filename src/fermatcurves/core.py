@@ -127,7 +127,7 @@ def _check_point(p) -> Point2:
     x = _check_real(x, "point coordinate")
     y = _check_real(y, "point coordinate")
     if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError(f"point coordinates must be finite, got {p!r}")
+        raise ValueError(f"point coordinates must be finite, got ({x!r}, {y!r})")
     return x, y
 
 

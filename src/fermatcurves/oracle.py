@@ -14,7 +14,7 @@ import math
 from . import core
 from .core import IDENTITY, AffineFrame
 from .errors import OutOfRange
-from .sampling import SampledCurve, _check_count, _uniform_thetas
+from .sampling import SampledCurve, _check_count, _trusted_curve, _uniform_thetas
 
 __all__ = ["bisect_radial_factor", "implicit_solve_x", "oracle_polyline"]
 
@@ -99,4 +99,4 @@ def oracle_polyline(
         radius = _bisect(t, n)
         x, y = radius * math.cos(t), radius * math.sin(t)
         points.append(core._solve_linear(frame, x - frame.gamma, y - frame.zeta))
-    return SampledCurve(thetas, tuple(points), True, n, frame)
+    return _trusted_curve(thetas, tuple(points), True, n, frame)

@@ -136,12 +136,12 @@ class SampledCurve:
     """Ordered polyline approximation of one curve, tagged with its parameters.
 
     ``thetas`` and ``points`` are parallel tuples of real numbers, stored as
-    floats (else TypeError); ``closed`` must be a bool (else TypeError) and
-    says whether the last sample connects back to the first. Construction
-    validates the invariants: at least three samples, strictly increasing
-    thetas within one period [0, 2*pi], and every point on the
-    curve to within rounding, |log1p(residual_log)| <= 32 * 2N * u * k with
-    u = 2**-53 and k the AffineFrame guard's factor, else OffCurve.
+    floats (else TypeError); ``closed``, a bool (else TypeError), says whether
+    the last sample connects back to the first. Construction checks each value
+    once: three or more samples, thetas strictly rising in [0, 2*pi], and every
+    point finite and on the curve to within rounding, |log1p(residual_log)| <=
+    32 * 2N * u * k with u = 2**-53 and k the frame guard's factor, else
+    OffCurve. The package's builders construct directly (_trusted_curve).
     """
 
     thetas: tuple[float, ...]
@@ -151,12 +151,8 @@ class SampledCurve:
     frame: AffineFrame
 
     def __post_init__(self):
-        # The exact-float test first: the package's own samples never reach a check.
-        thetas = tuple(t if type(t) is float else core._check_real(t, "theta") for t in self.thetas)
-        points = tuple(
-            (x, y) if type(x) is float and type(y) is float else core._check_point((x, y))
-            for x, y in self.points
-        )
+        thetas = tuple(core._check_real(t, "theta") for t in self.thetas)
+        points = tuple(core._check_point(p) for p in self.points)
         object.__setattr__(self, "thetas", thetas)
         object.__setattr__(self, "points", points)
         if not isinstance(self.closed, bool):
@@ -177,7 +173,6 @@ class SampledCurve:
         bound = _MEMBERSHIP * 2.0 * self.exponent * 2.0**-53 * self.frame._factor
         for t, p in zip(self.thetas, self.points):
             if not abs(core._log_sum(p, self.exponent, self.frame)) <= bound:
-                core._check_point(p)  # a non-finite point fails too: report it as residual_log does
                 raise OffCurve(
                     f"point {p!r} at theta={t!r} is off the curve:"
                     f" residual {core._residual(p, self.exponent, self.frame):.3e},"
@@ -188,18 +183,25 @@ class SampledCurve:
         return len(self.points)
 
 
+def _trusted_curve(thetas, points, closed: bool, n: int, frame: AffineFrame) -> SampledCurve:
+    """SampledCurve(...) without its checks, for builders that make every field valid."""
+    curve = object.__new__(SampledCurve)
+    vars(curve).update(thetas=thetas, points=points, closed=closed, exponent=n, frame=frame)
+    return curve
+
+
 def sample_uniform_theta(
     n: int, frame: AffineFrame = IDENTITY, count: int = 256
 ) -> SampledCurve:
     """Sample one full turn of the curve on the uniform theta grid 2*pi*k/count."""
     n = core._check_exponent(n)
-    return _polyline(_uniform_thetas(_check_count(count)), n, core._check_frame(frame), True)
+    return _polyline(_uniform_thetas(_check_count(count)), n, core._check_frame(frame))
 
 
-def _polyline(thetas, n: int, frame: AffineFrame, closed: bool) -> SampledCurve:
-    """The SampledCurve through the curve points at checked angles and exponent."""
+def _polyline(thetas, n: int, frame: AffineFrame) -> SampledCurve:
+    """The closed curve through the points at three or more thetas rising in [0, 2*pi]."""
     points = tuple(core._affine_point(t, n, frame) for t in thetas)
-    return SampledCurve(tuple(thetas), points, closed, n, frame)
+    return _trusted_curve(thetas, points, True, n, frame)
 
 
 def _uniform_thetas(count: int) -> tuple[float, ...]:
@@ -218,8 +220,8 @@ def _check_tol(tol) -> float:
     # Below ~1e-14 relative error the target is under the rounding of the
     # result itself, which no refinement can meet.
     tol = core._check_real(tol, "tol")
-    if not tol >= _MIN_TOL:
-        raise ValueError(f"tol must be at least {_MIN_TOL:g}, got {tol!r}")
+    if not _MIN_TOL <= tol < math.inf:
+        raise ValueError(f"tol must be finite and at least {_MIN_TOL:g}, got {tol!r}")
     return tol
 
 
@@ -386,7 +388,7 @@ def resample_by_arclength(
         shift, offset = (math.pi, half) if target > half else (0.0, 0.0)
         i = min(_bisect.bisect_right(cum, target - offset) - 1, len(panels) - 1)
         thetas.append(shift + _newton_in_panel(n, frame, panels[i], cum[i] + offset, target))
-    return _polyline(thetas, n, frame, True)
+    return _polyline(tuple(thetas), n, frame)
 
 
 def _newton_in_panel(n: int, frame: AffineFrame, panel, cum: float, target: float) -> float:

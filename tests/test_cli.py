@@ -61,6 +61,11 @@ class TestSampleCommand:
         code, out, err = invoke(capsys, "sample", "--n", "1270433919", "--count", "8", "--frame", frame)
         assert (code, err) == (0, "")
         assert len(out.splitlines()) == 9
+        # sample builds its curve without the membership check; curve_from_json applies it.
+        code, out, err = invoke(
+            capsys, "sample", "--n", "1270433919", "--count", "8", "--frame", frame, "--format", "json"
+        )
+        assert len(cli.curve_from_json(out)) == 8
 
     def test_deterministic_bytes(self, capsys):
         args = ("sample", "--n", "4", "--count", "64", "--frame", "2,0.5,-1,0,1.5,3")
@@ -316,6 +321,15 @@ class TestFailureModes:
         assert out == ""
         assert f"need at least 3 samples, got {count}" in err
 
+    def test_a_theta_range_whose_grid_ties_is_rejected(self, capsys):
+        # The one grid that comes from user input keeps the public constructor's checks.
+        code, out, err = invoke(
+            capsys, "sample", "--n", "3", "--theta-range", "1,1.0000000000000002", "--count", "100"
+        )
+        assert code == 2
+        assert out == ""
+        assert "thetas must be strictly increasing" in err
+
     def test_reversed_theta_range(self, capsys):
         code, out, err = invoke(capsys, "sample", "--n", "2", "--theta-range", "1,0.5")
         assert code == 2
@@ -357,6 +371,13 @@ class TestFailureModes:
         code, out, err = invoke(capsys, "arclength", "--n", "3", "--tol", "1e-16")
         assert code == 2
         assert "tol" in err
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "1e400"])
+    def test_a_tolerance_that_is_not_finite_exits_two(self, capsys, tol):
+        code, out, err = invoke(capsys, "arclength", "--n", "3", "--tol", tol)
+        assert code == 2
+        assert out == ""
+        assert "tol must be finite" in err
 
     def test_quadrature_failure_exits_three(self, capsys, monkeypatch):
         def explode(*args, **kwargs):

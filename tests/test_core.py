@@ -552,6 +552,19 @@ BEYOND_DOUBLE_CALLS = {
 }
 
 
+@pytest.mark.parametrize("call", ["residual_log", "forward_affine", "SampledCurve"])
+def test_a_non_finite_point_is_quoted_as_checked_not_as_given(call):
+    # The int 10**400 has 401 digits; the message quotes the infinity it counts as.
+    point = (10**400, 0)
+    calls = {
+        "residual_log": lambda: residual_log(point, 3),
+        "forward_affine": lambda: forward_affine(point),
+        "SampledCurve": lambda: SampledCurve((0.0, 1.0, 2.0), (point,) * 3, True, 3, IDENTITY),
+    }
+    with pytest.raises(ValueError, match=r"^point coordinates must be finite, got \(inf, 0\.0\)$"):
+        calls[call]()
+
+
 @pytest.mark.parametrize("call", BEYOND_DOUBLE_CALLS)
 @pytest.mark.parametrize("huge", [10**400, -(10**400), Fraction(10**400, 3), Fraction(-(10**400), 3)],
                          ids=["int", "negative-int", "Fraction", "negative-Fraction"])

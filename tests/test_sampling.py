@@ -155,6 +155,14 @@ class TestSampledCurve:
             SampledCurve(thetas, pts, closed, 1, IDENTITY)
 
 
+def revalidated(curve: SampledCurve) -> SampledCurve:
+    """A builder's curve rebuilt through the public constructor, which checks
+    every vertex against the membership bound; the builders themselves skip it."""
+    rebuilt = SampledCurve(curve.thetas, curve.points, curve.closed, curve.exponent, curve.frame)
+    assert rebuilt == curve
+    return rebuilt
+
+
 class TestMembershipBound:
     """The bound |log1p(residual)| <= 32 * 2N * u * k accepts the package's own points."""
 
@@ -163,16 +171,16 @@ class TestMembershipBound:
     )
     def test_own_points_pass_at_every_exponent(self, frame):
         for n in LOG_SPACED:
-            sample_uniform_theta(n, frame, count=64)
-            oracle_polyline(n, frame, count=64)
-            resample_by_arclength(n, frame, count=16)
+            revalidated(sample_uniform_theta(n, frame, count=64))
+            revalidated(oracle_polyline(n, frame, count=64))
+            revalidated(resample_by_arclength(n, frame, count=16))
 
     def test_largest_exponent(self):
-        assert len(oracle_polyline(MAX_EXPONENT, count=256)) == 256
-        assert len(resample_by_arclength(MAX_EXPONENT, count=8)) == 8
+        assert len(revalidated(oracle_polyline(MAX_EXPONENT, count=256))) == 256
+        assert len(revalidated(resample_by_arclength(MAX_EXPONENT, count=8))) == 8
 
     def test_near_singular_resampling(self):
-        assert len(resample_by_arclength(3, NEAR_SINGULAR, count=8)) == 8
+        assert len(revalidated(resample_by_arclength(3, NEAR_SINGULAR, count=8))) == 8
 
 
 class TestSampleUniformTheta:
@@ -239,10 +247,12 @@ class TestFrameArguments:
 
 
 def _checks_made(monkeypatch, call) -> dict[str, int]:
-    """Calls of each core input check made by call(), leaving out the two
-    checks of every curve_speed call: curve_speed is the public arc-length
-    integrand, called once per quadrature node."""
-    counts = dict.fromkeys(("_check_exponent", "_check_angle", "_check_point", "curve_speed"), 0)
+    """Calls of each core input check, and of the membership test's _log_sum,
+    made by call(), leaving out the two checks of every curve_speed call:
+    curve_speed is the public arc-length integrand, called once per
+    quadrature node."""
+    names = ("_check_exponent", "_check_angle", "_check_point", "_log_sum", "curve_speed")
+    counts = dict.fromkeys(names, 0)
 
     def counted(name, original):
         def wrapper(*args, **kwargs):
@@ -261,17 +271,11 @@ def _checks_made(monkeypatch, call) -> dict[str, int]:
     return counts
 
 
-def _rebuild(count):
-    curve = sample_uniform_theta(7, count=count)
-    return lambda: SampledCurve(curve.thetas, curve.points, True, 7, IDENTITY)
-
-
 VALIDATING_CALLS = {
     "sample_uniform_theta": (lambda count: lambda: sample_uniform_theta(7, count=count), (16, 4096)),
     "convergence_gap": (lambda count: lambda: convergence_gap(7, resolution=count), (16, 4096)),
     "oracle_polyline": (lambda count: lambda: oracle_polyline(7, count=count), (16, 512)),
     "resample_by_arclength": (lambda count: lambda: resample_by_arclength(3, count=count, tol=1e-6), (8, 16)),
-    "SampledCurve": (_rebuild, (16, 4096)),
 }
 
 
@@ -281,6 +285,39 @@ def test_validation_does_not_scale_with_the_vertex_count(monkeypatch, name):
     checks = [_checks_made(monkeypatch, make(count)) for count in (small, large)]
     assert checks[0] == checks[1]
     assert all(0 <= calls <= 2 for calls in checks[0].values()), checks[0]
+    assert checks[0]["_log_sum"] == 0  # the builders' own vertices skip the membership test
+
+
+BUILDERS = {
+    "sample_uniform_theta": lambda: sample_uniform_theta(7, GOLDEN_FRAMES[-1], count=64),
+    "oracle_polyline": lambda: oracle_polyline(7, GOLDEN_FRAMES[-1], count=64),
+    "resample_by_arclength": lambda: resample_by_arclength(7, GOLDEN_FRAMES[-1], count=64),
+}
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+def test_a_curve_from_outside_is_checked_once_per_value(monkeypatch, name):
+    curve = BUILDERS[name]()
+    counts = {"theta": 0, "_check_point": 0, "_log_sum": 0}
+    check_real, check_point, log_sum = core._check_real, core._check_point, core._log_sum
+
+    def counted_real(value, what):
+        if what == "theta":
+            counts["theta"] += 1
+        return check_real(value, what)
+
+    def counted(name, original):
+        def wrapper(*args):
+            counts[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(core, "_check_real", counted_real)
+    monkeypatch.setattr(core, "_check_point", counted("_check_point", check_point))
+    monkeypatch.setattr(core, "_log_sum", counted("_log_sum", log_sum))
+    revalidated(curve)
+    assert counts == dict.fromkeys(counts, len(curve))
 
 
 class TestArcLength:
@@ -395,6 +432,13 @@ class TestArcLength:
             arc_length(3, tol=1e-16)
         with pytest.raises(ValueError, match="tol"):
             arc_length(3, tol=0.0)
+
+    @pytest.mark.parametrize("tol", [math.inf, 10**400, math.nan], ids=["inf", "int-beyond-double", "nan"])
+    @pytest.mark.parametrize("call", [arc_length, resample_by_arclength])
+    def test_rejects_a_tolerance_that_is_not_finite(self, call, tol):
+        # An infinite tol accepts the starting panels' estimate with no error bound behind it.
+        with pytest.raises(ValueError, match=r"^tol must be finite and at least 1e-14, got (inf|nan)$"):
+            call(3, tol=tol)
 
     def test_quadrature_failure_on_a_singular_integrand(self, monkeypatch):
         calls = [0]
