@@ -3,19 +3,21 @@
 Arc length is integrated with Gauss-Kronrod 7/15 panels. The integrand (the
 parameterization speed) is analytic away from the axis and diagonal angles
 theta = k*pi/4, and at large N it has a boundary layer about 1/(4N) wide on
-each diagonal. So every integral is split at those angles first, each piece
-starts from panels that halve in width toward its diagonal, and bisection
-only refines what the error estimate still flags. Every affine image of
-the curve is centrally symmetric, so the speed is pi-periodic in theta and a
-full turn, in any frame, is twice the half turn from its start.
+each diagonal. So every integral is split at those angles first, and each
+piece starts from panels that halve in width toward its diagonal across that
+layer only, from below 16/N: at a distance d beyond 8/N the layer's term,
+about e^(-4Nd), is under e^(-32), below the least tol. Bisection only
+refines what the error estimate still flags. Every affine image of the curve
+is centrally symmetric, so the speed is pi-periodic in theta and a full turn,
+in any frame, is twice the half turn from its start.
 
 Resampling by arc length takes the accepted panels of the half turn [0, pi]
 as its cumulative table; a sample past the half length is the one found for
 the same arc length in the first half, moved on by pi. Inside its panel a
 sample is found by Newton's method on the integral of the panel's own
 degree-14 interpolant of the speed, a Legendre series through the 15
-Kronrod node values, so resampling evaluates the speed only at the
-quadrature nodes.
+Kronrod node values, computed once per panel, so resampling evaluates the
+speed only at the quadrature nodes.
 """
 
 from __future__ import annotations
@@ -125,8 +127,10 @@ _LEGENDRE = tuple(
 _NODES = 15
 # QUADPACK's floor on the error test: the rounding of a 15-term sum.
 _ROUNDING = 50.0 * math.ulp(1.0)
-# Speed evaluations per quadrature: a power of two over 4x the most any
-# exponent, frame and tol were measured to take (3,975).
+# Speed evaluations per quadrature: a power of two over 9x the most any
+# exponent, frame, span and tol were measured to take (1,695, in a sweep of
+# 91 exponents up to 2^31 - 1, 11 frames up to kappa 8e11, two full turns
+# and one partial span, and tol 1e-6 to 1e-14).
 _EVAL_BUDGET = 2**14
 _ROOT_STEPS = 60
 
@@ -281,7 +285,7 @@ def _panels(n: int, frame: AffineFrame, a: float, b: float, tol: float):
     15-term sum. Raises QuadratureFailure when a bisection would take the
     speed evaluations past the budget.
     """
-    edges = _edges(a, b, math.ceil(math.log2(math.pi * n)))
+    edges = _edges(a, b, n)
     estimates = [(x0, x1, *_gauss_kronrod(n, frame, x0, x1)) for x0, x1 in zip(edges, edges[1:])]
     spent = _NODES * len(estimates)
     share = tol * max(1.0, math.fsum(estimate[2] for estimate in estimates)) / len(estimates)
@@ -305,16 +309,24 @@ def _panels(n: int, frame: AffineFrame, a: float, b: float, tol: float):
     return panels
 
 
-def _edges(a: float, b: float, levels: int) -> list[float]:
-    """The starting panel edges on [a, b]: a, b and every point strictly
-    between them that is a multiple of pi/4 or lies pi/8, pi/16, ...,
-    pi/2**(levels + 1) from a diagonal.
+def _edges(a: float, b: float, n: int) -> list[float]:
+    """The starting panel edges on [a, b] for the exponent n: a, b and every
+    point strictly between them that is a multiple of pi/4, lies pi/8 from a
+    diagonal, or lies pi/16, pi/32, ... from a diagonal and closer than
+    16/n, down to the first such offset at most 1/(2n).
 
     The speed has a kink at every multiple of pi/4 and a boundary layer
-    about 1/(4N) wide on each diagonal theta = (2k + 1)*pi/4; these panels
-    halve in width toward it, down to the layer's width.
+    about 1/(4N) wide on each diagonal theta = (2k + 1)*pi/4: at a distance
+    d from the diagonal the curve differs from the limit parallelogram's
+    side by a term of order e^(-4Nd). So the panels halve in width toward
+    the diagonal only across the layer: the offsets from 16/n up to pi/8
+    are left out (none up to n = 81). The next offset kept is then at least
+    8/n, where that term is under e^(-32), about 1.3e-14 and below the least
+    tol; beyond it the speed is the parallelogram's smooth speed, and
+    bisection splits a wide panel only if tol asks.
     """
-    offsets = [_QUARTER_PI / 2.0**j for j in range(1, levels)]
+    offsets = [_QUARTER_PI / 2.0**j for j in range(1, math.ceil(math.log2(math.pi * n)))]
+    offsets = offsets[:1] + [d for d in offsets[1:] if d < 16.0 / n]
     edges = [a]
     k = math.floor(a / _QUARTER_PI)
     while k * _QUARTER_PI < b:
@@ -367,8 +379,9 @@ def resample_by_arclength(
     no speed evaluation is made outside the quadrature. Newton's method on
     it, with bisection as the safeguard, refines every sample until its
     cumulative arc length is within the panels' rounding floor, 50 eps
-    relative, of the target. Raises QuadratureFailure if a sample misses
-    that after a fixed number of steps.
+    relative, of the target, or within the arc that one ulp of theta spans.
+    Raises QuadratureFailure if a sample misses that after a fixed number
+    of steps.
     """
     n = core._check_exponent(n)
     frame = core._check_frame(frame)
@@ -379,6 +392,7 @@ def resample_by_arclength(
     cum = list(itertools.accumulate((panel[2] for panel in panels), initial=0.0))
     half = math.fsum(panel[2] for panel in panels)
     step = 2.0 * half / count
+    series = {}
     thetas = [0.0]
     for j in range(1, count):
         target = step * j
@@ -387,27 +401,39 @@ def resample_by_arclength(
             continue
         shift, offset = (math.pi, half) if target > half else (0.0, 0.0)
         i = min(_bisect.bisect_right(cum, target - offset) - 1, len(panels) - 1)
-        thetas.append(shift + _newton_in_panel(n, frame, panels[i], cum[i] + offset, target))
+        if i not in series:
+            series[i] = _series(panels[i])
+        thetas.append(shift + _newton_in_panel(n, frame, series[i], cum[i] + offset, target))
     return _polyline(tuple(thetas), n, frame)
 
 
-def _newton_in_panel(n: int, frame: AffineFrame, panel, cum: float, target: float) -> float:
-    """The theta in panel (x0, x1, integral, speeds), whose start lies at arc
-    length cum, where the arc length reaches target.
-
-    The arc length inside the panel is the integral of the degree-14
-    interpolant of the speed through the panel's Kronrod node values. K15 is
-    interpolatory, so over the whole panel it integrates to the panel's own
-    integral, and the cumulative table stays consistent.
-    """
+def _series(panel):
+    """The panel (x0, x1, integral, speeds) with its speeds replaced by the
+    Legendre coefficients of their degree-14 interpolant."""
     x0, x1, value, speeds = panel
-    coefficients = [sum(map(operator.mul, row, speeds)) for row in _LEGENDRE]
+    return x0, x1, value, [sum(map(operator.mul, row, speeds)) for row in _LEGENDRE]
+
+
+def _newton_in_panel(n: int, frame: AffineFrame, panel, cum: float, target: float) -> float:
+    """The theta in panel (x0, x1, integral, coefficients), whose start lies
+    at arc length cum, where the arc length reaches target.
+
+    The arc length inside the panel is the integral of the Legendre series
+    with those coefficients, the degree-14 interpolant of the speed through
+    the panel's Kronrod node values (_series). K15 is interpolatory, so over
+    the whole panel it integrates to the panel's own integral, and the
+    cumulative table stays consistent. The search stops once the gap is
+    within the rounding floor of the target or within the arc that one
+    rounding of theta spans: where the speed is large against the target,
+    no double theta may come closer.
+    """
+    x0, x1, value, coefficients = panel
     lo, hi = x0, x1
     theta = x0 + (x1 - x0) * ((target - cum) / value)
     for _ in range(_ROOT_STEPS):
         arc, speed = _legendre_integral(coefficients, x0, x1, theta)
         gap = cum + arc - target
-        if abs(gap) <= _ROUNDING * target:
+        if abs(gap) <= _ROUNDING * target + abs(speed) * math.ulp(theta):
             return theta
         if gap > 0.0:
             hi = theta

@@ -162,6 +162,14 @@ class TestSampleCommand:
             [0.0, math.pi / 2.0, math.pi, 1.5 * math.pi], abs=2e-10
         )
 
+    def test_arclength_resampling_in_a_flattened_frame_at_the_largest_exponent(self, capsys):
+        code, out, err = invoke(
+            capsys, "sample", "--n", "2147483647", "--frame", "1,0,0,0,1e11,0",
+            "--resample", "arclength", "--count", "4096", "--format", "json",
+        )
+        assert (code, err) == (0, "")
+        assert len(cli.curve_from_json(out)) == 4096
+
     def test_svg_format_for_a_single_curve(self, capsys):
         code, out, err = invoke(capsys, "sample", "--n", "1", "--count", "8", "--format", "svg")
         assert code == 0

@@ -455,29 +455,51 @@ class TestArcLength:
         for part in ("N=1 ", repr(IDENTITY), "[0.0, 1.0]", f"{calls[0]} spent"):
             assert part in message
 
-    def test_split_at_kinks_covers_the_span(self):
-        levels = 6
-        edges = _edges(0.1, 3.0, levels)
+    @pytest.mark.parametrize("n", [1, 16, 81, 82, 1000, 10**6, MAX_EXPONENT])
+    def test_split_at_kinks_covers_the_span(self, n):
+        edges = _edges(0.1, 3.0, n)
         assert edges[0] == 0.1
         assert edges[-1] == 3.0
         assert edges == sorted(set(edges))
         quarter = math.pi / 4.0
         kinks = [k * quarter for k in (1, 2, 3)]
         assert set(kinks) <= set(edges)
-        for cut in edges[1:-1]:
-            ratio = cut / quarter
-            offset = abs(cut - (2 * math.floor(cut / (2 * quarter)) + 1) * quarter)  # from the nearest diagonal
-            assert round(ratio) == pytest.approx(ratio, abs=1e-12) or any(
-                offset == pytest.approx(math.pi / 2.0**j, rel=1e-12) for j in range(3, levels + 2)
-            )
-        # inside each octant the widths halve toward its diagonal, down to pi/2**(levels + 1)
-        toward_diagonal = [math.pi / 2.0**j for j in range(3, levels + 2)] + [math.pi / 2.0 ** (levels + 1)]
+        # Up to N = 81 the edges are the whole graded ladder; past it, the
+        # rungs from 16/N up to pi/8, exclusive, are gone.
+        ladder = _graded_ladder(0.1, 3.0, n)
+        if n <= 81:
+            assert edges == [x for x, _ in ladder]
+        assert edges == [x for x, d in ladder if not 16.0 / n <= d < math.pi / 8.0]
+        # inside each octant the widths halve toward its diagonal from the
+        # first rung below 16/N, down to the last rung, at most 1/(2N)
+        rungs = sorted(
+            (d for x, d in ladder if kinks[0] < x < kinks[1] and not 16.0 / n <= d < math.pi / 8.0), reverse=True
+        )
+        assert rungs[-1] <= 1.0 / (2 * n) < [quarter, *rungs][-2]
+        assert all(d < 16.0 / n for d in rungs[1:])
+        toward_diagonal = [quarter - rungs[0]] + [d0 - d1 for d0, d1 in zip(rungs, rungs[1:])] + [rungs[-1]]
         for k in (1, 2):  # the octants [pi/4, pi/2] and [pi/2, 3*pi/4]
             inside = [x for x in edges if kinks[k - 1] <= x <= kinks[k]]
             widths = [x1 - x0 for x0, x1 in zip(inside, inside[1:])]
             if k % 2:  # the diagonal is the lower end of the octant
                 widths.reverse()
             assert widths == pytest.approx(toward_diagonal, rel=1e-12)
+
+
+def _graded_ladder(a: float, b: float, n: int) -> list[tuple[float, float]]:
+    """The whole graded ladder of starting edges on [a, b], each with its
+    distance from the nearest diagonal: a, b, the multiples of pi/4 between
+    them (at pi/4) and the rungs pi/8, pi/16, ..., pi/2**(levels + 1) on
+    both sides of each diagonal, levels = ceil(log2(pi*N))."""
+    quarter = math.pi / 4.0
+    levels = math.ceil(math.log2(math.pi * n))
+    cuts = {}
+    for k in range(math.floor(a / quarter), math.ceil(b / quarter) + 1):
+        cuts[k * quarter] = quarter
+        if k % 2:
+            for j in range(3, levels + 2):
+                cuts[k * quarter - math.pi / 2.0**j] = cuts[k * quarter + math.pi / 2.0**j] = math.pi / 2.0**j
+    return [(a, quarter), *sorted((x, d) for x, d in cuts.items() if a < x < b), (b, quarter)]
 
 
 def _count_speed(monkeypatch) -> list[int]:
@@ -556,6 +578,26 @@ class TestArcLengthMeetsTol:
         reference = _mp_arc_length(n, frame, lo, hi)
         assert abs(arc_length(n, frame, lo, hi, tol) - reference) <= tol * max(1.0, reference)
 
+    @pytest.mark.parametrize(
+        "n, frame_text, lo, hi, tol",
+        [
+            (100, GOLDEN_FRAME_IDS[1], 0.0, TWO_PI, 1e-10),
+            (10**3, GOLDEN_FRAME_IDS[2], 0.3, 2.1, 1e-12),
+            (10**4, GOLDEN_FRAME_IDS[3], 0.2, 0.786, 1e-12),  # ends 6e-4 past pi/4, inside 16/N
+            (10**5, GOLDEN_FRAME_IDS[0], 1.0, 2.3561, 1e-12),  # ends 9e-5 short of 3*pi/4
+            (10**5, GOLDEN_FRAME_IDS[2], 3.927, 5.4, 1e-6),  # starts 9e-6 past 5*pi/4
+        ],
+    )
+    def test_against_mpmath_on_the_whole_graded_ladder(self, n, frame_text, lo, hi, tol):
+        # The starting mesh grades only across the diagonal layer: check it
+        # where that differs from the whole ladder, against tanh-sinh on
+        # every rung of the ladder, which resolves the layer at these N.
+        frame = GOLDEN_FRAMES[GOLDEN_FRAME_IDS.index(frame_text)]
+        with mpmath.workdps(20):
+            cuts = [x for x, _ in _graded_ladder(lo, hi, n)]
+            reference = float(mpmath.quad(lambda t: _mp_speed(t, n, frame), cuts))
+        assert abs(arc_length(n, frame, lo, hi, tol) - reference) <= tol * max(1.0, reference)
+
     @pytest.mark.parametrize("n", [10**5, 50803, 10**6, 1270433919, 2**31 - 1])
     @pytest.mark.parametrize("frame", GOLDEN_FRAMES, ids=GOLDEN_FRAME_IDS)
     def test_against_a_tight_tol_above_ten_thousand(self, n, frame):
@@ -566,16 +608,20 @@ class TestArcLengthMeetsTol:
 
 @pytest.mark.parametrize("n", [10**6, 2**31 - 1])
 @pytest.mark.parametrize("frame", GOLDEN_FRAMES, ids=GOLDEN_FRAME_IDS)
-def test_graded_panels_need_no_bisection_at_large_exponents(monkeypatch, n, frame):
-    # 15 nodes on each of ceil(log2(pi*N)) graded panels per octant of the
-    # half turn, four octants: the grading resolves the diagonal boundary
-    # layer, and the rounding floor keeps tol 1e-14 from bisecting into the
-    # speed's rounding noise.
+def test_a_turn_costs_the_same_at_every_large_exponent(monkeypatch, n, frame):
+    # 15 nodes on each of 8 starting panels per octant of the half turn, four
+    # octants: one from the kink to pi/8 from the diagonal, one on to the
+    # first rung below 16/N, and six that halve across the diagonal layer.
+    # Tol 1e-12 and below bisect the panel from pi/8 to the first rung once
+    # in each octant; the rounding floor keeps tol 1e-14 from bisecting into
+    # the speed's rounding noise. The whole graded ladder cost 15 nodes on
+    # each of ceil(log2(pi*N)) panels per octant at every tol.
     calls = _count_speed(monkeypatch)
-    for tol in (1e-6, 1e-14):
+    for tol, count in ((1e-6, 480), (1e-8, 480), (1e-10, 480), (1e-12, 600), (1e-14, 600)):
         calls[0] = 0
         arc_length(n, frame, tol=tol)
-        assert calls[0] == 4 * 15 * math.ceil(math.log2(math.pi * n))
+        assert calls[0] == count
+        assert count <= 4 * 15 * math.ceil(math.log2(math.pi * n))
 
 
 @pytest.mark.parametrize(
@@ -669,6 +715,16 @@ class TestResampleByArclength:
             for k, theta in enumerate(thetas):
                 assert abs(theta - float(k * mpmath.pi / 4)) <= math.ulp(theta)
 
+    @pytest.mark.parametrize("count", [1024, 4096])
+    def test_a_flattened_frame_at_the_largest_exponent(self, count):
+        # kappa 1e11: next to the diagonal the speed runs from about 1e-11 on
+        # the flattened side to about 1, so one ulp of theta there moves the
+        # arc length by more than 50 eps of an early target. The samples stop
+        # within that ulp's arc and pass the public constructor's checks.
+        frame = AffineFrame(1.0, 0.0, 0.0, 0.0, 1e11, 0.0)
+        curve = resample_by_arclength(MAX_EXPONENT, frame, count)
+        assert len(SampledCurve(curve.thetas, curve.points, True, MAX_EXPONENT, frame)) == count
+
     def test_a_root_not_found_raises_after_the_step_cap(self):
         panel = (0.0, 1.0, 1.0, (math.nan,) * 15)
         with pytest.raises(QuadratureFailure, match=r"N=3 .* in panel \[0.0, 1.0\] .* after 60 Newton steps"):
@@ -676,7 +732,7 @@ class TestResampleByArclength:
 
     def test_the_step_cap_error_names_n_frame_target_panel_and_steps(self, monkeypatch):
         frame = GOLDEN_FRAMES[3]
-        panel = _panels(7, frame, 0.0, math.pi, 1e-10)[0]
+        panel = sampling._series(_panels(7, frame, 0.0, math.pi, 1e-10)[0])
         target = 0.5 * panel[2]
         assert _newton_in_panel(7, frame, panel, 0.0, target) > 0.0
         monkeypatch.setattr(sampling, "_ROOT_STEPS", 1)
