@@ -168,13 +168,18 @@ class AffineFrame:
         a, b, d, e = (c / scale for c in (self.alpha, self.beta, self.delta, self.epsilon))
         det = abs(a * e - b * d)
         t = (a * a + b * b + d * d + e * e) / (2.0 * det) if det else math.inf
-        kappa = t + math.sqrt(max(0.0, (t - 1.0) * (t + 1.0)))
+        # the square root of each factor apart: their product overflows past t ~ 1.3e154
+        kappa = t + math.sqrt(max(0.0, t - 1.0)) * math.sqrt(t + 1.0)
         k = kappa * (1.0 + math.hypot(self.gamma, self.zeta))
-        if not (k <= _MAX_FACTOR and 2.0**-1022 <= abs(self.det) < math.inf):
-            raise SingularFrame(
-                f"singular frame: condition number {kappa:.6g} times 1 + |(gamma, zeta)| is {k:.6g}"
-                f" (must be <= {_MAX_FACTOR:g}), |det| = {abs(self.det):.6g} (must be a normal double)"
+        failed = []
+        if not k <= _MAX_FACTOR:
+            failed.append(
+                f"condition number {kappa:.6g} times 1 + |(gamma, zeta)| is {k:.6g} (must be <= {_MAX_FACTOR:g})"
             )
+        if not 2.0**-1022 <= abs(self.det) < math.inf:
+            failed.append(f"|det| = {abs(self.det):.6g} (must be a normal double)")
+        if failed:
+            raise SingularFrame("singular frame: " + ", ".join(failed))
         object.__setattr__(self, "_factor", k)
 
     @property

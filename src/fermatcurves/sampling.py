@@ -50,6 +50,8 @@ _MIN_TOL = 1e-14
 _QUARTER_PI = math.pi / 4.0
 _SPAN_SLACK = 4.0 * math.ulp(TWO_PI)
 _GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
+# relative slack on a vertex's distance when _directed_hausdorff skips a block
+_REACH = 1.0 + 2.0**-40
 
 # The Gauss-Kronrod 7/15 rule on [-1, 1], as in QUADPACK's qk15 (Piessens
 # et al., 1983): the Kronrod nodes +-_XGK[j] and the centre; the Gauss nodes
@@ -535,14 +537,37 @@ def _directed_hausdorff(pts, poly, poly_closed: bool) -> float:
     scan stops at the first segment within the running maximum, which that
     vertex cannot raise. Vertices are visited with a stride near len(pts)/phi,
     coprime to it, so large distances turn up early; each scan starts at the
-    two segments that meet at the proportional vertex, the likeliest nearest.
+    two segments that meet at the proportional vertex, the likeliest nearest,
+    and a vertex that is no new record mostly stops at the first.
+
+    Past those two the scan goes by blocks of about sqrt(m) contiguous
+    segments, from the proportional one's block on, and skips a block whose
+    bounding box lies farther than sqrt(nearest) * (1 + 2^-40) + margin,
+    nearest being the least squared distance the vertex has met and margin
+    2^-40 times the largest coordinate magnitude L of poly (at least 2^-460,
+    so that every square the test bounds is a normal double). A segment's
+    computed distance is within a few ulps, relative to itself and to L, of
+    the distance to a point on the segment, which lies in the block's box;
+    so every segment of a skipped block has a computed squared distance
+    above nearest, which stays above the running maximum while the scan
+    runs. Skipping it changes neither the vertex's minimum nor where its
+    scan breaks off, so the maximum is the full scan's, double for double.
+    A record vertex tests about sqrt(m) boxes and one or two blocks of
+    segments instead of all m segments.
     """
-    ends = poly[1:] + poly[:1] if poly_closed else poly[1:]
+    path = poly + poly[:1] if poly_closed else poly  # segment j runs from path[j] to path[j + 1]
     segments = []
-    for (sx, sy), (ex, ey) in zip(poly, ends):
+    for (sx, sy), (ex, ey) in zip(path, path[1:]):
         dx, dy = ex - sx, ey - sy
         segments.append((sx, sy, dx, dy, dx * dx + dy * dy or 1.0))  # 1.0: zero length
     n, m = len(pts), len(segments)
+    xs, ys = [x for x, _ in path], [y for _, y in path]
+    size = math.isqrt(m)
+    blocks = []
+    for lo in range(0, m, size):
+        span_x, span_y = xs[lo : lo + size + 1], ys[lo : lo + size + 1]
+        blocks.append((min(span_x), max(span_x), min(span_y), max(span_y), segments[lo : lo + size]))
+    margin = 2.0**-40 * max(max(xs), -min(xs), max(ys), -min(ys), 2.0**-460)
     stride = round(n / _GOLDEN_RATIO)
     while math.gcd(stride, n) != 1:
         stride += 1
@@ -550,19 +575,46 @@ def _directed_hausdorff(pts, poly, poly_closed: bool) -> float:
     for k in range(n):
         i = k * stride % n
         px, py = pts[i]
-        nearest = math.inf
         start = (i * m // n - 1) % m
-        for j in range(start - m, start):  # a negative index wraps around
-            sx, sy, dx, dy, len2 = segments[j]
-            wx, wy = px - sx, py - sy
-            t = (wx * dx + wy * dy) / len2
-            t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
-            ex, ey = wx - t * dx, wy - t * dy
-            d2 = ex * ex + ey * ey
-            if d2 <= worst:
+        sx, sy, dx, dy, len2 = segments[start]  # _scan's test, inline: most vertices stop here
+        wx, wy = px - sx, py - sy
+        t = (wx * dx + wy * dy) / len2
+        t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
+        ex, ey = wx - t * dx, wy - t * dy
+        nearest = ex * ex + ey * ey
+        if nearest <= worst:
+            continue
+        nearest = _scan(px, py, (segments[start + 1 - m],), worst, nearest)  # the vertex's other segment
+        if nearest <= worst:
+            continue
+        reach2 = (math.sqrt(nearest) * _REACH + margin) ** 2
+        first = start // size
+        for b in range(first - len(blocks), first):  # a negative index wraps around
+            x0, x1, y0, y1, block = blocks[b]
+            bx = x0 - px if px < x0 else px - x1 if px > x1 else 0.0
+            by = y0 - py if py < y0 else py - y1 if py > y1 else 0.0
+            if bx * bx + by * by > reach2:
+                continue
+            nearest = _scan(px, py, block, worst, nearest)
+            if nearest <= worst:
                 break
-            if d2 < nearest:
-                nearest = d2
+            reach2 = (math.sqrt(nearest) * _REACH + margin) ** 2
         else:
             worst = nearest
     return worst
+
+
+def _scan(px: float, py: float, block, worst: float, nearest: float) -> float:
+    """The least of nearest and the squared distances from (px, py) to the
+    segments of block, or the first of those distances within worst."""
+    for sx, sy, dx, dy, len2 in block:
+        wx, wy = px - sx, py - sy
+        t = (wx * dx + wy * dy) / len2
+        t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
+        ex, ey = wx - t * dx, wy - t * dy
+        d2 = ex * ex + ey * ey
+        if d2 <= worst:
+            return d2
+        if d2 < nearest:
+            nearest = d2
+    return nearest

@@ -1,8 +1,10 @@
-"""Shared helpers for the test suite: seeded random affine frames and the
-corner-layer asymptotics of the arc length."""
+"""Shared helpers for the test suite: seeded random affine frames, the
+corner-layer asymptotics of the arc length, and the plain bisection that the
+oracle must match."""
 
 from __future__ import annotations
 
+import math
 import random
 
 import mpmath
@@ -70,3 +72,32 @@ def corner_arc_length(n: int, frame: AffineFrame) -> float:
         m1, m2 = (e / det, -d / det), (-b / det, a / det)  # M e1, M e2
         deficits = corner_deficit(m2, (-m1[0], -m1[1])) + corner_deficit(m1, m2)
         return float(4 * (mpmath.hypot(*m1) + mpmath.hypot(*m2)) - deficits / n)
+
+
+def reference_bisect(theta: float, n: int) -> tuple[float, int]:
+    """The radial factor by plain bisection, and how many times it evaluated
+    the equation.
+
+    Halves [1, sqrt(2)] until the ends are adjacent doubles, evaluating
+    F(t) = log((t*cos)^(2N) + (t*sin)^(2N)) at every midpoint: the loop that
+    bisect_radial_factor must reproduce double for double.
+    """
+    c = math.fabs(math.cos(theta))
+    s = math.fabs(math.sin(theta))
+    log_c = math.log(c) if c > 0.0 else -math.inf
+    log_s = math.log(s) if s > 0.0 else -math.inf
+    log_big, log_small = max(log_c, log_s), min(log_c, log_s)
+    two_n = 2.0 * n
+    lo, hi = 1.0, math.sqrt(2.0)
+    mid = 0.5 * (lo + hi)
+    evaluations = 0
+    while lo < mid < hi:
+        evaluations += 1
+        log_mid = math.log(mid)
+        big = two_n * (log_mid + log_big)
+        if big + math.log1p(math.exp(two_n * (log_mid + log_small) - big)) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+        mid = 0.5 * (lo + hi)
+    return mid, evaluations

@@ -313,6 +313,24 @@ class TestAffineFrame:
         with pytest.raises(SingularFrame, match="must be a normal double"):
             AffineFrame(scale, 0.0, 0.0, 0.0, scale, 0.0)
 
+    @pytest.mark.parametrize(
+        "coefficients, message",
+        [
+            # t = 5e299: (t - 1)(t + 1) overflows, the condition number 1e300 does not
+            ((1.0, 0.0, 0.0, 0.0, 1e-300, 0.0),
+             "condition number 1e+300 times 1 + |(gamma, zeta)| is 1e+300 (must be <= 1e+12)"),
+            ((1e-160, 0.0, 0.0, 0.0, 1e-160, 0.0), "|det| = 9.99989e-321 (must be a normal double)"),
+            ((1.0, 2.0, 0.0, 2.0, 4.0, 0.0),
+             "condition number inf times 1 + |(gamma, zeta)| is inf (must be <= 1e+12),"
+             " |det| = 0 (must be a normal double)"),
+        ],
+        ids=["condition", "det", "both"],
+    )
+    def test_message_names_the_clauses_that_failed(self, coefficients, message):
+        with pytest.raises(SingularFrame) as caught:
+            AffineFrame(*coefficients)
+        assert str(caught.value) == "singular frame: " + message
+
     def test_nonfinite_coefficients_rejected(self):
         with pytest.raises(ValueError):
             AffineFrame(math.nan, 0.0, 0.0, 0.0, 1.0, 0.0)

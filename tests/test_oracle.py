@@ -19,9 +19,40 @@ from fermatcurves import (
     OutOfRange,
     bisect_radial_factor,
     implicit_solve_x,
+    inverse_affine,
+    oracle,
     oracle_polyline,
     residual_log,
 )
+from helpers import reference_bisect
+from test_golden import FRAMES as GOLDEN_FRAMES
+
+_MAX_N = 2**31 - 1
+
+
+def _ulps_around(x: float, count: int) -> list[float]:
+    """x and the count doubles on each side of it."""
+    out = [x]
+    lo = hi = x
+    for _ in range(count):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out
+
+
+class _CountingMath:
+    """Stands in for the math module and counts evaluations of the equation,
+    one log1p call each."""
+
+    def __init__(self):
+        self.evaluations = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def log1p(self, x):
+        self.evaluations += 1
+        return math.log1p(x)
 
 
 class TestBisectRadialFactor:
@@ -85,6 +116,42 @@ class TestBisectRadialFactor:
             bisect_radial_factor(0.5, 0)
         with pytest.raises(TypeError):
             bisect_radial_factor(0.5, 2.5)
+
+
+class TestBisectionSkipsOnlyCertainMidpoints:
+    """The oracle evaluates the equation only inside its own bracket
+    [2^(-1/(2N))/m, 1/m], and still returns plain bisection's double."""
+
+    def test_matches_plain_bisection(self):
+        # About 48,000 cases: 14 exponents, log-spaced over the whole range, on
+        # the grids of counts 300, 1000 and 2048 (the power-of-two grids from
+        # 256 up nest in the 2048 one), and 40 on the axes and the diagonals,
+        # each with the 3 doubles either side (so 5e-324 too).
+        grid = sorted({TWO_PI * k / count for count in (300, 1000, 2048) for k in range(count)})
+        special = [t for k in range(8) for t in _ulps_around(k * math.pi / 4.0, 3)]
+        for exponents, thetas in ((14, grid), (40, special)):
+            for j in range(exponents):
+                n = round(_MAX_N ** (j / (exponents - 1)))
+                for theta in thetas:
+                    assert bisect_radial_factor(theta, n) == reference_bisect(theta, n)[0], (theta, n)
+
+    @pytest.mark.parametrize("n, evaluations", [(1, 51), (100, 28), (_MAX_N, 16)])
+    def test_evaluations_are_pinned(self, monkeypatch, n, evaluations):
+        counting = _CountingMath()
+        monkeypatch.setattr(oracle, "math", counting)
+        bisect_radial_factor(0.7, n)
+        assert counting.evaluations == evaluations
+        assert evaluations <= reference_bisect(0.7, n)[1]
+
+    @pytest.mark.parametrize("n", [1, 7, 10**4, _MAX_N])
+    def test_polyline_vertices_match_plain_bisection(self, n):
+        for frame in GOLDEN_FRAMES:
+            curve = oracle_polyline(n, frame, 256)
+            want = []
+            for t in curve.thetas:
+                radius = reference_bisect(t, n)[0]
+                want.append(inverse_affine((radius * math.cos(t), radius * math.sin(t)), frame))
+            assert curve.points == tuple(want)
 
 
 class TestImplicitSolveX:

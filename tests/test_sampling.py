@@ -942,6 +942,19 @@ def _random_polyline(rng, size: int, scale: float) -> list[tuple[float, float]]:
     return pts
 
 
+def _random_walk(rng, size: int, scale: float) -> list[tuple[float, float]]:
+    """A wandering polyline of short steps, so that its blocks of segments
+    have small bounding boxes."""
+    x = y = heading = 0.0
+    pts = []
+    for _ in range(size):
+        heading += rng.gauss(0.0, 0.5)
+        x += 0.01 * scale * math.cos(heading)
+        y += 0.01 * scale * math.sin(heading)
+        pts.append((x, y))
+    return pts
+
+
 def _random_arc(rng, n: int, frame: AffineFrame) -> SampledCurve:
     thetas = sorted({rng.uniform(0.0, TWO_PI) for _ in range(rng.randint(3, 40))})
     points = tuple(affine_curve_point(t, n, frame) for t in thetas)
@@ -991,6 +1004,37 @@ class TestHausdorffMatchesTheAllPairsScan:
         b = np.asarray(_random_polyline(rng, 17, 2.0))
         assert polyline_hausdorff(a, b) == _all_pairs_hausdorff(a, True, b, True)
         assert polyline_hausdorff(a, b.tolist()) == polyline_hausdorff(a.tolist(), b)
+
+    def test_long_polylines_reach_the_blocks(self):
+        # At 1,000 segments and more the scan skips whole blocks by their boxes.
+        rng = random.Random(8)
+        for _ in range(6):
+            scale = 10.0 ** rng.uniform(-6.0, 3.0)
+            for poly in (_random_walk(rng, rng.randint(1000, 1500), scale),
+                         _random_polyline(rng, 1000, scale)):
+                near = [(x + rng.gauss(0.0, 1e-3 * scale), y + rng.gauss(0.0, 1e-3 * scale))
+                        for x, y in rng.sample(poly, 300)]
+                pts = near + _random_walk(rng, 60, scale)
+                for closed in (False, True):
+                    got = math.sqrt(sampling._directed_hausdorff(pts, poly, closed))
+                    assert got == _all_pairs_directed(np.asarray(pts), np.asarray(poly), closed)
+
+    @pytest.mark.parametrize("scale", [1e-6, 0.3, 1e3])
+    def test_ties_across_blocks_and_a_box_at_the_nearest_distance(self, scale):
+        # Two runs of 500 segments at y = h and y = -h, both left to right and
+        # in blocks far apart: a vertex on y = 0 is the same double from a
+        # segment of each, and the box of the block it meets second lies
+        # exactly sqrt(nearest) away. The rest of the polyline keeps off y = 0.
+        xs = [scale * (k / 250.0 - 1.0) for k in range(501)]
+        h = scale / 8.0
+        s = scale
+        poly = ([(x, h) for x in xs] + [(3 * s, h), (3 * s, -3 * s), (-3 * s, -3 * s)]
+                + [(x, -h) for x in xs] + [(5 * s, -h), (5 * s, 5 * s), (-5 * s, 5 * s), (-5 * s, h)])
+        pts = [(x, 0.0) for x in xs[::7]] + [(0.5 * (a + b), 0.0) for a, b in zip(xs[::9], xs[1::9])]
+        pts += [(x, 0.25 * h) for x in xs[3::11]]
+        for closed in (False, True):
+            got = math.sqrt(sampling._directed_hausdorff(pts, poly, closed))
+            assert got == _all_pairs_directed(np.asarray(pts), np.asarray(poly), closed)
 
     @pytest.mark.parametrize("frame", GOLDEN_FRAMES, ids=GOLDEN_FRAME_IDS)
     @pytest.mark.parametrize("n", [1, 2, 7, 100, 10**4])
