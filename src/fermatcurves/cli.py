@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from collections.abc import Sequence
 
@@ -24,6 +25,7 @@ from .core import IDENTITY, TWO_PI, AffineFrame, _affine_point, _check_exponent,
 from .errors import QuadratureFailure
 from .oracle import oracle_polyline
 from .sampling import (
+    _MAX_COUNT,
     _MIN_RESOLUTION,
     DEFAULT_TOL,
     SampledCurve,
@@ -39,7 +41,8 @@ from .sampling import (
 __all__ = ["SVG_MAX_CURVES", "curve_from_json", "emit_csv", "emit_json", "emit_svg", "fmt", "main", "run"]
 
 # svg draws one curve per exponent 1..N and holds them all before writing,
-# so N is capped to keep its time and memory bounded.
+# so N is capped to keep its time and memory bounded, and so is N x count,
+# by the library's cap on one curve's count (2**20).
 SVG_MAX_CURVES = 256
 
 
@@ -51,21 +54,25 @@ def fmt(value: float) -> str:
     return text
 
 
+# fmt's rule for a whole payload of floats at once: after repr of every
+# number, drop the ".0" of each integral value, found before the delimiter
+# that ends a number (or the end of an SVG path). repr writes ".0" nowhere
+# else: no trailing zeros, and no point in an exponent form such as 1e+16.
+_INTEGRAL_POINT = re.compile(r"\.0(?=[ ,}\n]|\Z)")
+
+
 def emit_csv(curve: SampledCurve) -> bytes:
     """CSV with header theta,x,y, LF line endings, no trailing blank line."""
-    lines = ["theta,x,y"]
-    for t, (x, y) in zip(curve.thetas, curve.points):
-        lines.append(f"{fmt(t)},{fmt(x)},{fmt(y)}")
-    return ("\n".join(lines) + "\n").encode("ascii")
+    rows = "".join(f"{t!r},{x!r},{y!r}\n" for t, (x, y) in zip(curve.thetas, curve.points))
+    return ("theta,x,y\n" + _INTEGRAL_POINT.sub("", rows)).encode("ascii")
 
 
 def emit_json(curve: SampledCurve) -> bytes:
     """One JSON object with keys n, frame, closed, samples, in that order."""
     frame_txt = ",".join(fmt(c) for c in curve.frame.coefficients())
-    samples = ",".join(
-        f'{{"theta":{fmt(t)},"x":{fmt(x)},"y":{fmt(y)}}}'
-        for t, (x, y) in zip(curve.thetas, curve.points)
-    )
+    samples = _INTEGRAL_POINT.sub("", ",".join(
+        f'{{"theta":{t!r},"x":{x!r},"y":{y!r}}}' for t, (x, y) in zip(curve.thetas, curve.points)
+    ))
     closed = "true" if curve.closed else "false"
     text = f'{{"n":{curve.exponent},"frame":[{frame_txt}],"closed":{closed},"samples":[{samples}]}}'
     return (text + "\n").encode("ascii")
@@ -117,11 +124,8 @@ def emit_svg(curves: Sequence[SampledCurve]) -> bytes:
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{view}">',
     ]
     for curve in curves:
-        moves = [f"M {fmt(curve.points[0][0])} {fmt(curve.points[0][1])}"]
-        moves.extend(f"L {fmt(x)} {fmt(y)}" for x, y in curve.points[1:])
-        if curve.closed:
-            moves.append("Z")
-        path = " ".join(moves)
+        path = "M " + " L ".join(f"{x!r} {y!r}" for x, y in curve.points) + (" Z" if curve.closed else "")
+        path = _INTEGRAL_POINT.sub("", path)
         lines.append(f'<path d="{path}" fill="none" stroke="black" stroke-width="0.01"/>')
     lines.append("</svg>")
     return ("\n".join(lines) + "\n").encode("ascii")
@@ -223,12 +227,16 @@ def _cmd_arclength(ns, frame: AffineFrame) -> bytes:
 def _cmd_gap(ns, frame: AffineFrame) -> bytes:
     if ns.count < _MIN_RESOLUTION:
         raise ValueError(f"--count must be at least {_MIN_RESOLUTION}, got {ns.count}")
+    if ns.count > _MAX_COUNT:
+        raise ValueError(f"--count must be at most {_MAX_COUNT}, got {ns.count}")
     return _scalar(convergence_gap(ns.n, frame, resolution=ns.count))
 
 
 def _cmd_residual(ns, frame: AffineFrame) -> bytes:
     if ns.count < 1:
         raise ValueError(f"--count must be positive, got {ns.count}")
+    if ns.count > _MAX_COUNT:
+        raise ValueError(f"--count must be at most {_MAX_COUNT}, got {ns.count}")
     n = _check_exponent(ns.n)
     worst = 0.0
     for theta in _uniform_thetas(ns.count):
@@ -240,6 +248,8 @@ def _cmd_residual(ns, frame: AffineFrame) -> bytes:
 def _cmd_svg(ns, frame: AffineFrame) -> bytes:
     if _check_exponent(ns.n) > SVG_MAX_CURVES:
         raise ValueError(f"svg draws at most {SVG_MAX_CURVES} curves, one per exponent 1..N; got N={ns.n}")
+    if ns.n * ns.count > _MAX_COUNT:
+        raise ValueError(f"svg draws at most {_MAX_COUNT} vertices in all, N x count; got N={ns.n}, count={ns.count}")
     # innermost first, so later curves draw outward
     return emit_svg([_sample_curve(ns, k, frame) for k in range(1, ns.n + 1)])
 

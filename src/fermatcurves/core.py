@@ -17,6 +17,15 @@ with r**(2*N) evaluated as exp(2*N*log(r)). An underflow of that term to
 zero is harmless (the factor it feeds is then exactly 1), which keeps the
 evaluation stable for every exponent up to 2**31 - 1.
 
+Where a term's double is known without computing it, the kernel skips it
+and returns that double. Below a log of -746, exp is exactly 0.0, so away
+from the diagonals at large N (2*N*log(r) < -746) log1p(r**(2*N)) is 0.0
+and rho is exactly 1.0 / m, and in the slope r**(2*N-2) is 0.0 past the same
+threshold and the shape factor is exp(-0.0) = 1.0. The clamp's upper end
+2**((N-1)/(2*N)) is at least 2**(1/4) for N >= 2, so its exp is taken only
+for N = 1 or a rho above 1.189. Every output double is the one the full
+expressions give.
+
 One private kernel, ``_evaluate``, does this work for every evaluator:
 it takes cos, sin, m, r, log(r) and log1p(r**(2*N)) once per angle and
 returns them with the clamped radial factor. The radial factor, the curve
@@ -82,6 +91,8 @@ _LN2 = math.log(2.0)
 _SQRT2 = math.sqrt(2.0)
 _MAX_FACTOR = 1e12  # frame guard on k; for a unit-scale frame it sits where a 1e-12 determinant did
 _FRAME_FIELDS = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta")
+# exp(x) rounds to 0.0 for every x below log(2**-1075) = -745.13...
+_EXP_ZERO = -746.0
 
 Point2 = tuple[float, float]
 
@@ -221,7 +232,10 @@ def _evaluate(theta: float, n: int) -> tuple[float, float, float, float, float, 
     Returns (rho, cos, sin, m, log(r), log1p(r**(2*N))) with rho the clamped
     radial factor and m, r as in the module docstring; the last three are
     the pieces ``_radial_factor_slope`` reuses. On the axes r is 0 and
-    log(r) is -inf.
+    log(r) is -inf. Where 2*N*log(r) < -746, the axes included, r**(2*N) =
+    exp(2*N*log(r)) is exactly 0.0, so log1p of it is 0.0 and rho is
+    exp(-0.0) / m = 1.0 / m: those are returned without the calls. The
+    clamp's exp is taken only where rho could exceed its upper end.
     """
     c = math.cos(theta)
     s = math.sin(theta)
@@ -234,21 +248,23 @@ def _evaluate(theta: float, n: int) -> tuple[float, float, float, float, float, 
     else:
         m, r = sa, ca / sa
     two_n = 2.0 * n
-    if r == 0.0:
-        log_r = -math.inf
+    log_r = math.log(r) if r > 0.0 else -math.inf
+    log_power = two_n * log_r
+    if log_power < _EXP_ZERO:
         log1p_power = 0.0
         rho = 1.0 / m
     else:
-        log_r = math.log(r)
-        log1p_power = math.log1p(math.exp(two_n * log_r))
+        log1p_power = math.log1p(math.exp(log_power))
         rho = math.exp(-log1p_power / two_n) / m
     # Without the clamp to the exact range [1, 2**((N-1)/(2*N))], rounding
-    # can stick out of it by about one ulp.
-    peak = math.exp(_LN2 * (n - 1) / two_n)
+    # can stick out of it by about one ulp. For N >= 2 the upper end is at
+    # least 2**(1/4) = 1.18920..., above any rho up to 1.189.
     if rho < 1.0:
         rho = 1.0
-    elif rho > peak:
-        rho = peak
+    elif n == 1 or rho > 1.189:
+        peak = math.exp(_LN2 * (n - 1) / two_n)
+        if rho > peak:
+            rho = peak
     return rho, c, s, m, log_r, log1p_power
 
 
@@ -319,7 +335,7 @@ def inverse_affine(p: Point2, frame: AffineFrame = IDENTITY) -> Point2:
 
 def _solve_linear(frame: AffineFrame, u: float, v: float) -> Point2:
     """Apply the inverse of the frame's linear part (no translation)."""
-    det = frame.det
+    det = frame.alpha * frame.epsilon - frame.beta * frame.delta  # frame.det, without the property call
     return (
         (frame.epsilon * u - frame.beta * v) / det,
         (frame.alpha * v - frame.delta * u) / det,
@@ -402,11 +418,16 @@ def _radial_factor_slope(
     which factors through m and r into bounded terms; the shape factor
     S'^(-1 - 1/(2N)) with S' = 1 + r^(2N) reuses log1p(r^(2N)). Exactly
     zero on the axes and on the diagonals, and identically zero for N = 1.
+
+    Two exps are skipped where their doubles are known: r^(2N-2) is
+    exactly 0.0 when its log is below -746, and the shape factor is
+    exp(+-0.0) = 1.0 exactly when log1p(r^(2N)) is 0.0.
     """
     if n == 1 or log_r == -math.inf:
         return 0.0
-    low_power = math.exp((2.0 * n - 2.0) * log_r)  # r^(2N-2)
-    shape = math.exp(-(1.0 + 0.5 / n) * log1p_power)
+    log_low = (2.0 * n - 2.0) * log_r
+    low_power = math.exp(log_low) if log_low >= _EXP_ZERO else 0.0  # r^(2N-2)
+    shape = math.exp(-(1.0 + 0.5 / n) * log1p_power) if log1p_power else 1.0
     slope = (c * s) / (m * m * m) * (1.0 - low_power) * shape
     return slope if math.fabs(c) >= math.fabs(s) else -slope
 

@@ -46,6 +46,9 @@ DEFAULT_TOL = 1e-10
 _MEMBERSHIP = 32.0  # SampledCurve's bound in 2N * u * k; the package's own points reach 4.7
 
 _MIN_RESOLUTION = 16
+# The most samples or grid points one call takes. A curve holds all its
+# points at once, so a larger count is refused before anything is made.
+_MAX_COUNT = 2**20
 _MIN_TOL = 1e-14
 _QUARTER_PI = math.pi / 4.0
 _SPAN_SLACK = 4.0 * math.ulp(TWO_PI)
@@ -199,7 +202,10 @@ def _trusted_curve(thetas, points, closed: bool, n: int, frame: AffineFrame) -> 
 def sample_uniform_theta(
     n: int, frame: AffineFrame = IDENTITY, count: int = 256
 ) -> SampledCurve:
-    """Sample one full turn of the curve on the uniform theta grid 2*pi*k/count."""
+    """Sample one full turn of the curve on the uniform theta grid 2*pi*k/count.
+
+    Every builder takes a count in [3, 2**20]: TooFewSamples below, ValueError above.
+    """
     n = core._check_exponent(n)
     return _polyline(_uniform_thetas(_check_count(count)), n, core._check_frame(frame))
 
@@ -219,6 +225,8 @@ def _check_count(count) -> int:
     count = core._check_integer(count, "count")
     if count < 3:
         raise TooFewSamples(f"need at least 3 samples, got {count}")
+    if count > _MAX_COUNT:
+        raise ValueError(f"count must be at most {_MAX_COUNT}, got {count}")
     return count
 
 
@@ -481,13 +489,16 @@ def convergence_gap(
 
     Measured over a uniform theta grid between affine_curve_point and the
     limit-mapped square point of the same angle. For the identity frame this
-    is the largest radial gap to the square.
+    is the largest radial gap to the square. The resolution must lie in
+    [16, 2**20], else ValueError.
     """
     n = core._check_exponent(n)
     frame = core._check_frame(frame)
     resolution = core._check_integer(resolution, "resolution")
     if resolution < _MIN_RESOLUTION:
         raise ValueError(f"resolution must be at least {_MIN_RESOLUTION}, got {resolution}")
+    if resolution > _MAX_COUNT:
+        raise ValueError(f"resolution must be at most {_MAX_COUNT}, got {resolution}")
     worst = 0.0
     for t in _uniform_thetas(resolution):
         rho, c, s, m = core._evaluate(t, n)[:4]

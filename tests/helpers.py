@@ -1,6 +1,8 @@
 """Shared helpers for the test suite: seeded random affine frames, the
-corner-layer asymptotics of the arc length, and the plain bisection that the
-oracle must match."""
+corner-layer asymptotics of the arc length, and the plain loops that the
+package's faster ones must match double for double and byte for byte: the
+bisection behind the oracle, the evaluation kernel with every term computed,
+and the emitters that format one number at a time."""
 
 from __future__ import annotations
 
@@ -10,6 +12,7 @@ import random
 import mpmath
 
 from fermatcurves import AffineFrame
+from fermatcurves.cli import fmt
 
 
 def random_frame(
@@ -74,6 +77,16 @@ def corner_arc_length(n: int, frame: AffineFrame) -> float:
         return float(4 * (mpmath.hypot(*m1) + mpmath.hypot(*m2)) - deficits / n)
 
 
+def ulps_around(x: float, count: int) -> list[float]:
+    """x and the count doubles on each side of it."""
+    out = [x]
+    lo = hi = x
+    for _ in range(count):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out
+
+
 def reference_bisect(theta: float, n: int) -> tuple[float, int]:
     """The radial factor by plain bisection, and how many times it evaluated
     the equation.
@@ -101,3 +114,92 @@ def reference_bisect(theta: float, n: int) -> tuple[float, int]:
             lo = mid
         mid = 0.5 * (lo + hi)
     return mid, evaluations
+
+
+_LN2 = math.log(2.0)
+
+
+def reference_evaluate(theta: float, n: int) -> tuple[float, float, float, float, float, float]:
+    """core._evaluate with every term computed: log1p and both exps at every
+    angle off the axes, and the clamp's upper end at every call."""
+    c = math.cos(theta)
+    s = math.sin(theta)
+    ca = math.fabs(c)
+    sa = math.fabs(s)
+    if ca >= sa:
+        m, r = ca, sa / ca
+    else:
+        m, r = sa, ca / sa
+    two_n = 2.0 * n
+    if r == 0.0:
+        log_r = -math.inf
+        log1p_power = 0.0
+        rho = 1.0 / m
+    else:
+        log_r = math.log(r)
+        log1p_power = math.log1p(math.exp(two_n * log_r))
+        rho = math.exp(-log1p_power / two_n) / m
+    peak = math.exp(_LN2 * (n - 1) / two_n)
+    if rho < 1.0:
+        rho = 1.0
+    elif rho > peak:
+        rho = peak
+    return rho, c, s, m, log_r, log1p_power
+
+
+def reference_slope(n: int, c: float, s: float, m: float, log_r: float, log1p_power: float) -> float:
+    """core._radial_factor_slope with both exps computed at every angle off the axes."""
+    if n == 1 or log_r == -math.inf:
+        return 0.0
+    low_power = math.exp((2.0 * n - 2.0) * log_r)
+    shape = math.exp(-(1.0 + 0.5 / n) * log1p_power)
+    slope = (c * s) / (m * m * m) * (1.0 - low_power) * shape
+    return slope if math.fabs(c) >= math.fabs(s) else -slope
+
+
+def reference_emit_csv(curve) -> bytes:
+    """cli.emit_csv with fmt called once per number."""
+    lines = ["theta,x,y"]
+    for t, (x, y) in zip(curve.thetas, curve.points):
+        lines.append(f"{fmt(t)},{fmt(x)},{fmt(y)}")
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def reference_emit_json(curve) -> bytes:
+    """cli.emit_json with fmt called once per number."""
+    frame_txt = ",".join(fmt(c) for c in curve.frame.coefficients())
+    samples = ",".join(
+        f'{{"theta":{fmt(t)},"x":{fmt(x)},"y":{fmt(y)}}}'
+        for t, (x, y) in zip(curve.thetas, curve.points)
+    )
+    closed = "true" if curve.closed else "false"
+    text = f'{{"n":{curve.exponent},"frame":[{frame_txt}],"closed":{closed},"samples":[{samples}]}}'
+    return (text + "\n").encode("ascii")
+
+
+def reference_emit_svg(curves) -> bytes:
+    """cli.emit_svg with fmt called once per number."""
+    curves = list(curves)
+    xs = [x for curve in curves for x, _ in curve.points]
+    ys = [y for curve in curves for _, y in curve.points]
+    min_x, max_x = min(xs), max(xs)
+    min_y, max_y = min(ys), max(ys)
+    pad_x = 0.05 * (max_x - min_x) or 0.05
+    pad_y = 0.05 * (max_y - min_y) or 0.05
+    view = (
+        f"{fmt(min_x - pad_x)} {fmt(min_y - pad_y)} "
+        f"{fmt((max_x - min_x) + 2.0 * pad_x)} {fmt((max_y - min_y) + 2.0 * pad_y)}"
+    )
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{view}">',
+    ]
+    for curve in curves:
+        moves = [f"M {fmt(curve.points[0][0])} {fmt(curve.points[0][1])}"]
+        moves.extend(f"L {fmt(x)} {fmt(y)}" for x, y in curve.points[1:])
+        if curve.closed:
+            moves.append("Z")
+        path = " ".join(moves)
+        lines.append(f'<path d="{path}" fill="none" stroke="black" stroke-width="0.01"/>')
+    lines.append("</svg>")
+    return ("\n".join(lines) + "\n").encode("ascii")

@@ -1,19 +1,37 @@
 """End-to-end tests for the command-line interface and its emitters."""
 
+import io
 import json
 import math
 import os
+import random
+import struct
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermatcurves import QuadratureFailure, SampledCurve, sample_uniform_theta
-from fermatcurves import cli
+from fermatcurves import (
+    QuadratureFailure,
+    SampledCurve,
+    convergence_gap,
+    oracle_polyline,
+    resample_by_arclength,
+    sample_uniform_theta,
+)
+from fermatcurves import cli, sampling
+from fermatcurves.sampling import _trusted_curve
+from helpers import reference_emit_csv, reference_emit_json, reference_emit_svg
+from test_golden import FRAMES as GOLDEN_FRAMES
 from test_golden import FRAME_TEXTS as GOLDEN_FRAME_TEXTS
+
+
+CAP = sampling._MAX_COUNT
 
 
 def invoke(capsys, *argv):
@@ -278,6 +296,60 @@ IGNORED_FLAGS = {
 FLAG_VALUES = {"--count": "64", "--tol": "1e-3", "--format": "json", "--resample": "uniform", "--theta-range": "0,1"}
 
 
+# Values per flag for the argv fuzz: ones every check accepts, then edge
+# values, which a check refuses or which sit at a limit. Counts stay small,
+# or go past the cap.
+FUZZ_VALUES = {
+    "--n": (("1", "2", "3", "7", "1000", "2147483647"), ("0", "-1", "2147483648", "1000000000000", "1.5", "nan", "")),
+    "--frame": (
+        (*GOLDEN_FRAME_TEXTS, "1,1,0,1,1.000000000005,0", "-0,0,0,0,1,0"),
+        ("1,2,0,2,4,0", "nan,0,0,0,1,0", "inf,0,0,0,1,0", "1e400,0,0,0,1,0", "5e-324,0,0,0,5e-324,0",
+         "0,0,0,0,0,0", "1,0,0,0,1", "a,0,0,0,1,0"),
+    ),
+    "--count": (("3", "4", "16", "17", "64"), ("-1", "0", "1", "2", str(CAP + 1), "1000000000000", "x")),
+    "--tol": (("1e-6", "1e-10", "1e-14"), ("1e-16", "0", "-1", "nan", "inf", "1e400", "5e-324")),
+    "--format": (("csv", "json", "svg"), ("xml",)),
+    "--resample": (("uniform", "arclength"), ("none",)),
+    "--theta-range": (
+        ("0,6.283185307179586", "0.1,2.5", "5e-324,1"),
+        ("1,0.5", "0,0", "nan,1", "-1,1", "0,1e400", "0,1,2", "0,7"),
+    ),
+}
+
+
+@st.composite
+def fuzz_argv(draw):
+    def value(flag):
+        accepted, edge = FUZZ_VALUES[flag]
+        return draw(st.sampled_from(edge if draw(st.integers(0, 4)) == 0 else accepted))
+
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    argv = [command, "--n", value("--n")]
+    for flag in ("--frame", *cli._COMMANDS[command][2]):
+        if draw(st.booleans()):
+            argv += [flag, value(flag)]
+    if draw(st.integers(0, 9)) == 0:  # now and then a flag the command does not read
+        flag = draw(st.sampled_from(sorted(FUZZ_VALUES)))
+        argv += [flag, value(flag)]
+    return argv
+
+
+@settings(max_examples=300, derandomize=True)
+@given(fuzz_argv())
+def test_every_argv_exits_zero_two_or_three_in_bounded_time(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.run(argv)
+    assert time.perf_counter() - start < 5.0, argv
+    assert code in (0, 2, 3), argv
+    if code:
+        assert out.getvalue() == "", argv
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
+    else:
+        assert err.getvalue() == "", argv
+
+
 class TestFailureModes:
     def test_singular_frame_exits_two(self, capsys):
         code, out, err = invoke(capsys, "sample", "--n", "2", "--frame", "1,2,0,2,4,0")
@@ -356,6 +428,50 @@ class TestFailureModes:
         assert out == ""
         assert err == "error: --count must be at least 16, got 8\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sample", "--count", str(CAP + 1)),
+            ("sample", "--count", str(CAP + 1), "--format", "json"),
+            ("sample", "--count", str(CAP + 1), "--resample", "arclength"),
+            ("sample", "--count", str(CAP + 1), "--theta-range", "0.1,0.2"),
+            ("gap", "--count", str(CAP + 1)),
+            ("residual", "--count", str(CAP + 1)),
+            ("oracle-diff", "--count", str(CAP + 1)),
+            ("svg", "--count", str(CAP // 2 + 1), "--n", "2"),
+            ("svg", "--count", str(CAP // 256 + 1), "--n", "256"),
+            ("gap", "--count", "1000000000000"),
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_a_count_past_the_cap_exits_two_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, *argv, *(() if "--n" in argv else ("--n", "3")))
+        assert time.perf_counter() - start < 0.25
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "at most" in err
+
+    def test_the_cap_is_the_library_check(self):
+        assert CAP == 2**20
+        assert sampling._check_count(CAP) == CAP
+        for build in (sample_uniform_theta, resample_by_arclength, oracle_polyline):
+            with pytest.raises(ValueError, match=f"count must be at most {CAP}, got {CAP + 1}"):
+                build(3, count=CAP + 1)
+        with pytest.raises(ValueError, match=f"resolution must be at most {CAP}, got {10**12}"):
+            convergence_gap(3, resolution=10**12)
+
+    def test_the_entry_point_refuses_a_huge_count_without_allocating(self):
+        # Before the cap this ran until memory ran out, then died with MemoryError.
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        done = subprocess.run(
+            [sys.executable, "-m", "fermatcurves.cli", "gap", "--n", "3", "--count", "1000000000000"],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == f"error: --count must be at most {CAP}, got 1000000000000\n"
+
     @pytest.mark.parametrize("command", ["sample", "residual"])
     def test_far_translated_frame_is_rejected(self, capsys, command):
         # Condition number 1, but the translation 1e300 would leave the curve's
@@ -415,6 +531,83 @@ class TestEmittersDirectly:
             cli.main()
         assert excinfo.value.code == 0
         assert capsys.readouterr().out == "6.283185307179586\n"
+
+
+# Doubles whose text is easy to get wrong: signed zeros, integral values up to
+# 2^53 and the exponent forms past 1e16 (no ".0" to strip), subnormals, and
+# decimals whose digits include ".0" or end in 0.
+AWKWARD = (
+    0.0, -0.0, 1.0, -1.0, 10.0, 100.0, -100.0, 1.05, 10.05, 0.05, 1.5, 2.0**52, 2.0**53 - 1.0,
+    2.0**53, -(2.0**53), 1e15, 1e16, -1e16, 1e22, 1e-5, 1e-7, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+    2.225073858507201e-308, 1.7976931348623157e308, 0.1, 123456789.0, 120.0, 1e300, 3.0e-4,
+)
+
+
+def _random_double(rng: random.Random) -> float:
+    """An awkward value, an integral one of any size, or a finite double drawn by its bits."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.choice(AWKWARD)
+    if kind == 1:
+        return float(rng.choice((-1, 1)) * rng.randrange(2 ** rng.randrange(1, 60)))
+    if kind == 2:
+        return rng.uniform(-2.0, 2.0)
+    while True:
+        value = struct.unpack("<d", struct.pack("<Q", rng.getrandbits(64)))[0]
+        if math.isfinite(value):
+            return value
+
+
+def _curve(thetas, xs, ys, closed: bool, frame=GOLDEN_FRAMES[0]):
+    return _trusted_curve(tuple(thetas), tuple(zip(xs, ys)), closed, 3, frame)
+
+
+def _assert_emitters_match(curves):
+    for curve in curves:
+        assert cli.emit_csv(curve) == reference_emit_csv(curve)
+        assert cli.emit_json(curve) == reference_emit_json(curve)
+    assert cli.emit_svg(curves) == reference_emit_svg(curves)
+    assert cli.emit_svg(curves[:1]) == reference_emit_svg(curves[:1])
+
+
+class TestEmittersFormatLikeFmt:
+    """The emitters format a payload's numbers in one pass; each number's
+    text is still fmt's, byte for byte."""
+
+    def test_awkward_values_in_every_column(self):
+        values = list(AWKWARD)
+        rotated = values[7:] + values[:7]
+        reverse = values[::-1]
+        curves = [
+            _curve(values, rotated, reverse, True, GOLDEN_FRAMES[2]),
+            _curve(reverse, values, rotated, False, GOLDEN_FRAMES[3]),
+            _curve(rotated, reverse, values, True),
+        ]
+        _assert_emitters_match(curves)
+
+    def test_seeded_curves(self):
+        rng = random.Random(20261020)
+        for _ in range(60):
+            curves = []
+            for _ in range(rng.randint(1, 4)):
+                count = rng.randint(1, 40)
+                columns = [[_random_double(rng) for _ in range(count)] for _ in range(3)]
+                curves.append(_curve(*columns, rng.random() < 0.5, rng.choice(GOLDEN_FRAMES)))
+            _assert_emitters_match(curves)
+
+    def test_sampled_curves(self):
+        curves = [sample_uniform_theta(n, frame, 64) for n, frame in zip((1, 2, 1000, 2**31 - 1), GOLDEN_FRAMES)]
+        _assert_emitters_match(curves)
+
+    @given(st.lists(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3), min_size=2), st.booleans())
+    def test_any_finite_doubles(self, rows, closed):
+        thetas, xs, ys = zip(*rows)
+        middle = len(rows) // 2
+        _assert_emitters_match([
+            _curve(thetas, xs, ys, closed),
+            _curve(thetas[:middle], xs[:middle], ys[:middle], not closed),
+            _curve(thetas[middle:], xs[middle:], ys[middle:], closed),
+        ])
 
 
 def outcome(capsys, argv):

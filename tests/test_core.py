@@ -9,6 +9,7 @@ import dataclasses
 import math
 import random
 import re
+import struct
 from decimal import Decimal
 from enum import IntEnum
 from fractions import Fraction
@@ -46,7 +47,8 @@ from fermatcurves import (
     square_point,
     theta_of_point,
 )
-from helpers import frame_family, random_frame
+from fermatcurves import core
+from helpers import frame_family, random_frame, reference_evaluate, reference_slope, ulps_around
 
 EXPONENT_GRID = [1, 2, 3, 5, 10, 100, 10**4, 10**6, MAX_EXPONENT]
 
@@ -463,6 +465,72 @@ class TestVelocityAndSpeed:
         for n in (1, 2, 1000, MAX_EXPONENT):
             for k in range(32):
                 assert curve_speed(TWO_PI * k / 32.0, n) > 0.0
+
+
+def _log_uniform_exponent(rng: random.Random, low: float = 1.0) -> int:
+    return min(MAX_EXPONENT, max(1, round(math.exp(rng.uniform(math.log(low), math.log(MAX_EXPONENT))))))
+
+
+def _angle_at(rng: random.Random, r: float) -> float:
+    """An angle in a random octant whose min/max of |cos| and |sin| is about r."""
+    phi = math.atan(r)
+    return rng.randrange(4) * (math.pi / 2.0) + rng.choice((phi, -phi, math.pi / 2.0 - phi))
+
+
+def _kernel_cases() -> dict[str, list[tuple[float, int]]]:
+    rng = random.Random(20261019)
+    band = []  # 2N*log(r), then (2N-2)*log(r), across the threshold where exp underflows to 0.0
+    for _ in range(3000):
+        n = _log_uniform_exponent(rng)
+        band.append((_angle_at(rng, math.exp(rng.uniform(-747.0, -744.0) / (2.0 * n))), n))
+        n = _log_uniform_exponent(rng, 2.0)
+        band.append((_angle_at(rng, math.exp(rng.uniform(-747.0, -744.0) / (2.0 * n - 2.0))), n))
+    special = [
+        (theta, n)
+        for n in (1, 2, 3, 4, 10, 1000, 10**6, MAX_EXPONENT)
+        for k in range(-8, 17)
+        for theta in ulps_around(k * math.pi / 4.0, 4)
+    ]
+    near_peak = [  # rho about 2**((N-1)/(2N)), on both sides of the clamp's 1.189 test
+        (k * math.pi / 2.0 + math.pi / 4.0 + rng.choice((-1.0, 1.0)) * math.exp(rng.uniform(-40.0, -1.0)), n)
+        for n in (1, 2, 3)
+        for k in range(-2, 4)
+        for _ in range(200)
+    ]
+    spread = [(rng.uniform(-10.0, 10.0), _log_uniform_exponent(rng)) for _ in range(3000)]
+    return {"band": band, "axes and diagonals": special, "near the peak": near_peak, "log-spaced N": spread}
+
+
+KERNEL_CASES = _kernel_cases()
+
+
+class TestKernelSkipsOnlyKnownDoubles:
+    """_evaluate and _radial_factor_slope skip the terms whose doubles are
+    known without computing them; the loops that compute every term give the
+    same doubles, sign of zero included."""
+
+    @pytest.mark.parametrize("kind", KERNEL_CASES)
+    def test_the_kernel_matches_the_full_expressions(self, kind):
+        for theta, n in KERNEL_CASES[kind]:
+            expected = reference_evaluate(theta, n)
+            got = core._evaluate(theta, n)
+            assert struct.pack("<6d", *got) == struct.pack("<6d", *expected), (theta, n)
+            slope = core._radial_factor_slope(n, *expected[1:])
+            assert struct.pack("<d", slope) == struct.pack("<d", reference_slope(n, *expected[1:])), (theta, n)
+
+    def test_the_cases_reach_both_sides_of_every_skip(self):
+        log_powers, low_logs, peaks = [], [], []
+        for theta, n in KERNEL_CASES["band"]:
+            log_r = reference_evaluate(theta, n)[4]
+            log_powers.append(2.0 * n * log_r)
+            low_logs.append((2.0 * n - 2.0) * log_r)
+        for theta, n in KERNEL_CASES["near the peak"]:
+            rho = reference_evaluate(theta, n)[0]
+            peaks.append((n, rho > 1.189, rho == 2.0 ** ((n - 1) / (2.0 * n))))
+        for values in (log_powers, low_logs):
+            assert sum(v < -746.0 for v in values) > 500 and sum(v >= -746.0 for v in values) > 500
+        assert {(n, above) for n, above, _ in peaks} >= {(1, False), (2, False), (2, True), (3, True)}
+        assert all(any(at_peak for k, _, at_peak in peaks if k == n) for n in (1, 2, 3))
 
 
 class _Three(IntEnum):

@@ -24,20 +24,10 @@ from fermatcurves import (
     oracle_polyline,
     residual_log,
 )
-from helpers import reference_bisect
+from helpers import reference_bisect, ulps_around
 from test_golden import FRAMES as GOLDEN_FRAMES
 
 _MAX_N = 2**31 - 1
-
-
-def _ulps_around(x: float, count: int) -> list[float]:
-    """x and the count doubles on each side of it."""
-    out = [x]
-    lo = hi = x
-    for _ in range(count):
-        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
-        out += [lo, hi]
-    return out
 
 
 class _CountingMath:
@@ -128,7 +118,7 @@ class TestBisectionSkipsOnlyCertainMidpoints:
         # 256 up nest in the 2048 one), and 40 on the axes and the diagonals,
         # each with the 3 doubles either side (so 5e-324 too).
         grid = sorted({TWO_PI * k / count for count in (300, 1000, 2048) for k in range(count)})
-        special = [t for k in range(8) for t in _ulps_around(k * math.pi / 4.0, 3)]
+        special = [t for k in range(8) for t in ulps_around(k * math.pi / 4.0, 3)]
         for exponents, thetas in ((14, grid), (40, special)):
             for j in range(exponents):
                 n = round(_MAX_N ** (j / (exponents - 1)))
