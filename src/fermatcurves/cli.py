@@ -21,7 +21,7 @@ import re
 import sys
 from collections.abc import Sequence
 
-from .core import IDENTITY, TWO_PI, AffineFrame, _affine_point, _check_exponent, _residual
+from .core import TWO_PI, AffineFrame, _affine_point, _check_exponent, _residual
 from .errors import QuadratureFailure
 from .oracle import oracle_polyline
 from .sampling import (
@@ -30,6 +30,7 @@ from .sampling import (
     DEFAULT_TOL,
     SampledCurve,
     _check_count,
+    _check_size,
     _uniform_thetas,
     arc_length,
     convergence_gap,
@@ -40,6 +41,13 @@ from .sampling import (
 
 __all__ = ["SVG_MAX_CURVES", "curve_from_json", "emit_csv", "emit_json", "emit_svg", "fmt", "main", "run"]
 
+# fmt's rule, which also serves a whole payload of floats at once: after repr
+# of every number, drop the ".0" of each integral value, found before the
+# delimiter that ends a number (or the end of the text or an SVG path). repr
+# writes ".0" nowhere else: no trailing zeros, and no point in an exponent
+# form such as 1e+16.
+_INTEGRAL_POINT = re.compile(r"\.0(?=[ ,}\n]|\Z)")
+
 # svg draws one curve per exponent 1..N and holds them all before writing,
 # so N is capped to keep its time and memory bounded, and so is N x count,
 # by the library's cap on one curve's count (2**20).
@@ -48,17 +56,7 @@ SVG_MAX_CURVES = 256
 
 def fmt(value: float) -> str:
     """Shortest decimal text that parses back to the exact same double."""
-    text = repr(float(value))
-    if text.endswith(".0"):
-        text = text[:-2]
-    return text
-
-
-# fmt's rule for a whole payload of floats at once: after repr of every
-# number, drop the ".0" of each integral value, found before the delimiter
-# that ends a number (or the end of an SVG path). repr writes ".0" nowhere
-# else: no trailing zeros, and no point in an exponent form such as 1e+16.
-_INTEGRAL_POINT = re.compile(r"\.0(?=[ ,}\n]|\Z)")
+    return _INTEGRAL_POINT.sub("", repr(float(value)))
 
 
 def emit_csv(curve: SampledCurve) -> bytes:
@@ -84,7 +82,10 @@ def curve_from_json(data: bytes | str) -> SampledCurve:
     A document of another shape raises ValueError naming what is missing or
     wrong; the values are then checked as SampledCurve and AffineFrame check them.
     """
-    obj = json.loads(data)
+    try:
+        obj = json.loads(data)
+    except RecursionError:
+        raise ValueError("curve JSON nests arrays or objects too deeply to read") from None
     try:
         samples, frame, closed, n = obj["samples"], obj["frame"], obj["closed"], obj["n"]
         thetas = tuple(s["theta"] for s in samples)
@@ -225,21 +226,15 @@ def _cmd_arclength(ns, frame: AffineFrame) -> bytes:
 
 
 def _cmd_gap(ns, frame: AffineFrame) -> bytes:
-    if ns.count < _MIN_RESOLUTION:
-        raise ValueError(f"--count must be at least {_MIN_RESOLUTION}, got {ns.count}")
-    if ns.count > _MAX_COUNT:
-        raise ValueError(f"--count must be at most {_MAX_COUNT}, got {ns.count}")
-    return _scalar(convergence_gap(ns.n, frame, resolution=ns.count))
+    resolution = _check_size(ns.count, "--count", _MIN_RESOLUTION)
+    return _scalar(convergence_gap(ns.n, frame, resolution=resolution))
 
 
 def _cmd_residual(ns, frame: AffineFrame) -> bytes:
-    if ns.count < 1:
-        raise ValueError(f"--count must be positive, got {ns.count}")
-    if ns.count > _MAX_COUNT:
-        raise ValueError(f"--count must be at most {_MAX_COUNT}, got {ns.count}")
+    count = _check_size(ns.count, "--count", 1)
     n = _check_exponent(ns.n)
     worst = 0.0
-    for theta in _uniform_thetas(ns.count):
+    for theta in _uniform_thetas(count):
         point = _affine_point(theta, n, frame)
         worst = max(worst, abs(_residual(point, n, frame)))
     return _scalar(worst)
@@ -286,22 +281,14 @@ def run(argv: Sequence[str] | None = None) -> int:
     May be called any number of times in one process; every call shares one
     parser, which holds no state between calls.
     """
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
+        ns = _build_parser().parse_args(argv)
         wanted = "six comma-separated numbers alpha,beta,gamma,delta,epsilon,zeta"
         frame = AffineFrame(*_parse_numbers(ns.frame, "--frame", 6, wanted))
         payload = _COMMANDS[ns.command][0](ns, frame)
-    except QuadratureFailure as exc:
+    except (_UsageError, ValueError, TypeError, QuadratureFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, QuadratureFailure) else 2
     _write(payload, ns.output)
     return 0
 

@@ -173,6 +173,7 @@ class AffineFrame:
             object.__setattr__(self, name, value)
         if not all(math.isfinite(getattr(self, name)) for name in _FRAME_FIELDS):
             raise ValueError("frame coefficients must be finite")
+        object.__setattr__(self, "_det", self.alpha * self.epsilon - self.beta * self.delta)
         # k bounds how much the frame magnifies rounding in a curve point; kappa = sigma_max / sigma_min
         # from sigma_max * sigma_min = |det|, sigma_max**2 + sigma_min**2 = ||A||_F**2 on entries <= 1.
         scale = max(abs(self.alpha), abs(self.beta), abs(self.delta), abs(self.epsilon)) or 1.0
@@ -187,16 +188,16 @@ class AffineFrame:
             failed.append(
                 f"condition number {kappa:.6g} times 1 + |(gamma, zeta)| is {k:.6g} (must be <= {_MAX_FACTOR:g})"
             )
-        if not 2.0**-1022 <= abs(self.det) < math.inf:
-            failed.append(f"|det| = {abs(self.det):.6g} (must be a normal double)")
+        if not 2.0**-1022 <= abs(self._det) < math.inf:
+            failed.append(f"|det| = {abs(self._det):.6g} (must be a normal double)")
         if failed:
             raise SingularFrame("singular frame: " + ", ".join(failed))
         object.__setattr__(self, "_factor", k)
 
     @property
     def det(self) -> float:
-        """Determinant alpha*epsilon - beta*delta of the linear part."""
-        return self.alpha * self.epsilon - self.beta * self.delta
+        """Determinant alpha*epsilon - beta*delta of the linear part, computed at construction."""
+        return self._det
 
     def coefficients(self) -> tuple[float, float, float, float, float, float]:
         """The six coefficients in (alpha, beta, gamma, delta, epsilon, zeta) order."""
@@ -335,7 +336,7 @@ def inverse_affine(p: Point2, frame: AffineFrame = IDENTITY) -> Point2:
 
 def _solve_linear(frame: AffineFrame, u: float, v: float) -> Point2:
     """Apply the inverse of the frame's linear part (no translation)."""
-    det = frame.alpha * frame.epsilon - frame.beta * frame.delta  # frame.det, without the property call
+    det = frame._det
     return (
         (frame.epsilon * u - frame.beta * v) / det,
         (frame.alpha * v - frame.delta * u) / det,

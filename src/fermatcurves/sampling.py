@@ -225,9 +225,16 @@ def _check_count(count) -> int:
     count = core._check_integer(count, "count")
     if count < 3:
         raise TooFewSamples(f"need at least 3 samples, got {count}")
-    if count > _MAX_COUNT:
-        raise ValueError(f"count must be at most {_MAX_COUNT}, got {count}")
-    return count
+    return _check_size(count, "count", 3)
+
+
+def _check_size(value: int, name: str, least: int) -> int:
+    """An integer count or grid size named name, if it lies in [least, 2**20], else ValueError."""
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    if value > _MAX_COUNT:
+        raise ValueError(f"{name} must be at most {_MAX_COUNT}, got {value}")
+    return value
 
 
 def _check_tol(tol) -> float:
@@ -494,11 +501,7 @@ def convergence_gap(
     """
     n = core._check_exponent(n)
     frame = core._check_frame(frame)
-    resolution = core._check_integer(resolution, "resolution")
-    if resolution < _MIN_RESOLUTION:
-        raise ValueError(f"resolution must be at least {_MIN_RESOLUTION}, got {resolution}")
-    if resolution > _MAX_COUNT:
-        raise ValueError(f"resolution must be at most {_MAX_COUNT}, got {resolution}")
+    resolution = _check_size(core._check_integer(resolution, "resolution"), "resolution", _MIN_RESOLUTION)
     worst = 0.0
     for t in _uniform_thetas(resolution):
         rho, c, s, m = core._evaluate(t, n)[:4]

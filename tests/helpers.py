@@ -2,7 +2,8 @@
 corner-layer asymptotics of the arc length, and the plain loops that the
 package's faster ones must match double for double and byte for byte: the
 bisection behind the oracle, the evaluation kernel with every term computed,
-and the emitters that format one number at a time."""
+and the emitters that format one number at a time, by their own copy of
+cli.fmt's rule."""
 
 from __future__ import annotations
 
@@ -12,7 +13,6 @@ import random
 import mpmath
 
 from fermatcurves import AffineFrame
-from fermatcurves.cli import fmt
 
 
 def random_frame(
@@ -157,19 +157,25 @@ def reference_slope(n: int, c: float, s: float, m: float, log_r: float, log1p_po
     return slope if math.fabs(c) >= math.fabs(s) else -slope
 
 
+def reference_fmt(value: float) -> str:
+    """cli.fmt's rule, stated apart from the package: repr, then drop a trailing ".0"."""
+    text = repr(float(value))
+    return text[:-2] if text.endswith(".0") else text
+
+
 def reference_emit_csv(curve) -> bytes:
-    """cli.emit_csv with fmt called once per number."""
+    """cli.emit_csv with reference_fmt called once per number."""
     lines = ["theta,x,y"]
     for t, (x, y) in zip(curve.thetas, curve.points):
-        lines.append(f"{fmt(t)},{fmt(x)},{fmt(y)}")
+        lines.append(f"{reference_fmt(t)},{reference_fmt(x)},{reference_fmt(y)}")
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
 def reference_emit_json(curve) -> bytes:
-    """cli.emit_json with fmt called once per number."""
-    frame_txt = ",".join(fmt(c) for c in curve.frame.coefficients())
+    """cli.emit_json with reference_fmt called once per number."""
+    frame_txt = ",".join(reference_fmt(c) for c in curve.frame.coefficients())
     samples = ",".join(
-        f'{{"theta":{fmt(t)},"x":{fmt(x)},"y":{fmt(y)}}}'
+        f'{{"theta":{reference_fmt(t)},"x":{reference_fmt(x)},"y":{reference_fmt(y)}}}'
         for t, (x, y) in zip(curve.thetas, curve.points)
     )
     closed = "true" if curve.closed else "false"
@@ -178,7 +184,7 @@ def reference_emit_json(curve) -> bytes:
 
 
 def reference_emit_svg(curves) -> bytes:
-    """cli.emit_svg with fmt called once per number."""
+    """cli.emit_svg with reference_fmt called once per number."""
     curves = list(curves)
     xs = [x for curve in curves for x, _ in curve.points]
     ys = [y for curve in curves for _, y in curve.points]
@@ -187,16 +193,16 @@ def reference_emit_svg(curves) -> bytes:
     pad_x = 0.05 * (max_x - min_x) or 0.05
     pad_y = 0.05 * (max_y - min_y) or 0.05
     view = (
-        f"{fmt(min_x - pad_x)} {fmt(min_y - pad_y)} "
-        f"{fmt((max_x - min_x) + 2.0 * pad_x)} {fmt((max_y - min_y) + 2.0 * pad_y)}"
+        f"{reference_fmt(min_x - pad_x)} {reference_fmt(min_y - pad_y)} "
+        f"{reference_fmt((max_x - min_x) + 2.0 * pad_x)} {reference_fmt((max_y - min_y) + 2.0 * pad_y)}"
     )
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{view}">',
     ]
     for curve in curves:
-        moves = [f"M {fmt(curve.points[0][0])} {fmt(curve.points[0][1])}"]
-        moves.extend(f"L {fmt(x)} {fmt(y)}" for x, y in curve.points[1:])
+        moves = [f"M {reference_fmt(curve.points[0][0])} {reference_fmt(curve.points[0][1])}"]
+        moves.extend(f"L {reference_fmt(x)} {reference_fmt(y)}" for x, y in curve.points[1:])
         if curve.closed:
             moves.append("Z")
         path = " ".join(moves)

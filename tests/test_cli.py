@@ -17,8 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermatcurves import (
+    IDENTITY,
     QuadratureFailure,
     SampledCurve,
+    TooFewSamples,
     convergence_gap,
     oracle_polyline,
     resample_by_arclength,
@@ -26,7 +28,7 @@ from fermatcurves import (
 )
 from fermatcurves import cli, sampling
 from fermatcurves.sampling import _trusted_curve
-from helpers import reference_emit_csv, reference_emit_json, reference_emit_svg
+from helpers import reference_emit_csv, reference_emit_json, reference_emit_svg, reference_fmt
 from test_golden import FRAMES as GOLDEN_FRAMES
 from test_golden import FRAME_TEXTS as GOLDEN_FRAME_TEXTS
 
@@ -53,6 +55,7 @@ class TestFloatFormatting:
     @given(st.floats(allow_nan=False, allow_infinity=False))
     def test_round_trips_exactly(self, value):
         assert float(cli.fmt(value)) == value
+        assert cli.fmt(value) == reference_fmt(value)
 
 
 class TestSampleCommand:
@@ -109,7 +112,7 @@ class TestSampleCommand:
             t, x, y = (float(v) for v in line.split(","))
             thetas.append(t)
             points.append((x, y))
-        rebuilt = SampledCurve(tuple(thetas), tuple(points), True, 5, cli.IDENTITY)
+        rebuilt = SampledCurve(tuple(thetas), tuple(points), True, 5, IDENTITY)
         assert cli.emit_csv(rebuilt).decode("ascii") == out
 
     def test_json_round_trip_is_bit_exact(self, capsys):
@@ -150,13 +153,19 @@ class TestSampleCommand:
             (lambda doc: {**doc, "samples": 3}, "samples are an array of objects"),
             (lambda doc: {**doc, "samples": [[0.0, 1.0, 0.0]]}, "samples are an array of objects"),
             (lambda doc: {**doc, "frame": [1, 0, 0, 0, 1]}, "array of six coefficients"),
+            (lambda doc: "[" * 100000, "nests arrays or objects too deeply"),
+            (lambda doc: '{"n":' * 100000, "nests arrays or objects too deeply"),
         ],
-        ids=["top-level-array", "no-samples", "no-x", "samples-number", "sample-array", "five-coefficients"],
+        ids=[
+            "top-level-array", "no-samples", "no-x", "samples-number", "sample-array", "five-coefficients",
+            "deep-arrays", "deep-objects",
+        ],
     )
     def test_json_of_another_shape_is_a_value_error(self, edit, message):
         doc = json.loads(cli.emit_json(sample_uniform_theta(3, count=8)))
+        edited = edit(doc)
         with pytest.raises(ValueError, match=message):
-            cli.curve_from_json(json.dumps(edit(doc)))
+            cli.curve_from_json(edited if isinstance(edited, str) else json.dumps(edited))
 
     def test_partial_theta_range_keeps_both_endpoints(self, capsys):
         hi = math.pi / 2.0
@@ -452,14 +461,31 @@ class TestFailureModes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "at most" in err
 
-    def test_the_cap_is_the_library_check(self):
+    def test_the_cap_is_the_library_check(self, capsys):
+        # One check, sampling._check_size, holds both bounds of every count and grid size.
         assert CAP == 2**20
         assert sampling._check_count(CAP) == CAP
         for build in (sample_uniform_theta, resample_by_arclength, oracle_polyline):
-            with pytest.raises(ValueError, match=f"count must be at most {CAP}, got {CAP + 1}"):
+            with pytest.raises(TooFewSamples) as caught:
+                build(3, count=2)
+            assert str(caught.value) == "need at least 3 samples, got 2"
+            with pytest.raises(ValueError) as caught:
                 build(3, count=CAP + 1)
-        with pytest.raises(ValueError, match=f"resolution must be at most {CAP}, got {10**12}"):
-            convergence_gap(3, resolution=10**12)
+            assert str(caught.value) == f"count must be at most {CAP}, got {CAP + 1}"
+        for resolution, message in (
+            (15, "resolution must be at least 16, got 15"),
+            (CAP + 1, f"resolution must be at most {CAP}, got {CAP + 1}"),
+            (10**12, f"resolution must be at most {CAP}, got {10**12}"),
+        ):
+            with pytest.raises(ValueError) as caught:
+                convergence_gap(3, resolution=resolution)
+            assert str(caught.value) == message
+        for command, least in (("gap", 16), ("residual", 1)):
+            for count, bound in ((least - 1, f"at least {least}"), (CAP + 1, f"at most {CAP}")):
+                code, out, err = invoke(capsys, command, "--n", "3", "--count", str(count))
+                assert (code, out, err) == (2, "", f"error: --count must be {bound}, got {count}\n")
+            assert invoke(capsys, command, "--n", "3", "--count", str(least))[0] == 0
+        assert invoke(capsys, "residual", "--n", "3", "--count", "0")[2] == "error: --count must be at least 1, got 0\n"
 
     def test_the_entry_point_refuses_a_huge_count_without_allocating(self):
         # Before the cap this ran until memory ran out, then died with MemoryError.
@@ -573,6 +599,11 @@ def _assert_emitters_match(curves):
 class TestEmittersFormatLikeFmt:
     """The emitters format a payload's numbers in one pass; each number's
     text is still fmt's, byte for byte."""
+
+    def test_fmt_is_the_reference_rule(self):
+        rng = random.Random(20261020)
+        for value in (*AWKWARD, *(_random_double(rng) for _ in range(5000))):
+            assert cli.fmt(value) == reference_fmt(value)
 
     def test_awkward_values_in_every_column(self):
         values = list(AWKWARD)

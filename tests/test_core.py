@@ -49,6 +49,7 @@ from fermatcurves import (
 )
 from fermatcurves import core
 from helpers import frame_family, random_frame, reference_evaluate, reference_slope, ulps_around
+from test_golden import FRAMES as GOLDEN_FRAMES
 
 EXPONENT_GRID = [1, 2, 3, 5, 10, 100, 10**4, 10**6, MAX_EXPONENT]
 
@@ -269,6 +270,16 @@ class TestAffineFrame:
     def test_singular_frame_rejected_at_construction(self):
         with pytest.raises(SingularFrame, match="singular frame"):
             AffineFrame(1.0, 2.0, 0.0, 2.0, 4.0, 0.0)
+
+    def test_the_stored_determinant_is_the_formula_bit_for_bit(self):
+        # Computed once at construction; a frame made by dataclasses.replace computes its own.
+        replaced = dataclasses.replace(GOLDEN_FRAMES[2], epsilon=3.0)
+        frames = (*GOLDEN_FRAMES, *frame_family(2026, 200), replaced)
+        for frame in frames:
+            formula = frame.alpha * frame.epsilon - frame.beta * frame.delta
+            assert struct.pack("<d", frame.det) == struct.pack("<d", formula)
+        assert (GOLDEN_FRAMES[2].det, replaced.det) == (3.0, 6.0)
+        assert inverse_affine(forward_affine((0.3, -0.2), replaced), replaced) == pytest.approx((0.3, -0.2), rel=1e-15)
 
     def test_small_but_clear_determinant_is_accepted(self):
         frame = AffineFrame(1.0, 0.0, 0.0, 0.0, 1e-9, 0.0)
