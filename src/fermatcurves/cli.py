@@ -3,10 +3,10 @@
 Subcommands (listed with their help by ``fermat-curves --help``): sample,
 arclength, gap, residual, svg and oracle-diff; each reads only its own flags.
 
-Exit codes: 0 on success, 2 for argument or domain errors (including a
-singular frame), 3 for numeric failures inside the quadrature. Diagnostics
-go to stderr, one line each; payload bytes go to stdout or to --output, and
-identical invocations produce identical bytes.
+Exit codes: 0 on success, 2 for argument, domain (a singular frame) or I/O
+errors (an --output that cannot be written), 3 for numeric failures inside
+the quadrature. Diagnostics go to stderr, one line each; payload bytes go to
+stdout or to --output, and identical invocations produce identical bytes.
 
 All numbers are printed with the shortest decimal representation that parses
 back to the exact same double, so emitted files round-trip bit-for-bit.
@@ -132,13 +132,14 @@ def emit_svg(curves: Sequence[SampledCurve]) -> bytes:
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A minus and a digit start a value, such as the frame -1,0,0,0,1,0, not a flag.
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 _FLAGS = {
@@ -152,8 +153,8 @@ _FLAGS = {
     "--resample": dict(
         choices=("uniform", "arclength"), default="uniform", help="theta spacing: uniform angles or equal arc-length steps"
     ),
-    "--theta-range": dict(default=None, metavar="LO,HI", help="parameter range in radians (default: full turn)"),
-    "--output": dict(default=None, metavar="PATH", help="write payload to PATH instead of stdout"),
+    "--theta-range": dict(default=f"0,{TWO_PI!r}", metavar="LO,HI", help="parameter range in radians (default: full turn)"),
+    "--output": dict(default="-", metavar="PATH", help="write payload to PATH instead of stdout"),
 }
 
 
@@ -179,11 +180,8 @@ def _parse_numbers(text: str, flag: str, count: int, wanted: str) -> list[float]
         raise ValueError(f"{flag} has a non-numeric entry: {text!r}") from None
 
 
-def _parse_range(text: str | None) -> tuple[float, float]:
-    if text is None:
-        return 0.0, TWO_PI
-    lo, hi = _parse_numbers(text, "--theta-range", 2, "two comma-separated radians LO,HI")
-    return lo, hi
+def _parse_range(text: str) -> list[float]:
+    return _parse_numbers(text, "--theta-range", 2, "two comma-separated radians LO,HI")
 
 
 def _sample_curve(ns, n: int, frame: AffineFrame) -> SampledCurve:
@@ -266,8 +264,8 @@ _COMMANDS = {
 }
 
 
-def _write(payload: bytes, path: str | None) -> None:
-    if path in (None, "-"):
+def _write(payload: bytes, path: str) -> None:
+    if path == "-":
         sys.stdout.write(payload.decode("ascii"))
         sys.stdout.flush()
     else:
@@ -276,20 +274,22 @@ def _write(payload: bytes, path: str | None) -> None:
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    """Parse arguments, execute one subcommand, and return the exit code.
+    """Parse arguments, execute one subcommand and return its exit code: 0, 2 or 3.
 
-    May be called any number of times in one process; every call shares one
-    parser, which holds no state between calls.
+    Nothing raises or exits; a failed run writes no --output file, as the
+    payload is complete before the file is opened. Any number of calls in one
+    process share one parser, which holds no state between them.
     """
     try:
         ns = _build_parser().parse_args(argv)
         wanted = "six comma-separated numbers alpha,beta,gamma,delta,epsilon,zeta"
         frame = AffineFrame(*_parse_numbers(ns.frame, "--frame", 6, wanted))
-        payload = _COMMANDS[ns.command][0](ns, frame)
-    except (_UsageError, ValueError, TypeError, QuadratureFailure) as exc:
+        _write(_COMMANDS[ns.command][0](ns, frame), ns.output)
+    except (ValueError, TypeError, OSError, QuadratureFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, QuadratureFailure) else 2
-    _write(payload, ns.output)
+    except SystemExit as exc:  # --help, after argparse has printed it
+        return exc.code
     return 0
 
 

@@ -37,6 +37,7 @@ CAP = sampling._MAX_COUNT
 
 
 def invoke(capsys, *argv):
+    """(exit code, stdout, stderr) of one run(argv); run returns for every argv, --help included."""
     code = cli.run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -307,12 +308,12 @@ FLAG_VALUES = {"--count": "64", "--tol": "1e-3", "--format": "json", "--resample
 
 # Values per flag for the argv fuzz: ones every check accepts, then edge
 # values, which a check refuses or which sit at a limit. Counts stay small,
-# or go past the cap.
+# or go past the cap; --output writes to stdout, or fails to open.
 FUZZ_VALUES = {
     "--n": (("1", "2", "3", "7", "1000", "2147483647"), ("0", "-1", "2147483648", "1000000000000", "1.5", "nan", "")),
     "--frame": (
-        (*GOLDEN_FRAME_TEXTS, "1,1,0,1,1.000000000005,0", "-0,0,0,0,1,0"),
-        ("1,2,0,2,4,0", "nan,0,0,0,1,0", "inf,0,0,0,1,0", "1e400,0,0,0,1,0", "5e-324,0,0,0,5e-324,0",
+        (*GOLDEN_FRAME_TEXTS, "1,1,0,1,1.000000000005,0", "-1,0,0,0,1,0", "-0.8,0.6,0,0.6,0.8,0"),
+        ("1,2,0,2,4,0", "-0,0,0,0,1,0", "nan,0,0,0,1,0", "inf,0,0,0,1,0", "1e400,0,0,0,1,0", "5e-324,0,0,0,5e-324,0",
          "0,0,0,0,0,0", "1,0,0,0,1", "a,0,0,0,1,0"),
     ),
     "--count": (("3", "4", "16", "17", "64"), ("-1", "0", "1", "2", str(CAP + 1), "1000000000000", "x")),
@@ -321,8 +322,9 @@ FUZZ_VALUES = {
     "--resample": (("uniform", "arclength"), ("none",)),
     "--theta-range": (
         ("0,6.283185307179586", "0.1,2.5", "5e-324,1"),
-        ("1,0.5", "0,0", "nan,1", "-1,1", "0,1e400", "0,1,2", "0,7"),
+        ("1,0.5", "0,0", "nan,1", "-1,1", "-0.5,1", "0,1e400", "0,1,2", "0,7"),
     ),
+    "--output": (("-",), (".", os.devnull + "/x")),
 }
 
 
@@ -334,7 +336,7 @@ def fuzz_argv(draw):
 
     command = draw(st.sampled_from(sorted(cli._COMMANDS)))
     argv = [command, "--n", value("--n")]
-    for flag in ("--frame", *cli._COMMANDS[command][2]):
+    for flag in ("--frame", *cli._COMMANDS[command][2], "--output"):
         if draw(st.booleans()):
             argv += [flag, value(flag)]
     if draw(st.integers(0, 9)) == 0:  # now and then a flag the command does not read
@@ -538,6 +540,49 @@ class TestFailureModes:
         assert code == 3
         assert "error target not met" in err
 
+    @pytest.mark.parametrize("target", ["{tmp}", "{tmp}/file/x", os.devnull + "/x"])
+    def test_an_output_that_cannot_be_written_exits_two(self, capsys, tmp_path, target):
+        (tmp_path / "file").write_bytes(b"")
+        code, out, err = invoke(capsys, "sample", "--n", "3", "--count", "4", "--output", target.format(tmp=tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: [Errno ") and err.count("\n") == 1
+
+    def test_a_run_that_fails_before_writing_leaves_no_file(self, capsys, tmp_path):
+        target = tmp_path / "x"
+        code, out, err = invoke(capsys, "sample", "--n", "3", "--frame", "1,2,0,2,4,0", "--output", str(target))
+        assert code == 2
+        assert "singular frame" in err
+        assert not target.exists()
+
+
+class TestArgumentForms:
+    @pytest.mark.parametrize("argv", [(), *((command,) for command in cli._COMMANDS)], ids=lambda argv: " ".join(argv) or "top")
+    def test_help_returns_zero(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv, "--help")
+        assert code == 0
+        assert out.startswith(f"usage: {' '.join(('fermat-curves', *argv))} ")
+        assert err == ""
+
+    def test_output_dash_is_stdout(self, capsys):
+        printed = invoke(capsys, "sample", "--n", "3", "--count", "4")
+        assert invoke(capsys, "sample", "--n", "3", "--count", "4", "--output", "-") == printed
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--frame", "-1,0,0,0,1,0"), ("--frame", "-0.8,0.6,0,0.6,0.8,0"), ("--frame", "-.5,0,0,0,1,0"),
+        ("--theta-range", "-0.5,1"),
+    ])
+    def test_a_value_may_start_with_a_minus_in_either_form(self, capsys, flag, value):
+        apart = invoke(capsys, "arclength", "--n", "3", flag, value)
+        joined = invoke(capsys, "arclength", "--n", "3", f"{flag}={value}")
+        assert apart == joined
+        assert apart[0] == 0 and apart[2] == ""
+
+    @pytest.mark.parametrize("follower", [("--tol", "1e-6"), ("-h",)])
+    def test_a_flag_after_a_flag_is_still_a_flag(self, capsys, follower):
+        code, out, err = invoke(capsys, "arclength", "--n", "3", "--frame", *follower)
+        assert (code, out, err) == (2, "", "error: argument --frame: expected one argument\n")
+
 
 class TestEmittersDirectly:
     def test_emit_svg_rejects_empty_input(self):
@@ -641,16 +686,6 @@ class TestEmittersFormatLikeFmt:
         ])
 
 
-def outcome(capsys, argv):
-    """(exit code, stdout, stderr) of one run(argv), --help included."""
-    try:
-        code = cli.run(list(argv))
-    except SystemExit as exc:
-        code = exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
 # Flags set in one call, then left out of the next; a usage error; help texts.
 REUSE_SEQUENCE = (
     ("sample", "--n", "3", "--count", "4", "--format", "json"),
@@ -675,9 +710,9 @@ class TestParserReuse:
         fresh = []
         for argv in REUSE_SEQUENCE:
             cli._build_parser.cache_clear()
-            fresh.append(outcome(capsys, argv))
+            fresh.append(invoke(capsys, *argv))
         cli._build_parser.cache_clear()
-        shared = [outcome(capsys, argv) for argv in REUSE_SEQUENCE]
+        shared = [invoke(capsys, *argv) for argv in REUSE_SEQUENCE]
         assert shared == fresh
         assert [code for code, _, _ in shared] == [0, 0, 0, 0, 2, 0, 0, 0]
 
