@@ -135,8 +135,8 @@ def emit_svg(curves: Sequence[SampledCurve]) -> bytes:
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # A minus and a digit start a value, such as the frame -1,0,0,0,1,0, not a flag.
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        # A minus then a digit, inf or nan starts a value, such as -1,0,0,0,1,0, not a flag.
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         raise ValueError(message)

@@ -6,12 +6,12 @@ solver recovers one coordinate from the other. Neither touches
 ``radial_factor``, so agreement between the two routes is a real test rather
 than a tautology.
 
-The bisection halves [1, sqrt(2)] down to adjacent doubles but evaluates the
-equation only inside the bracket the equation itself gives the root,
-[2^(-1/(2N))/m, 1/m] with m = max(|cos|, |sin|), widened by a relative
-2^-44: elsewhere the sign of the equation is certain, and
-``bisect_radial_factor`` proves that skipping those evaluations leaves every
-double of the plain bisection as it was.
+The bisection halves [1, sqrt(2)] down to adjacent doubles. The equation is
+linear in log t, so its value at the first midpoint places the root; after
+that, only midpoints within a relative 2^-46 of that place evaluate the
+equation. Elsewhere the sign is certain, and ``bisect_radial_factor`` proves
+that skipping those evaluations leaves every double of the plain bisection
+as it was.
 """
 
 from __future__ import annotations
@@ -26,9 +26,10 @@ from .sampling import SampledCurve, _check_count, _trusted_curve, _uniform_theta
 __all__ = ["bisect_radial_factor", "implicit_solve_x", "oracle_polyline"]
 
 _SQRT2 = math.sqrt(2.0)
-# Relative slack on each side of the equation's own bracket; bisect_radial_factor
-# shows that it outweighs every rounding in the decisions it lets _bisect skip.
-_SLACK = 2.0**-44
+# Half-width, in log t, of the band around the root's place in which _bisect
+# still evaluates the equation; bisect_radial_factor shows that it outweighs
+# every rounding in the decisions it makes outside.
+_BAND = 2.0**-46
 
 
 def bisect_radial_factor(theta: float, n: int) -> float:
@@ -42,33 +43,34 @@ def bisect_radial_factor(theta: float, n: int) -> float:
     midpoint, rounded to one of them. Every pass strictly shrinks a bracket
     of finite doubles, so the loop ends, after about 51 halvings.
 
-    With m = max(|cos|, |sin|) the equation brackets its root more tightly,
-    in [2^(-1/(2N))/m, 1/m]: at t = 1/m the sum is at least 1, and at
-    2^(-1/(2N))/m it is at most 2 * (t*m)^(2N) = 1. That bracket is about
-    ln 2/(2N) wide relative to the root, so it closes in as the curve does
-    on the square. A midpoint outside it, by a relative slack delta = 2^-44,
-    gets its decision without evaluating F, and that decision is the one the
-    evaluated F would give (u = 2^-53; logs of the doubles mid, m and
-    min(|cos|, |sin|) are within an ulp, and |log(mid*m)| <= 0.35):
+    For the doubles c = |cos|, s = |sin| the exact equation
+    G(t) = log((t*c)^(2N) + (t*s)^(2N)) = 2N*log(t) + G(1) is linear in
+    log t with slope 2N: G(t) = 2N*(log(t) - log(r)) at the root r. On all
+    of [1, sqrt(2)] the computed F is within E = 2N*6.6u < 2N*2^-50 of G
+    (u = 2^-53; log, exp and log1p within an ulp):
 
-    - mid >= (1 + delta)/m: then mid*m >= (1 + delta)(1 - u), so
-      log(mid) + log(m) stays above delta - 3u > 0 after rounding, and
-      F = 2N*(log(mid) + log(m)) + log1p(exp(...)) is a positive term plus
-      a nonnegative one, F > 0: mid becomes the upper end.
-    - mid <= 2^(-1/(2N))*(1 - delta)/m: then mid*m is at most
-      2^(-1/(2N))*(1 - delta)(1 + 4u), so the exact F is at most
-      2N*(log(1 - delta) + 4u) < -2N*(2^-44 - 2^-51). The computed F is
-      within 2N*2^-50 of the exact one: rounding the logs, their sums and
-      the product by 2N costs a few u*2N, and log1p(exp(x)) adds its own
-      rounding plus exp(x) times the error in x, which stays as small
-      because exp(x)*2N*|log(min(|cos|, |sin|))| is bounded. So F < 0: mid
-      becomes the lower end.
+    - log(t) and log(max(c, s)) are below 0.35 in size, so each is within
+      2^-54, their sum within 1.25u and its product by 2N within 2N*1.43u.
+    - The small term x, exactly 2N*log(min/max) <= 0, is within
+      2N*u*(4|log(min/max)| + 3.1). log1p(exp(x)) passes that on scaled by
+      at most exp(x), and exp(x)*2N*|log(min/max)| <= 1/e, so with its own
+      rounding and the exp's it is within 2N*4.9u. (On the axes x = -inf
+      and the term is exactly 0.)
+    - The last sum rounds by at most 2N*0.18u.
 
-    Only the midpoints in between, where the decision could go either way,
+    The first midpoint t1 is always evaluated, and its F1 places the root:
+    |log(t1) - F1/(2N) - log(r)| <= E/(2N). From it come
+    above = t1*exp(2^-46 - F1/(2N)) and below = t1*exp(-2^-46 - F1/(2N)).
+    Rounding the quotient, the difference, the exp and the product moves
+    their logs by at most 3.5u, so log(above) >= log(r) + 2^-46 - 2^-50 -
+    3.5u. Any later midpoint mid >= above then has
+    F(mid) >= G(mid) - E >= 2N*(2^-46 - 2*2^-50 - 3.5u) > 0, and becomes
+    the upper end, as evaluating F would make it. Likewise mid <= below has
+    F(mid) < 0 and becomes the lower end. Only the midpoints in between
     evaluate F, so the bracket ends, the midpoints and the result are those
-    of evaluating F at every midpoint. About 25 of the 51 are evaluated, on
-    average over N, and 16 at N = 2^31 - 1. The bracket comes from the
-    equation alone; the closed-form radial factor is never used.
+    of evaluating F at every midpoint, from 8 to 10 evaluations (at every N
+    tested) instead of about 51. Nothing here uses the closed-form radial
+    factor.
     """
     theta = core._check_angle(theta)
     return _bisect(math.cos(theta), math.sin(theta), core._check_exponent(n))
@@ -83,12 +85,10 @@ def _bisect(cos_t: float, sin_t: float, n: int) -> float:
     # finite: the larger of |cos| and |sin| is at least 1/sqrt(2)
     log_big, log_small = max(log_c, log_s), min(log_c, log_s)
     two_n = 2.0 * n
-    m = max(c, s)
-    above = (1.0 + _SLACK) / m
-    below = 0.5 ** (1.0 / two_n) * (1.0 - _SLACK) / m
 
     lo = 1.0
     hi = _SQRT2
+    below, above = 0.0, math.inf  # no band until the first evaluation places the root
     mid = 0.5 * (lo + hi)
     while lo < mid < hi:
         if mid >= above:
@@ -98,7 +98,11 @@ def _bisect(cos_t: float, sin_t: float, n: int) -> float:
         else:
             log_mid = math.log(mid)
             big = two_n * (log_mid + log_big)
-            if big + math.log1p(math.exp(two_n * (log_mid + log_small) - big)) > 0.0:
+            f = big + math.log1p(math.exp(two_n * (log_mid + log_small) - big))
+            if above == math.inf:
+                above = mid * math.exp(_BAND - f / two_n)
+                below = mid * math.exp(-_BAND - f / two_n)
+            if f > 0.0:
                 hi = mid
             else:
                 lo = mid

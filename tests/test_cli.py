@@ -313,8 +313,8 @@ FUZZ_VALUES = {
     "--n": (("1", "2", "3", "7", "1000", "2147483647"), ("0", "-1", "2147483648", "1000000000000", "1.5", "nan", "")),
     "--frame": (
         (*GOLDEN_FRAME_TEXTS, "1,1,0,1,1.000000000005,0", "-1,0,0,0,1,0", "-0.8,0.6,0,0.6,0.8,0"),
-        ("1,2,0,2,4,0", "-0,0,0,0,1,0", "nan,0,0,0,1,0", "inf,0,0,0,1,0", "1e400,0,0,0,1,0", "5e-324,0,0,0,5e-324,0",
-         "0,0,0,0,0,0", "1,0,0,0,1", "a,0,0,0,1,0"),
+        ("1,2,0,2,4,0", "-0,0,0,0,1,0", "nan,0,0,0,1,0", "inf,0,0,0,1,0", "-inf,0,0,0,1,0", "1e400,0,0,0,1,0",
+         "5e-324,0,0,0,5e-324,0", "0,0,0,0,0,0", "1,0,0,0,1", "a,0,0,0,1,0"),
     ),
     "--count": (("3", "4", "16", "17", "64"), ("-1", "0", "1", "2", str(CAP + 1), "1000000000000", "x")),
     "--tol": (("1e-6", "1e-10", "1e-14"), ("1e-16", "0", "-1", "nan", "inf", "1e400", "5e-324")),
@@ -577,6 +577,18 @@ class TestArgumentForms:
         joined = invoke(capsys, "arclength", "--n", "3", f"{flag}={value}")
         assert apart == joined
         assert apart[0] == 0 and apart[2] == ""
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--frame", "-inf,0,0,0,1,0"), ("--frame", "-nan,0,0,0,1,0"), ("--frame", "-Infinity,0,0,0,1,0"),
+        ("--theta-range", "-inf,1"),
+    ])
+    def test_a_refused_value_may_start_with_a_minus_and_a_letter(self, capsys, flag, value):
+        apart = invoke(capsys, "arclength", "--n", "3", flag, value)
+        joined = invoke(capsys, "arclength", "--n", "3", f"{flag}={value}")
+        assert apart == joined
+        code, out, err = apart
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "expected one argument" not in err
 
     @pytest.mark.parametrize("follower", [("--tol", "1e-6"), ("-h",)])
     def test_a_flag_after_a_flag_is_still_a_flag(self, capsys, follower):

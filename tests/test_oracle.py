@@ -8,6 +8,7 @@ factor is deliberately not used here.
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -108,24 +109,42 @@ class TestBisectRadialFactor:
             bisect_radial_factor(0.5, 2.5)
 
 
+def _identity_cases():
+    """About 53,000 (theta, N): 14 exponents, log-spaced over the whole range,
+    on the grids of counts 300, 1000 and 2048 (the power-of-two grids from 256
+    up nest in the 2048 one); 40 on the axes and the diagonals, each with the
+    3 doubles either side (so 5e-324 too); and 5,000 seeded random pairs, N
+    log-uniform."""
+    grid = sorted({TWO_PI * k / count for count in (300, 1000, 2048) for k in range(count)})
+    special = [t for k in range(8) for t in ulps_around(k * math.pi / 4.0, 3)]
+    for exponents, thetas in ((14, grid), (40, special)):
+        for j in range(exponents):
+            n = round(_MAX_N ** (j / (exponents - 1)))
+            for theta in thetas:
+                yield theta, n
+    rng = random.Random(19)
+    for _ in range(5000):
+        yield rng.uniform(0.0, TWO_PI), round(_MAX_N ** rng.random())
+
+
 class TestBisectionSkipsOnlyCertainMidpoints:
-    """The oracle evaluates the equation only inside its own bracket
-    [2^(-1/(2N))/m, 1/m], and still returns plain bisection's double."""
+    """The oracle evaluates the equation at its first midpoint, then only at
+    midpoints within a relative 2^-46 of the root that value places, and
+    still returns plain bisection's double."""
 
     def test_matches_plain_bisection(self):
-        # About 48,000 cases: 14 exponents, log-spaced over the whole range, on
-        # the grids of counts 300, 1000 and 2048 (the power-of-two grids from
-        # 256 up nest in the 2048 one), and 40 on the axes and the diagonals,
-        # each with the 3 doubles either side (so 5e-324 too).
-        grid = sorted({TWO_PI * k / count for count in (300, 1000, 2048) for k in range(count)})
-        special = [t for k in range(8) for t in ulps_around(k * math.pi / 4.0, 3)]
-        for exponents, thetas in ((14, grid), (40, special)):
-            for j in range(exponents):
-                n = round(_MAX_N ** (j / (exponents - 1)))
-                for theta in thetas:
-                    assert bisect_radial_factor(theta, n) == reference_bisect(theta, n)[0], (theta, n)
+        for theta, n in _identity_cases():
+            assert bisect_radial_factor(theta, n) == reference_bisect(theta, n)[0], (theta, n)
 
-    @pytest.mark.parametrize("n, evaluations", [(1, 51), (100, 28), (_MAX_N, 16)])
+    def test_at_most_ten_evaluations_per_case(self, monkeypatch):
+        counting = _CountingMath()
+        monkeypatch.setattr(oracle, "math", counting)
+        for theta, n in _identity_cases():
+            counting.evaluations = 0
+            bisect_radial_factor(theta, n)
+            assert counting.evaluations <= 10, (theta, n)
+
+    @pytest.mark.parametrize("n, evaluations", [(1, 8), (100, 9), (_MAX_N, 9)])
     def test_evaluations_are_pinned(self, monkeypatch, n, evaluations):
         counting = _CountingMath()
         monkeypatch.setattr(oracle, "math", counting)
