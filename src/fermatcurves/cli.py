@@ -31,6 +31,8 @@ from .sampling import (
     SampledCurve,
     _check_count,
     _check_size,
+    _check_thetas,
+    _trusted_curve,
     _uniform_thetas,
     arc_length,
     convergence_gap,
@@ -132,6 +134,11 @@ def emit_svg(curves: Sequence[SampledCurve]) -> bytes:
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
+# sample's formats. Each entry looks its emitter up when called, so a wrapper
+# set on the module attribute (perfbench's tracer) sees the call.
+_EMITTERS = {"csv": lambda c: emit_csv(c), "json": lambda c: emit_json(c), "svg": lambda c: emit_svg([c])}
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -149,7 +156,7 @@ _FLAGS = {
     ),
     "--count": dict(type=int, default=256, help="sample count or grid resolution (default 256)"),
     "--tol": dict(type=float, default=DEFAULT_TOL, help="quadrature error target (default 1e-10)"),
-    "--format": dict(choices=("csv", "json", "svg"), default="csv", help="output format for sample"),
+    "--format": dict(choices=tuple(_EMITTERS), default="csv", help="output format for sample"),
     "--resample": dict(
         choices=("uniform", "arclength"), default="uniform", help="theta spacing: uniform angles or equal arc-length steps"
     ),
@@ -197,12 +204,12 @@ def _sample_curve(ns, n: int, frame: AffineFrame) -> SampledCurve:
         raise ValueError(
             f"--theta-range must satisfy 0 <= LO < HI <= 2*pi for sampling, got {lo!r},{hi!r}"
         )
-    # The public constructor: a grid from user input can tie, and it says so.
     count = _check_count(ns.count)
     n = _check_exponent(n)
     thetas = [lo + ((hi - lo) * k) / (count - 1) for k in range(count)]
     thetas[-1] = min(thetas[-1], hi)
-    return SampledCurve(thetas, [_affine_point(t, n, frame) for t in thetas], False, n, frame)
+    _check_thetas(thetas)  # a grid across a range a few ulps wide ties
+    return _trusted_curve(tuple(thetas), tuple(_affine_point(t, n, frame) for t in thetas), False, n, frame)
 
 
 def _scalar(value: float) -> bytes:
@@ -210,12 +217,7 @@ def _scalar(value: float) -> bytes:
 
 
 def _cmd_sample(ns, frame: AffineFrame) -> bytes:
-    curve = _sample_curve(ns, ns.n, frame)
-    if ns.format == "json":
-        return emit_json(curve)
-    if ns.format == "svg":
-        return emit_svg([curve])
-    return emit_csv(curve)
+    return _EMITTERS[ns.format](_sample_curve(ns, ns.n, frame))
 
 
 def _cmd_arclength(ns, frame: AffineFrame) -> bytes:

@@ -134,7 +134,10 @@ def _check_exponent(n) -> int:
 
 
 def _check_point(p) -> Point2:
-    x, y = p
+    try:
+        x, y = p
+    except (TypeError, ValueError):
+        raise TypeError(f"point must be an (x, y) pair of real numbers, got {type(p).__name__}") from None
     x = _check_real(x, "point coordinate")
     y = _check_real(y, "point coordinate")
     if not (math.isfinite(x) and math.isfinite(y)):

@@ -174,11 +174,7 @@ class SampledCurve:
             )
         if len(self.thetas) < 3:
             raise TooFewSamples(f"need at least 3 samples, got {len(self.thetas)}")
-        if self.thetas[0] < 0.0 or self.thetas[-1] > TWO_PI:
-            raise ValueError("thetas must lie within one period [0, 2*pi]")
-        for a, b in zip(self.thetas, self.thetas[1:]):
-            if not a < b:
-                raise ValueError("thetas must be strictly increasing")
+        _check_thetas(self.thetas)
         bound = _MEMBERSHIP * 2.0 * self.exponent * 2.0**-53 * self.frame._factor
         for t, p in zip(self.thetas, self.points):
             if not abs(core._log_sum(p, self.exponent, self.frame)) <= bound:
@@ -190,6 +186,14 @@ class SampledCurve:
 
     def __len__(self) -> int:
         return len(self.points)
+
+
+def _check_thetas(thetas) -> None:
+    """Raise ValueError unless the real thetas lie within [0, 2*pi] and rise strictly."""
+    if thetas[0] < 0.0 or thetas[-1] > TWO_PI:
+        raise ValueError("thetas must lie within one period [0, 2*pi]")
+    if not all(map(operator.lt, thetas, thetas[1:])):
+        raise ValueError("thetas must be strictly increasing")
 
 
 def _trusted_curve(thetas, points, closed: bool, n: int, frame: AffineFrame) -> SampledCurve:
@@ -271,8 +275,6 @@ def arc_length(
         raise ValueError(
             f"theta span must lie in [0, 2*pi], got {span!r} from ({theta_a!r}, {theta_b!r})"
         )
-    if span == 0.0:
-        return 0.0
     a = core._normalize(theta_a)
     # fsum: the panel widths telescope exactly, so a constant speed of 1.0
     # (the circle) sums to the exact span, and twice pi is exactly TWO_PI.

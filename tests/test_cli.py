@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface and its emitters."""
 
+import hashlib
 import io
 import json
 import math
@@ -41,6 +42,11 @@ def invoke(capsys, *argv):
     code = cli.run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _refuse_checks(curve):
+    """A stand-in for SampledCurve.__post_init__ that fails if the checks run."""
+    raise AssertionError("SampledCurve's checks ran")
 
 
 class TestFloatFormatting:
@@ -412,14 +418,37 @@ class TestFailureModes:
         assert out == ""
         assert f"need at least 3 samples, got {count}" in err
 
-    def test_a_theta_range_whose_grid_ties_is_rejected(self, capsys):
-        # The one grid that comes from user input keeps the public constructor's checks.
+    def test_a_theta_range_whose_grid_ties_is_rejected(self, capsys, monkeypatch):
+        # The one grid that comes from user input is held to the constructor's
+        # theta rule (_check_thetas), though the constructor itself never runs.
+        monkeypatch.setattr(SampledCurve, "__post_init__", _refuse_checks)
         code, out, err = invoke(
             capsys, "sample", "--n", "3", "--theta-range", "1,1.0000000000000002", "--count", "100"
         )
         assert code == 2
         assert out == ""
-        assert "thetas must be strictly increasing" in err
+        assert err == "error: thetas must be strictly increasing\n"
+
+    # sha256 of stdout; the first is the golden digest's --theta-range case.
+    THETA_RANGE_DIGESTS = {
+        ("sample", "--n", "37", "--count", "9", "--theta-range", "0.25,2.5", "--frame", GOLDEN_FRAME_TEXTS[2]):
+            "995cdc03cb2a0a19814c484eeb5255841b9882a738374ddb152b3afa67b519e2",
+        ("sample", "--n", "2147483647", "--count", "33", "--theta-range", f"{math.pi / 4.0!r},2.5", "--format", "json",
+         "--frame", GOLDEN_FRAME_TEXTS[3]):
+            "b1fa5c6c5331a666a999f8ea68be6b4f623ec0c98252c16394ab990a9c224647",
+        ("sample", "--n", "1000", "--count", "100", "--theta-range", "0,1", "--format", "svg", "--frame", "1,0,0,0,1e11,0"):
+            "fcc8fdc6c72bab35027284caf6b7fad87af128564e684bde23432c2d82b510e6",
+        ("svg", "--n", "4", "--count", "17", "--theta-range", "1,5", "--frame", GOLDEN_FRAME_TEXTS[1]):
+            "9bc78cd9bc48c1e40d821022dcba3588252ca276f13aebba30c16710974a8d81",
+    }
+
+    @pytest.mark.parametrize("argv", list(THETA_RANGE_DIGESTS), ids=" ".join)
+    def test_theta_range_arcs_skip_the_public_constructor(self, capsys, monkeypatch, argv):
+        # The arc is built once, directly; its grid alone is checked (_check_thetas).
+        monkeypatch.setattr(SampledCurve, "__post_init__", _refuse_checks)
+        code, out, err = invoke(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == self.THETA_RANGE_DIGESTS[argv]
 
     def test_reversed_theta_range(self, capsys):
         code, out, err = invoke(capsys, "sample", "--n", "2", "--theta-range", "1,0.5")

@@ -637,6 +637,17 @@ class TestInputChecks:
                 SampledCurve((0.0, 1.0, value), points, False, 7, IDENTITY)
 
 
+@pytest.mark.parametrize("call", [name for name in POINT_CALLS if name != "polyline_hausdorff"] + ["SampledCurve"])
+@pytest.mark.parametrize("point", [(1.0, 2.0, 3.0), (1.0,), 5, None], ids=["3-tuple", "1-tuple", "int", "None"])
+def test_a_point_that_is_not_a_pair_is_a_type_error(call, point):
+    # The message names the type only, never the value.
+    calls = {**POINT_CALLS, "SampledCurve": lambda p: SampledCurve((0.0, 1.0, 2.0), (p,) * 3, True, 3, IDENTITY)}
+    message = f"point must be an (x, y) pair of real numbers, got {type(point).__name__}"
+    with pytest.raises(TypeError) as caught:
+        calls[call](point)
+    assert str(caught.value) == message
+
+
 # Entries whose real-number check meets a value too large for a double.
 BEYOND_DOUBLE_CALLS = {
     "radial_factor": lambda v: radial_factor(v, 3),

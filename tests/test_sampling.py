@@ -7,6 +7,7 @@ being pinned here.
 
 import math
 import random
+import struct
 
 import mpmath
 import numpy as np
@@ -84,6 +85,26 @@ class TestSampledCurve:
         pts = tuple(curve_point(t, 1) for t in (0.3, 0.2, 0.4))
         with pytest.raises(ValueError, match="strictly increasing"):
             SampledCurve((0.3, 0.2, 0.4), pts, True, 1, IDENTITY)
+
+    @pytest.mark.parametrize(
+        "thetas, message",
+        [
+            ((-0.1, 0.2, 0.3), "thetas must lie within one period [0, 2*pi]"),
+            ((0.1, 0.2, math.nextafter(TWO_PI, 7.0)), "thetas must lie within one period [0, 2*pi]"),
+            ((0.1, 0.2, 0.2), "thetas must be strictly increasing"),
+            ((math.nan, 0.2, 0.3), "thetas must be strictly increasing"),
+            ((0.1, math.nan, 0.3), "thetas must be strictly increasing"),
+            ((0.1, 0.2, math.nan), "thetas must be strictly increasing"),
+        ],
+        ids=["negative-first", "last-above-2pi", "tie", "nan-first", "nan-middle", "nan-last"],
+    )
+    def test_one_theta_rule_for_the_constructor_and_the_cli_arc(self, thetas, message):
+        pts = tuple(curve_point(t, 1) for t in (0.1, 0.2, 0.3))
+        with pytest.raises(ValueError) as direct:
+            sampling._check_thetas(thetas)
+        with pytest.raises(ValueError) as constructed:
+            SampledCurve(thetas, pts, True, 1, IDENTITY)
+        assert str(direct.value) == str(constructed.value) == message
 
     def test_rejects_points_off_the_curve(self):
         thetas = (0.1, 0.2, 0.3)
@@ -181,6 +202,24 @@ class TestMembershipBound:
 
     def test_near_singular_resampling(self):
         assert len(revalidated(resample_by_arclength(3, NEAR_SINGULAR, count=8))) == 8
+
+    @pytest.mark.parametrize(
+        "frame", GOLDEN_FRAMES + (NEAR_SINGULAR,), ids=GOLDEN_FRAME_IDS + ("near-singular",)
+    )
+    def test_theta_range_arcs_pass_at_every_exponent(self, capsys, frame):
+        # sample --theta-range builds its arc directly, as the builders do; read
+        # back through curve_from_json, the public constructor, it must pass.
+        frame_text = ",".join(repr(c) for c in frame.coefficients())
+        ranges = ((0.25, 2.5), (0.1, math.pi / 4.0), (math.nextafter(math.pi / 4.0, 0.0), 3.0 * math.pi / 4.0 + 1e-12),
+                  (5.0 * math.pi / 4.0 - 1e-6, math.nextafter(7.0 * math.pi / 4.0, 0.0)))
+        for n in LOG_SPACED:
+            for lo, hi in ranges:
+                argv = ["sample", "--n", str(n), "--count", "64", "--frame", frame_text,
+                        "--theta-range", f"{lo!r},{hi!r}", "--format", "json"]
+                assert cli.run(argv) == 0
+                out = capsys.readouterr().out
+                arc = cli._sample_curve(cli._build_parser().parse_args(argv), n, frame)
+                assert cli.curve_from_json(out) == arc
 
 
 class TestSampleUniformTheta:
@@ -407,7 +446,12 @@ class TestArcLength:
         assert arc_length(3) > chord
 
     def test_zero_span(self):
+        # Exactly +0.0 by the general path: one panel of half-width 0.0.
         assert arc_length(5, theta_a=1.3, theta_b=1.3) == 0.0
+        for frame in (*GOLDEN_FRAMES, NEAR_SINGULAR):
+            for n in (1, 7, MAX_EXPONENT):
+                for t in (0.0, math.pi / 4.0, 1.3, TWO_PI, 1e300):
+                    assert struct.pack("<d", arc_length(n, frame, t, t)) == struct.pack("<d", 0.0), (frame, n, t)
 
     def test_rejects_bad_spans(self):
         with pytest.raises(ValueError, match="span"):
