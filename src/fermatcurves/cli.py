@@ -9,7 +9,12 @@ the quadrature. Diagnostics go to stderr, one line each; payload bytes go to
 stdout or to --output, and identical invocations produce identical bytes.
 
 All numbers are printed with the shortest decimal representation that parses
-back to the exact same double, so emitted files round-trip bit-for-bit.
+back to the exact same double, so emitted files round-trip bit-for-bit; a
+-0.0 is printed -0, which curve_from_json reads back as -0.0.
+
+sample and svg check --tol on every request, whether or not they resample.
+A --theta-range arc is built by sampling's one curve builder, on a grid that
+starts at exactly LO and ends at exactly HI.
 """
 
 from __future__ import annotations
@@ -32,7 +37,8 @@ from .sampling import (
     _check_count,
     _check_size,
     _check_thetas,
-    _trusted_curve,
+    _check_tol,
+    _polyline,
     _uniform_thetas,
     arc_length,
     convergence_gap,
@@ -85,7 +91,8 @@ def curve_from_json(data: bytes | str) -> SampledCurve:
     wrong; the values are then checked as SampledCurve and AffineFrame check them.
     """
     try:
-        obj = json.loads(data)
+        # emit_json writes -0.0 as -0, which json reads as the int 0
+        obj = json.loads(data, parse_int=lambda text: -0.0 if text == "-0" else int(text))
     except RecursionError:
         raise ValueError("curve JSON nests arrays or objects too deeply to read") from None
     try:
@@ -192,6 +199,7 @@ def _parse_range(text: str) -> list[float]:
 
 
 def _sample_curve(ns, n: int, frame: AffineFrame) -> SampledCurve:
+    _check_tol(ns.tol)
     lo, hi = _parse_range(ns.theta_range)
     full_turn = lo == 0.0 and hi == TWO_PI
     if ns.resample == "arclength":
@@ -207,9 +215,9 @@ def _sample_curve(ns, n: int, frame: AffineFrame) -> SampledCurve:
     count = _check_count(ns.count)
     n = _check_exponent(n)
     thetas = [lo + ((hi - lo) * k) / (count - 1) for k in range(count)]
-    thetas[-1] = min(thetas[-1], hi)
+    thetas[-1] = hi  # the grid's last step can round to either side of HI
     _check_thetas(thetas)  # a grid across a range a few ulps wide ties
-    return _trusted_curve(tuple(thetas), tuple(_affine_point(t, n, frame) for t in thetas), False, n, frame)
+    return _polyline(tuple(thetas), n, frame, False)
 
 
 def _scalar(value: float) -> bytes:

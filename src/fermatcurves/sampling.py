@@ -191,9 +191,14 @@ class SampledCurve:
 def _check_thetas(thetas) -> None:
     """Raise ValueError unless the real thetas lie within [0, 2*pi] and rise strictly."""
     if thetas[0] < 0.0 or thetas[-1] > TWO_PI:
-        raise ValueError("thetas must lie within one period [0, 2*pi]")
+        i = 0 if thetas[0] < 0.0 else len(thetas) - 1
+        raise ValueError(f"thetas must lie within one period [0, 2*pi], got thetas[{i}] = {thetas[i]!r}")
     if not all(map(operator.lt, thetas, thetas[1:])):
-        raise ValueError("thetas must be strictly increasing")
+        i = next(i for i in range(len(thetas) - 1) if not thetas[i] < thetas[i + 1])
+        raise ValueError(
+            f"thetas must be strictly increasing,"
+            f" got thetas[{i}] = {thetas[i]!r} then thetas[{i + 1}] = {thetas[i + 1]!r}"
+        )
 
 
 def _trusted_curve(thetas, points, closed: bool, n: int, frame: AffineFrame) -> SampledCurve:
@@ -211,13 +216,13 @@ def sample_uniform_theta(
     Every builder takes a count in [3, 2**20]: TooFewSamples below, ValueError above.
     """
     n = core._check_exponent(n)
-    return _polyline(_uniform_thetas(_check_count(count)), n, core._check_frame(frame))
+    return _polyline(_uniform_thetas(_check_count(count)), n, core._check_frame(frame), True)
 
 
-def _polyline(thetas, n: int, frame: AffineFrame) -> SampledCurve:
-    """The closed curve through the points at three or more thetas rising in [0, 2*pi]."""
+def _polyline(thetas, n: int, frame: AffineFrame, closed: bool) -> SampledCurve:
+    """The open or closed curve through the closed-form points at three or more thetas rising in [0, 2*pi]."""
     points = tuple(core._affine_point(t, n, frame) for t in thetas)
-    return _trusted_curve(thetas, points, True, n, frame)
+    return _trusted_curve(thetas, points, closed, n, frame)
 
 
 def _uniform_thetas(count: int) -> tuple[float, ...]:
@@ -423,7 +428,7 @@ def resample_by_arclength(
         if i not in series:
             series[i] = _series(panels[i])
         thetas.append(shift + _newton_in_panel(n, frame, series[i], cum[i] + offset, target))
-    return _polyline(tuple(thetas), n, frame)
+    return _polyline(tuple(thetas), n, frame, True)
 
 
 def _series(panel):

@@ -122,15 +122,17 @@ class TestSampleCommand:
         rebuilt = SampledCurve(tuple(thetas), tuple(points), True, 5, IDENTITY)
         assert cli.emit_csv(rebuilt).decode("ascii") == out
 
-    def test_json_round_trip_is_bit_exact(self, capsys):
+    @pytest.mark.parametrize("n", [1, 3, 2**31 - 1])
+    @pytest.mark.parametrize("frame", ["1.5,0,2,0,1.5,-1", "1,0,0,0,1,0", "1,0,0,0,-1,0", "1,0,-0,0,1,0"])
+    def test_json_round_trip_is_bit_exact(self, capsys, frame, n):
+        # emit_json writes a -0.0 as -0: the reflection's y at theta = 0, and the last frame's gamma.
         code, out, err = invoke(
-            capsys, "sample", "--n", "3", "--count", "16", "--format", "json",
-            "--frame", "1.5,0,2,0,1.5,-1",
+            capsys, "sample", "--n", str(n), "--count", "16", "--format", "json", f"--frame={frame}"
         )
         assert code == 0
         curve = cli.curve_from_json(out)
         assert cli.emit_json(curve).decode("ascii") == out
-        assert curve.exponent == 3
+        assert curve.exponent == n
         assert curve.closed
 
     @pytest.mark.parametrize("n, text", [(3, "3.7"), (1, "true")])
@@ -427,7 +429,22 @@ class TestFailureModes:
         )
         assert code == 2
         assert out == ""
-        assert err == "error: thetas must be strictly increasing\n"
+        assert err == "error: thetas must be strictly increasing, got thetas[0] = 1.0 then thetas[1] = 1.0\n"
+
+    def test_theta_range_arcs_run_from_exactly_lo_to_exactly_hi(self, capsys):
+        # The grid's last step, lo + (hi - lo) * (count - 1) / (count - 1), can round below HI.
+        rng = random.Random(21)
+        cases = [(0.011906288189572916, 1.2893713854549245, 8)]
+        for _ in range(2000):
+            lo, hi = sorted(rng.uniform(0.0, 2.0 * math.pi) for _ in range(2))
+            cases.append((lo, hi, rng.choice((8, 64, 256))))
+        for lo, hi, count in cases:
+            code, out, err = invoke(
+                capsys, "sample", "--n", "3", "--count", str(count), "--theta-range", f"{lo!r},{hi!r}"
+            )
+            rows = out.splitlines()
+            assert (code, err, len(rows)) == (0, "", count + 1)
+            assert (float(rows[1].split(",")[0]), float(rows[-1].split(",")[0])) == (lo, hi)
 
     # sha256 of stdout; the first is the golden digest's --theta-range case.
     THETA_RANGE_DIGESTS = {
@@ -559,6 +576,13 @@ class TestFailureModes:
         assert code == 2
         assert out == ""
         assert "tol must be finite" in err
+
+    @pytest.mark.parametrize("resample", ["uniform", "arclength"])
+    @pytest.mark.parametrize("command", ["sample", "svg"])
+    @pytest.mark.parametrize("tol, shown", [("nan", "nan"), ("0", "0.0"), ("-1", "-1.0"), ("1e-20", "1e-20"), ("inf", "inf")])
+    def test_sample_and_svg_check_the_tolerance_on_every_path(self, capsys, command, resample, tol, shown):
+        code, out, err = invoke(capsys, command, "--n", "2", "--count", "4", "--resample", resample, "--tol", tol)
+        assert (code, out, err) == (2, "", f"error: tol must be finite and at least 1e-14, got {shown}\n")
 
     def test_quadrature_failure_exits_three(self, capsys, monkeypatch):
         def explode(*args, **kwargs):

@@ -345,9 +345,9 @@ class TestAffineFrame:
         assert str(caught.value) == "singular frame: " + message
 
     def test_nonfinite_coefficients_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^frame coefficient alpha must be finite, got nan$"):
             AffineFrame(math.nan, 0.0, 0.0, 0.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^frame coefficient gamma must be finite, got inf$"):
             AffineFrame(1.0, 0.0, math.inf, 0.0, 1.0, 0.0)
 
 

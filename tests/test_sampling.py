@@ -89,12 +89,13 @@ class TestSampledCurve:
     @pytest.mark.parametrize(
         "thetas, message",
         [
-            ((-0.1, 0.2, 0.3), "thetas must lie within one period [0, 2*pi]"),
-            ((0.1, 0.2, math.nextafter(TWO_PI, 7.0)), "thetas must lie within one period [0, 2*pi]"),
-            ((0.1, 0.2, 0.2), "thetas must be strictly increasing"),
-            ((math.nan, 0.2, 0.3), "thetas must be strictly increasing"),
-            ((0.1, math.nan, 0.3), "thetas must be strictly increasing"),
-            ((0.1, 0.2, math.nan), "thetas must be strictly increasing"),
+            ((-0.1, 0.2, 0.3), "thetas must lie within one period [0, 2*pi], got thetas[0] = -0.1"),
+            ((0.1, 0.2, math.nextafter(TWO_PI, 7.0)),
+             f"thetas must lie within one period [0, 2*pi], got thetas[2] = {math.nextafter(TWO_PI, 7.0)!r}"),
+            ((0.1, 0.2, 0.2), "thetas must be strictly increasing, got thetas[1] = 0.2 then thetas[2] = 0.2"),
+            ((math.nan, 0.2, 0.3), "thetas must be strictly increasing, got thetas[0] = nan then thetas[1] = 0.2"),
+            ((0.1, math.nan, 0.3), "thetas must be strictly increasing, got thetas[0] = 0.1 then thetas[1] = nan"),
+            ((0.1, 0.2, math.nan), "thetas must be strictly increasing, got thetas[1] = 0.2 then thetas[2] = nan"),
         ],
         ids=["negative-first", "last-above-2pi", "tie", "nan-first", "nan-middle", "nan-last"],
     )
