@@ -26,24 +26,31 @@ threshold and the shape factor is exp(-0.0) = 1.0. The clamp's upper end
 for N = 1 or a rho above 1.189. Every output double is the one the full
 expressions give.
 
-One private kernel, ``_evaluate``, does this work for every evaluator:
-it takes cos, sin, m, r, log(r) and log1p(r**(2*N)) once per angle and
-returns them with the clamped radial factor. The radial factor, the curve
-points, the slope, the velocity, the speed, the square point and the limit
-factor are thin wrappers over it. The last two read only (cos, sin, m), which
-do not depend on N, at MAX_EXPONENT: there the log1p and exp of r**(2*N) are
-skipped except within about 8.7e-8 rad of a diagonal.
+One private scalar kernel, ``_evaluate``, does this work for every
+one-angle evaluator: it takes cos, sin, m, r, log(r) and log1p(r**(2*N))
+once per angle and returns them with the clamped radial factor. The radial
+factor, the curve points, the slope, the velocity, the square point and the
+limit factor are thin wrappers over it. The last two read only (cos, sin,
+m), which do not depend on N, at MAX_EXPONENT: there the log1p and exp of
+r**(2*N) are skipped except within about 8.7e-8 rad of a diagonal.
+The speed, the arc-length integrand, has one batched body, ``_speeds``: a
+loop over many checked angles with the same radial factor, slope and frame
+inverse inline, its libm functions and per-call constants bound once.
+``curve_speed`` is ``_speeds`` of one angle, and the quadrature calls it
+once per panel for all 15 nodes. Both copies of the radial factor and the
+slope skip the same terms and give the full expressions' doubles.
 Each public function validates its arguments once and calls a private body
-that trusts them, as the package's own loops over checked values do.
+that trusts them, as the package's own loops over checked values do; the
+quadrature's nodes, inside a span already checked, take no check.
 
-The checks are cheap enough to run on every call, at every quadrature node
-too: a value whose type is exactly int (an exponent or a count) or exactly
-float (an angle, a point coordinate, a tolerance, a frame coefficient) is
-accepted by one type comparison. Any other value takes the numbers.Integral
-or numbers.Real test, which admits subclasses and numpy scalars and rejects
-bool, str, bytes and None, so the fast path changes what a check costs, never
-what it accepts; an int or Fraction beyond the double range becomes an
-infinity of its sign and is then treated as one. Every point a caller passes,
+The checks are cheap enough to run on every public call: a value whose
+type is exactly int (an exponent or a count) or exactly float (an angle, a
+point coordinate, a tolerance, a frame coefficient) is accepted by one type
+comparison. Any other value takes the numbers.Integral or numbers.Real
+test, which admits subclasses and numpy scalars and rejects bool, str,
+bytes and None, so the fast path changes what a check costs, never what it
+accepts; an int or Fraction beyond the double range becomes an infinity of
+its sign and is then treated as one. Every point a caller passes,
 to forward_affine and inverse_affine too, takes the same check. A frame
 must be an AffineFrame, else TypeError.
 
@@ -96,6 +103,8 @@ _MAX_FACTOR = 1e12  # frame guard on k; for a unit-scale frame it sits where a 1
 _FRAME_FIELDS = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta")
 # exp(x) rounds to 0.0 for every x below log(2**-1075) = -745.13...
 _EXP_ZERO = -746.0
+# the libm functions _speeds binds to locals, in one unpacking per call
+_LIBM = (math.cos, math.sin, math.fabs, math.hypot, math.log, math.log1p, math.exp)
 
 Point2 = tuple[float, float]
 
@@ -234,7 +243,7 @@ def _normalize(theta: float) -> float:
 
 
 def _evaluate(theta: float, n: int) -> tuple[float, float, float, float, float, float]:
-    """The scalar kernel behind every evaluator, for a checked angle and exponent.
+    """The scalar kernel behind every one-angle evaluator, for a checked angle and exponent.
 
     Returns (rho, cos, sin, m, log(r), log1p(r**(2*N))) with rho the clamped
     radial factor and m, r as in the module docstring; the last three are
@@ -451,10 +460,66 @@ def curve_speed(theta: float, n: int, frame: AffineFrame = IDENTITY) -> float:
     so that form is used there; it avoids the sin^2 + cos^2 rounding noise
     and makes the N = 1 speed exactly 1.0 everywhere.
     """
-    theta = _check_angle(theta)
-    n = _check_exponent(n)
-    frame = _check_frame(frame)
-    if frame.alpha == 1.0 and frame.beta == 0.0 and frame.delta == 0.0 and frame.epsilon == 1.0:
-        rho, c, s, m, log_r, log1p_power = _evaluate(theta, n)
-        return math.hypot(rho, _radial_factor_slope(n, c, s, m, log_r, log1p_power))
-    return math.hypot(*_velocity(theta, n, frame))
+    return _speeds((_check_angle(theta),), _check_exponent(n), _check_frame(frame))[0]
+
+
+def _speeds(thetas, n: int, frame: AffineFrame) -> list[float]:
+    """curve_speed at each of the checked angles thetas, for a checked
+    exponent and frame: the one body of the arc-length integrand.
+
+    One loop with _evaluate's radial factor, _radial_factor_slope's slope
+    and _solve_linear's inverse inline, and their libm functions and
+    per-call constants bound once, so the quadrature pays one Python call
+    per panel instead of several per node. Every double is the one those
+    functions give, sign of zero included.
+    """
+    cos, sin, fabs, hypot, log, log1p, exp = _LIBM
+    neg_inf = -math.inf
+    two_n = 2.0 * n
+    low_n = 2.0 * n - 2.0  # the exponent of r^(2N-2)
+    shape_n = -(1.0 + 0.5 / n)  # the exponent of the shape factor 1 + r^(2N)
+    flat = n == 1  # the slope is identically zero
+    alpha, beta, delta, epsilon, det = frame.alpha, frame.beta, frame.delta, frame.epsilon, frame._det
+    identity = alpha == 1.0 and beta == 0.0 and delta == 0.0 and epsilon == 1.0
+    peak = None  # the clamp's upper end, taken at its first use
+    speeds = []
+    for theta in thetas:
+        c = cos(theta)
+        s = sin(theta)
+        ca = fabs(c)
+        sa = fabs(s)
+        if ca >= sa:
+            m, r = ca, sa / ca
+        else:
+            m, r = sa, ca / sa
+        log_r = log(r) if r > 0.0 else neg_inf
+        log_power = two_n * log_r
+        if log_power < _EXP_ZERO:
+            log1p_power = 0.0
+            rho = 1.0 / m
+        else:
+            log1p_power = log1p(exp(log_power))
+            rho = exp(-log1p_power / two_n) / m
+        if rho < 1.0:
+            rho = 1.0
+        elif flat or rho > 1.189:
+            if peak is None:
+                peak = exp(_LN2 * (n - 1) / two_n)
+            if rho > peak:
+                rho = peak
+        if flat or log_r == neg_inf:
+            slope = 0.0
+        else:
+            log_low = low_n * log_r
+            low_power = exp(log_low) if log_low >= _EXP_ZERO else 0.0
+            shape = exp(shape_n * log1p_power) if log1p_power else 1.0
+            slope = (c * s) / (m * m * m) * (1.0 - low_power) * shape
+            if ca < sa:
+                slope = -slope
+        if identity:
+            speeds.append(hypot(rho, slope))
+        else:
+            u = slope * c - rho * s
+            v = slope * s + rho * c
+            speeds.append(hypot((epsilon * u - beta * v) / det, (alpha * v - delta * u) / det))
+    return speeds

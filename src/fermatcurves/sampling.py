@@ -9,7 +9,10 @@ layer only, from below 16/N: at a distance d beyond 8/N the layer's term,
 about e^(-4Nd), is under e^(-32), below the least tol. Bisection only
 refines what the error estimate still flags. Every affine image of the curve
 is centrally symmetric, so the speed is pi-periodic in theta and a full turn,
-in any frame, is twice the half turn from its start.
+in any frame, is twice the half turn from its start. A panel evaluates the
+speed at its 15 nodes in one call of the batched integrand core._speeds;
+the nodes lie inside a span checked once at the public call, so they take
+no input check.
 
 Resampling by arc length takes the accepted panels of the half turn [0, pi]
 as its cumulative table; a sample past the half length is the one found for
@@ -366,24 +369,27 @@ def _edges(a: float, b: float, n: int) -> list[float]:
 
 def _gauss_kronrod(
     n: int, frame: AffineFrame, x0: float, x1: float
-) -> tuple[float, float, tuple[float, ...]]:
+) -> tuple[float, float, list[float]]:
     """The 15-point Kronrod and 7-point Gauss integrals of the speed over
-    [x0, x1], and the speed at the 15 Kronrod nodes in increasing order."""
+    [x0, x1], and the speed at the 15 Kronrod nodes in increasing order.
+
+    One core._speeds call evaluates all 15 nodes, with no input check: they
+    lie inside a span checked at the public call. The K15 and G7 sums add
+    their terms in the order that makes _WGK sum to exactly 2.0."""
     center = 0.5 * (x0 + x1)
     half = 0.5 * (x1 - x0)
-    f = core.curve_speed(center, n, frame)
+    nodes = [center - half * x for x in _XGK]
+    nodes += [center, *(center + half * x for x in reversed(_XGK))]
+    speeds = core._speeds(nodes, n, frame)
+    f = speeds[7]
     kronrod = _WGK[7] * f
     gauss = _WG[3] * f
-    left, right = [], []
     for j in range(7):
-        dx = half * _XGK[j]
-        left.append(core.curve_speed(center - dx, n, frame))
-        right.append(core.curve_speed(center + dx, n, frame))
-        pair = left[j] + right[j]
+        pair = speeds[j] + speeds[14 - j]
         kronrod += _WGK[j] * pair
         if j % 2:
             gauss += _WG[j // 2] * pair
-    return half * kronrod, half * gauss, (*left, f, *reversed(right))
+    return half * kronrod, half * gauss, speeds
 
 
 def resample_by_arclength(

@@ -513,12 +513,18 @@ def _kernel_cases() -> dict[str, list[tuple[float, int]]]:
 
 
 KERNEL_CASES = _kernel_cases()
+SPEED_FRAMES = (
+    *GOLDEN_FRAMES,
+    AffineFrame(1.0, 1.0, 0.0, 1.0, 1.0 + 5e-12, 0.0),  # condition number 8e11
+    AffineFrame(1.0, 0.0, 0.0, 0.0, 1e11, 0.0),
+)
+SPEED_FRAME_IDS = ("identity", "rotation", "readme", "general", "near-singular", "1e11")
 
 
 class TestKernelSkipsOnlyKnownDoubles:
-    """_evaluate and _radial_factor_slope skip the terms whose doubles are
-    known without computing them; the loops that compute every term give the
-    same doubles, sign of zero included."""
+    """_evaluate, _radial_factor_slope and the batched _speeds skip the terms
+    whose doubles are known without computing them; the loops that compute
+    every term give the same doubles, sign of zero included."""
 
     @pytest.mark.parametrize("kind", KERNEL_CASES)
     def test_the_kernel_matches_the_full_expressions(self, kind):
@@ -528,6 +534,25 @@ class TestKernelSkipsOnlyKnownDoubles:
             assert struct.pack("<6d", *got) == struct.pack("<6d", *expected), (theta, n)
             slope = core._radial_factor_slope(n, *expected[1:])
             assert struct.pack("<d", slope) == struct.pack("<d", reference_slope(n, *expected[1:])), (theta, n)
+
+    @pytest.mark.parametrize("frame", SPEED_FRAMES, ids=SPEED_FRAME_IDS)
+    @pytest.mark.parametrize("kind", KERNEL_CASES)
+    def test_the_batched_speeds_match_the_full_expressions(self, kind, frame):
+        # _speeds holds its own copy of the radial factor, the slope and the
+        # frame's inverse; one batch per exponent, as the quadrature calls it.
+        batches = {}
+        for theta, n in KERNEL_CASES[kind]:
+            batches.setdefault(n, []).append(theta)
+        identity = (frame.alpha, frame.beta, frame.delta, frame.epsilon) == (1.0, 0.0, 0.0, 1.0)
+        for n, thetas in batches.items():
+            for theta, got in zip(thetas, core._speeds(thetas, n, frame), strict=True):
+                rho, c, s, m, log_r, log1p_power = reference_evaluate(theta, n)
+                slope = reference_slope(n, c, s, m, log_r, log1p_power)
+                if identity:
+                    expected = math.hypot(rho, slope)
+                else:
+                    expected = math.hypot(*core._solve_linear(frame, slope * c - rho * s, slope * s + rho * c))
+                assert struct.pack("<d", got) == struct.pack("<d", expected), (theta, n)
 
     def test_the_cases_reach_both_sides_of_every_skip(self):
         log_powers, low_logs, peaks = [], [], []

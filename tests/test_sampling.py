@@ -287,11 +287,8 @@ class TestFrameArguments:
 
 
 def _checks_made(monkeypatch, call) -> dict[str, int]:
-    """Calls of each core input check, and of the membership test's _log_sum,
-    made by call(), leaving out the two checks of every curve_speed call:
-    curve_speed is the public arc-length integrand, called once per
-    quadrature node."""
-    names = ("_check_exponent", "_check_angle", "_check_point", "_log_sum", "curve_speed")
+    """Calls of each core input check, and of the membership test's _log_sum, made by call()."""
+    names = ("_check_exponent", "_check_angle", "_check_point", "_log_sum")
     counts = dict.fromkeys(names, 0)
 
     def counted(name, original):
@@ -305,9 +302,6 @@ def _checks_made(monkeypatch, call) -> dict[str, int]:
         for name in counts:
             patch.setattr(core, name, counted(name, getattr(core, name)))
         call()
-    speed = counts.pop("curve_speed")
-    counts["_check_exponent"] -= speed
-    counts["_check_angle"] -= speed
     return counts
 
 
@@ -316,6 +310,8 @@ VALIDATING_CALLS = {
     "convergence_gap": (lambda count: lambda: convergence_gap(7, resolution=count), (16, 4096)),
     "oracle_polyline": (lambda count: lambda: oracle_polyline(7, count=count), (16, 512)),
     "resample_by_arclength": (lambda count: lambda: resample_by_arclength(3, count=count, tol=1e-6), (8, 16)),
+    # the quadrature's node count grows with N: 240 speed evaluations at N = 3, 480 at 2^31 - 1
+    "arc_length": (lambda n: lambda: arc_length(n), (3, MAX_EXPONENT)),
 }
 
 
@@ -488,11 +484,11 @@ class TestArcLength:
     def test_quadrature_failure_on_a_singular_integrand(self, monkeypatch):
         calls = [0]
 
-        def singular(x, n, frame):
-            calls[0] += 1
-            return 1.0 / x if x > 0.0 else math.inf
+        def singular(thetas, n, frame):
+            calls[0] += len(thetas)
+            return [1.0 / x if x > 0.0 else math.inf for x in thetas]
 
-        monkeypatch.setattr(core, "curve_speed", singular)
+        monkeypatch.setattr(core, "_speeds", singular)
         with pytest.raises(QuadratureFailure) as caught:
             _panels(1, IDENTITY, 0.0, 1.0, 1e-10)
         assert calls[0] <= sampling._EVAL_BUDGET
@@ -548,15 +544,15 @@ def _graded_ladder(a: float, b: float, n: int) -> list[tuple[float, float]]:
 
 
 def _count_speed(monkeypatch) -> list[int]:
-    """Count the calls of core.curve_speed, the arc-length integrand, from now on."""
+    """Count the speed evaluations of core._speeds, the arc-length integrand, from now on."""
     calls = [0]
-    original = core.curve_speed
+    original = core._speeds
 
-    def counted(*args):
-        calls[0] += 1
-        return original(*args)
+    def counted(thetas, n, frame):
+        calls[0] += len(thetas)
+        return original(thetas, n, frame)
 
-    monkeypatch.setattr(core, "curve_speed", counted)
+    monkeypatch.setattr(core, "_speeds", counted)
     return calls
 
 
