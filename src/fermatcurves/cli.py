@@ -198,26 +198,27 @@ def _parse_range(text: str) -> list[float]:
     return _parse_numbers(text, "--theta-range", 2, "two comma-separated radians LO,HI")
 
 
-def _sample_curve(ns, n: int, frame: AffineFrame) -> SampledCurve:
+def _sample_curves(ns, exponents, frame: AffineFrame) -> list[SampledCurve]:
+    """sample's and svg's curves, one per exponent, with the request's flags checked once."""
     _check_tol(ns.tol)
     lo, hi = _parse_range(ns.theta_range)
     full_turn = lo == 0.0 and hi == TWO_PI
     if ns.resample == "arclength":
         if not full_turn:
             raise ValueError("arc-length resampling supports only the full default theta range")
-        return resample_by_arclength(n, frame, ns.count, ns.tol)
+        return [resample_by_arclength(n, frame, ns.count, ns.tol) for n in exponents]
     if full_turn:
-        return sample_uniform_theta(n, frame, ns.count)
+        return [sample_uniform_theta(n, frame, ns.count) for n in exponents]
     if not 0.0 <= lo < hi <= TWO_PI:
         raise ValueError(
             f"--theta-range must satisfy 0 <= LO < HI <= 2*pi for sampling, got {lo!r},{hi!r}"
         )
     count = _check_count(ns.count)
-    n = _check_exponent(n)
-    thetas = [lo + ((hi - lo) * k) / (count - 1) for k in range(count)]
-    thetas[-1] = hi  # the grid's last step can round to either side of HI
+    exponents = [_check_exponent(n) for n in exponents]
+    # the last node is HI itself: the grid's last step can round to either side of it
+    thetas = (*(lo + ((hi - lo) * k) / (count - 1) for k in range(count - 1)), hi)
     _check_thetas(thetas)  # a grid across a range a few ulps wide ties
-    return _polyline(tuple(thetas), n, frame, False)
+    return [_polyline(thetas, n, frame, False) for n in exponents]
 
 
 def _scalar(value: float) -> bytes:
@@ -225,7 +226,7 @@ def _scalar(value: float) -> bytes:
 
 
 def _cmd_sample(ns, frame: AffineFrame) -> bytes:
-    return _EMITTERS[ns.format](_sample_curve(ns, ns.n, frame))
+    return _EMITTERS[ns.format](_sample_curves(ns, (ns.n,), frame)[0])
 
 
 def _cmd_arclength(ns, frame: AffineFrame) -> bytes:
@@ -254,7 +255,7 @@ def _cmd_svg(ns, frame: AffineFrame) -> bytes:
     if ns.n * ns.count > _MAX_COUNT:
         raise ValueError(f"svg draws at most {_MAX_COUNT} vertices in all, N x count; got N={ns.n}, count={ns.count}")
     # innermost first, so later curves draw outward
-    return emit_svg([_sample_curve(ns, k, frame) for k in range(1, ns.n + 1)])
+    return emit_svg(_sample_curves(ns, range(1, ns.n + 1), frame))
 
 
 def _cmd_oracle_diff(ns, frame: AffineFrame) -> bytes:

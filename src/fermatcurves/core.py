@@ -23,22 +23,24 @@ from the diagonals at large N (2*N*log(r) < -746) log1p(r**(2*N)) is 0.0
 and rho is exactly 1.0 / m, and in the slope r**(2*N-2) is 0.0 past the same
 threshold and the shape factor is exp(-0.0) = 1.0. The clamp's upper end
 2**((N-1)/(2*N)) is at least 2**(1/4) for N >= 2, so its exp is taken only
-for N = 1 or a rho above 1.189. Every output double is the one the full
-expressions give.
+for N = 1 or a rho above ``_PEAK_FLOOR``. Every output double is the one the
+full expressions give.
 
 One private scalar kernel, ``_evaluate``, does this work for every
 one-angle evaluator: it takes cos, sin, m, r, log(r) and log1p(r**(2*N))
 once per angle and returns them with the clamped radial factor. The radial
-factor, the curve points, the slope, the velocity, the square point and the
-limit factor are thin wrappers over it. The last two read only (cos, sin,
+factor, the curve points, the square point and the limit factor are thin
+wrappers over it; ``curve_velocity`` computes the slope from its pieces in
+its own body. The square point and the limit factor read only (cos, sin,
 m), which do not depend on N, at MAX_EXPONENT: there the log1p and exp of
 r**(2*N) are skipped except within about 8.7e-8 rad of a diagonal.
 The speed, the arc-length integrand, has one batched body, ``_speeds``: a
 loop over many checked angles with the same radial factor, slope and frame
 inverse inline, its libm functions and per-call constants bound once.
 ``curve_speed`` is ``_speeds`` of one angle, and the quadrature calls it
-once per panel for all 15 nodes. Both copies of the radial factor and the
-slope skip the same terms and give the full expressions' doubles.
+once per panel for all 15 nodes. Both copies, ``_evaluate`` with
+``curve_velocity``'s slope and ``_speeds``, skip the same terms and give the
+full expressions' doubles.
 Each public function validates its arguments once and calls a private body
 that trusts them, as the package's own loops over checked values do; the
 quadrature's nodes, inside a span already checked, take no check.
@@ -103,6 +105,9 @@ _MAX_FACTOR = 1e12  # frame guard on k; for a unit-scale frame it sits where a 1
 _FRAME_FIELDS = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta")
 # exp(x) rounds to 0.0 for every x below log(2**-1075) = -745.13...
 _EXP_ZERO = -746.0
+# For N >= 2 the clamp's upper end 2**((N-1)/(2*N)) is at least 2**(1/4) = 1.18920...,
+# above any rho up to this one: the kernels take its exp only for N = 1 or a rho above it.
+_PEAK_FLOOR = 1.189
 # the libm functions _speeds binds to locals, in one unpacking per call
 _LIBM = (math.cos, math.sin, math.fabs, math.hypot, math.log, math.log1p, math.exp)
 
@@ -247,7 +252,7 @@ def _evaluate(theta: float, n: int) -> tuple[float, float, float, float, float, 
 
     Returns (rho, cos, sin, m, log(r), log1p(r**(2*N))) with rho the clamped
     radial factor and m, r as in the module docstring; the last three are
-    the pieces ``_radial_factor_slope`` reuses. On the axes r is 0 and
+    the pieces ``curve_velocity``'s slope reuses. On the axes r is 0 and
     log(r) is -inf. Where 2*N*log(r) < -746, the axes included, r**(2*N) =
     exp(2*N*log(r)) is exactly 0.0, so log1p of it is 0.0 and rho is
     exp(-0.0) / m = 1.0 / m: those are returned without the calls. The
@@ -273,11 +278,10 @@ def _evaluate(theta: float, n: int) -> tuple[float, float, float, float, float, 
         log1p_power = math.log1p(math.exp(log_power))
         rho = math.exp(-log1p_power / two_n) / m
     # Without the clamp to the exact range [1, 2**((N-1)/(2*N))], rounding
-    # can stick out of it by about one ulp. For N >= 2 the upper end is at
-    # least 2**(1/4) = 1.18920..., above any rho up to 1.189.
+    # can stick out of it by about one ulp.
     if rho < 1.0:
         rho = 1.0
-    elif n == 1 or rho > 1.189:
+    elif n == 1 or rho > _PEAK_FLOOR:
         peak = math.exp(_LN2 * (n - 1) / two_n)
         if rho > peak:
             rho = peak
@@ -414,43 +418,34 @@ def theta_of_point(p: Point2, frame: AffineFrame = IDENTITY) -> float:
     return _normalize(math.atan2(v, u))
 
 
-def _radial_factor_slope(
-    n: int, c: float, s: float, m: float, log_r: float, log1p_power: float
-) -> float:
-    """d(radial_factor)/d(theta) from the pieces ``_evaluate`` returns.
+def curve_velocity(theta: float, n: int, frame: AffineFrame = IDENTITY) -> Point2:
+    """Derivative of affine_curve_point with respect to theta.
 
-    Derivation: with S = cos^(2N) + sin^(2N), rho = S^(-1/(2N)) and
+    The frame's inverse linear part applied to (drho*cos - rho*sin,
+    drho*sin + rho*cos). With S = cos^(2N) + sin^(2N) and rho = S^(-1/(2N)),
 
         drho/dtheta = S^(-1/(2N) - 1) * cos(theta) * sin(theta)
                       * (cos^(2N-2) - sin^(2N-2)),
 
     which factors through m and r into bounded terms; the shape factor
-    S'^(-1 - 1/(2N)) with S' = 1 + r^(2N) reuses log1p(r^(2N)). Exactly
-    zero on the axes and on the diagonals, and identically zero for N = 1.
-
-    Two exps are skipped where their doubles are known: r^(2N-2) is
+    S'^(-1 - 1/(2N)) with S' = 1 + r^(2N) reuses log1p(r^(2N)). drho is
+    exactly zero on the axes and on the diagonals, and identically zero for
+    N = 1. Two exps are skipped where their doubles are known: r^(2N-2) is
     exactly 0.0 when its log is below -746, and the shape factor is
     exp(+-0.0) = 1.0 exactly when log1p(r^(2N)) is 0.0.
     """
-    if n == 1 or log_r == -math.inf:
-        return 0.0
-    log_low = (2.0 * n - 2.0) * log_r
-    low_power = math.exp(log_low) if log_low >= _EXP_ZERO else 0.0  # r^(2N-2)
-    shape = math.exp(-(1.0 + 0.5 / n) * log1p_power) if log1p_power else 1.0
-    slope = (c * s) / (m * m * m) * (1.0 - low_power) * shape
-    return slope if math.fabs(c) >= math.fabs(s) else -slope
-
-
-def _velocity(theta: float, n: int, frame: AffineFrame) -> Point2:
-    """curve_velocity for an already-checked angle and exponent."""
+    theta, n, frame = _check_angle(theta), _check_exponent(n), _check_frame(frame)
     rho, c, s, m, log_r, log1p_power = _evaluate(theta, n)
-    drho = _radial_factor_slope(n, c, s, m, log_r, log1p_power)
+    if n == 1 or log_r == -math.inf:
+        drho = 0.0
+    else:
+        log_low = (2.0 * n - 2.0) * log_r
+        low_power = math.exp(log_low) if log_low >= _EXP_ZERO else 0.0  # r^(2N-2)
+        shape = math.exp(-(1.0 + 0.5 / n) * log1p_power) if log1p_power else 1.0
+        drho = (c * s) / (m * m * m) * (1.0 - low_power) * shape
+        if math.fabs(c) < math.fabs(s):
+            drho = -drho
     return _solve_linear(frame, drho * c - rho * s, drho * s + rho * c)
-
-
-def curve_velocity(theta: float, n: int, frame: AffineFrame = IDENTITY) -> Point2:
-    """Derivative of affine_curve_point with respect to theta."""
-    return _velocity(_check_angle(theta), _check_exponent(n), _check_frame(frame))
 
 
 def curve_speed(theta: float, n: int, frame: AffineFrame = IDENTITY) -> float:
@@ -467,8 +462,8 @@ def _speeds(thetas, n: int, frame: AffineFrame) -> list[float]:
     """curve_speed at each of the checked angles thetas, for a checked
     exponent and frame: the one body of the arc-length integrand.
 
-    One loop with _evaluate's radial factor, _radial_factor_slope's slope
-    and _solve_linear's inverse inline, and their libm functions and
+    One loop with _evaluate's radial factor, curve_velocity's slope and
+    _solve_linear's inverse inline, and their libm functions and
     per-call constants bound once, so the quadrature pays one Python call
     per panel instead of several per node. Every double is the one those
     functions give, sign of zero included.
@@ -502,7 +497,7 @@ def _speeds(thetas, n: int, frame: AffineFrame) -> list[float]:
             rho = exp(-log1p_power / two_n) / m
         if rho < 1.0:
             rho = 1.0
-        elif flat or rho > 1.189:
+        elif flat or rho > _PEAK_FLOOR:
             if peak is None:
                 peak = exp(_LN2 * (n - 1) / two_n)
             if rho > peak:

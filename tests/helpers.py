@@ -120,7 +120,8 @@ _LN2 = math.log(2.0)
 
 
 def reference_evaluate(theta: float, n: int) -> tuple[float, float, float, float, float, float]:
-    """core._evaluate with every term computed: log1p and both exps at every
+    """(rho, cos, sin, m, log(r), log1p(r**(2*N))) as the core kernels
+    compute them, with every term computed: log1p and both exps at every
     angle off the axes, and the clamp's upper end at every call."""
     c = math.cos(theta)
     s = math.sin(theta)
@@ -148,7 +149,8 @@ def reference_evaluate(theta: float, n: int) -> tuple[float, float, float, float
 
 
 def reference_slope(n: int, c: float, s: float, m: float, log_r: float, log1p_power: float) -> float:
-    """core._radial_factor_slope with both exps computed at every angle off the axes."""
+    """curve_velocity's slope drho/dtheta from reference_evaluate's pieces,
+    with both exps computed at every angle off the axes."""
     if n == 1 or log_r == -math.inf:
         return 0.0
     low_power = math.exp((2.0 * n - 2.0) * log_r)

@@ -292,7 +292,7 @@ class TestSvgCommand:
 
     def test_n_past_the_cap_exits_two_without_drawing(self, capsys, monkeypatch):
         drawn = []
-        monkeypatch.setattr(cli, "_sample_curve", lambda *args: drawn.append(args))
+        monkeypatch.setattr(cli, "_sample_curves", lambda *args: drawn.append(args))
         n = cli.SVG_MAX_CURVES + 1
         code, out, err = invoke(capsys, "svg", "--n", str(n), "--count", "3")
         assert code == 2
@@ -300,6 +300,14 @@ class TestSvgCommand:
         assert drawn == []
         assert f"at most {cli.SVG_MAX_CURVES} curves" in err
         assert f"N={n}" in err
+
+    def test_an_arc_grid_is_built_and_checked_once_for_all_exponents(self, capsys, monkeypatch):
+        checked, check = [], cli._check_thetas
+        monkeypatch.setattr(cli, "_check_thetas", lambda thetas: check(thetas) or checked.append(thetas))
+        code, out, err = invoke(capsys, "svg", "--n", "8", "--count", "64", "--theta-range", "0.25,2.5")
+        assert code == 0
+        assert out.count("<path ") == 8
+        assert len(checked) == 1
 
 
 # The flags each subcommand does not read; every other pairing of the six

@@ -477,6 +477,15 @@ class TestVelocityAndSpeed:
             for k in range(32):
                 assert curve_speed(TWO_PI * k / 32.0, n) > 0.0
 
+    def test_velocity_checks_the_angle_then_the_exponent_then_the_frame(self):
+        with pytest.raises(InvalidAngle):
+            curve_velocity(math.nan, 0, None)
+        with pytest.raises(ValueError, match=re.escape(f"exponent must be in [1, {MAX_EXPONENT}], got 0")):
+            curve_velocity(0.3, 0, None)
+        with pytest.raises(TypeError) as caught:
+            curve_velocity(0.3, 3, None)
+        assert str(caught.value) == "frame must be an AffineFrame, got NoneType"
+
 
 def _log_uniform_exponent(rng: random.Random, low: float = 1.0) -> int:
     return min(MAX_EXPONENT, max(1, round(math.exp(rng.uniform(math.log(low), math.log(MAX_EXPONENT))))))
@@ -522,18 +531,23 @@ SPEED_FRAME_IDS = ("identity", "rotation", "readme", "general", "near-singular",
 
 
 class TestKernelSkipsOnlyKnownDoubles:
-    """_evaluate, _radial_factor_slope and the batched _speeds skip the terms
-    whose doubles are known without computing them; the loops that compute
-    every term give the same doubles, sign of zero included."""
+    """The scalar kernel, curve_velocity's slope and the batched _speeds skip
+    the terms whose doubles are known without computing them; the loops that
+    compute every term give the same doubles, sign of zero included."""
 
     @pytest.mark.parametrize("kind", KERNEL_CASES)
     def test_the_kernel_matches_the_full_expressions(self, kind):
+        # Each skip shows in a public double: those of r^(2N) and the clamp's in
+        # the radial factor and the points, the slope's in the velocity.
         for theta, n in KERNEL_CASES[kind]:
-            expected = reference_evaluate(theta, n)
-            got = core._evaluate(theta, n)
-            assert struct.pack("<6d", *got) == struct.pack("<6d", *expected), (theta, n)
-            slope = core._radial_factor_slope(n, *expected[1:])
-            assert struct.pack("<d", slope) == struct.pack("<d", reference_slope(n, *expected[1:])), (theta, n)
+            rho, c, s, m, log_r, log1p_power = reference_evaluate(theta, n)
+            slope = reference_slope(n, c, s, m, log_r, log1p_power)
+            got = [radial_factor(theta, n), *curve_point(theta, n)]
+            expected = [rho, rho * c, rho * s]
+            for frame in SPEED_FRAMES:
+                got.extend(curve_velocity(theta, n, frame))
+                expected.extend(core._solve_linear(frame, slope * c - rho * s, slope * s + rho * c))
+            assert struct.pack(f"<{len(got)}d", *got) == struct.pack(f"<{len(expected)}d", *expected), (theta, n)
 
     @pytest.mark.parametrize("frame", SPEED_FRAMES, ids=SPEED_FRAME_IDS)
     @pytest.mark.parametrize("kind", KERNEL_CASES)

@@ -219,7 +219,7 @@ class TestMembershipBound:
                         "--theta-range", f"{lo!r},{hi!r}", "--format", "json"]
                 assert cli.run(argv) == 0
                 out = capsys.readouterr().out
-                arc = cli._sample_curve(cli._build_parser().parse_args(argv), n, frame)
+                arc, = cli._sample_curves(cli._build_parser().parse_args(argv), (n,), frame)
                 assert cli.curve_from_json(out) == arc
 
 
