@@ -6,12 +6,12 @@ solver recovers one coordinate from the other. Neither touches
 ``radial_factor``, so agreement between the two routes is a real test rather
 than a tautology.
 
-The bisection halves [1, sqrt(2)] down to adjacent doubles. The equation is
-linear in log t, so its value at the first midpoint places the root; after
-that, only midpoints within a relative 2^-46 of that place evaluate the
-equation. Elsewhere the sign is certain, and ``bisect_radial_factor`` proves
-that skipping those evaluations leaves every double of the plain bisection
-as it was.
+The bisection halves [1, 3/2] down to adjacent doubles. The equation is
+linear in log t, so its value at the first midpoint places the root; the
+search then starts at the first node whose midpoint lies within a relative
+2^-48 of that place, and only such midpoints evaluate the equation.
+Elsewhere the sign is certain, and ``bisect_radial_factor`` proves that
+the result is the plain bisection's double.
 """
 
 from __future__ import annotations
@@ -25,52 +25,81 @@ from .sampling import SampledCurve, _check_count, _trusted_curve, _uniform_theta
 
 __all__ = ["bisect_radial_factor", "implicit_solve_x", "oracle_polyline"]
 
-_SQRT2 = math.sqrt(2.0)
 # Half-width, in log t, of the band around the root's place in which _bisect
 # still evaluates the equation; bisect_radial_factor shows that it outweighs
 # every rounding in the decisions it makes outside.
-_BAND = 2.0**-46
+_BAND = 2.0**-48
+# The bracket [1, 3/2] in steps of 2^-52: every midpoint is 1 + k/_STEPS for
+# an integer k in (0, 2^51), and the node centred on k has half-width k & -k.
+_STEPS = 2.0**52
+_LOG_T1 = math.log(1.25)
 
 
 def bisect_radial_factor(theta: float, n: int) -> float:
     """Solve (t*cos(theta))^(2N) + (t*sin(theta))^(2N) = 1 for t by bisection.
 
     The left side grows with t and is evaluated in the log domain, as
-    F(t) = log of the sum. The root lies in [1, sqrt(2)]: at t = 1 the sum
-    is at most cos^2 + sin^2 = 1, and at t = sqrt(2) it is at least 2.
-    Bisection runs until the midpoint of the bracket no longer lies strictly
-    between its ends, which are then adjacent doubles, and returns that
-    midpoint, rounded to one of them. Every pass strictly shrinks a bracket
-    of finite doubles, so the loop ends, after about 51 halvings.
+    F(t) = log of the sum. The root lies in [1, sqrt(2)], so in the bracket
+    [1, 3/2]: at t = 1 the sum is at most cos^2 + sin^2 = 1, and at
+    t = sqrt(2) it is at least 2. Bisection runs until the midpoint of the
+    bracket no longer lies strictly between its ends, which are then
+    adjacent doubles, and returns that midpoint, rounded to one of them. The
+    bracket is dyadic, so every midpoint 0.5 * (lo + hi) is exact:
+    1 + k*2^-52 for an integer k in (0, 2^51), and the node centred on k has
+    half-width (k & -k)*2^-52. Plain bisection takes 51 halvings.
 
     For the doubles c = |cos|, s = |sin| the exact equation
     G(t) = log((t*c)^(2N) + (t*s)^(2N)) = 2N*log(t) + G(1) is linear in
     log t with slope 2N: G(t) = 2N*(log(t) - log(r)) at the root r. On all
-    of [1, sqrt(2)] the computed F is within E = 2N*6.6u < 2N*2^-50 of G
-    (u = 2^-53; log, exp and log1p within an ulp):
+    of [1, 3/2] the computed F is within E = 2N*8.1u of G (u = 2^-53; log,
+    exp and log1p within an ulp):
 
-    - log(t) and log(max(c, s)) are below 0.35 in size, so each is within
-      2^-54, their sum within 1.25u and its product by 2N within 2N*1.43u.
+    - log(t) is below 0.41 (log 1.5 = 0.405) and log(max(c, s)) below 0.35
+      in size, so each is within 2^-54, their sum (below 0.41 in size)
+      within 1.25u and its product by 2N within 2N*1.66u.
     - The small term x, exactly 2N*log(min/max) <= 0, is within
-      2N*u*(4|log(min/max)| + 3.1). log1p(exp(x)) passes that on scaled by
+      2N*u*(5|log(min/max)| + 3.7). log1p(exp(x)) passes that on scaled by
       at most exp(x), and exp(x)*2N*|log(min/max)| <= 1/e, so with its own
-      rounding and the exp's it is within 2N*4.9u. (On the axes x = -inf
+      rounding and the exp's it is within 2N*6.2u. (On the axes x = -inf
       and the term is exactly 0.)
-    - The last sum rounds by at most 2N*0.18u.
+    - The last sum rounds by at most 2N*0.23u where |F| <= 2N*0.23, as at
+      t = 1.25. Elsewhere only the sign of F is used, which rounding a sum
+      cannot change.
 
-    The first midpoint t1 is always evaluated, and its F1 places the root:
-    |log(t1) - F1/(2N) - log(r)| <= E/(2N). From it come
-    above = t1*exp(2^-46 - F1/(2N)) and below = t1*exp(-2^-46 - F1/(2N)).
+    The first midpoint t1 = 1.25 is always evaluated, and its F1 places the
+    root: |log(t1) - F1/(2N) - log(r)| <= E/(2N). From it come
+    above = t1*exp(2^-48 - F1/(2N)) and below = t1*exp(-2^-48 - F1/(2N)).
     Rounding the quotient, the difference, the exp and the product moves
-    their logs by at most 3.5u, so log(above) >= log(r) + 2^-46 - 2^-50 -
-    3.5u. Any later midpoint mid >= above then has
-    F(mid) >= G(mid) - E >= 2N*(2^-46 - 2*2^-50 - 3.5u) > 0, and becomes
-    the upper end, as evaluating F would make it. Likewise mid <= below has
-    F(mid) < 0 and becomes the lower end. Only the midpoints in between
-    evaluate F, so the bracket ends, the midpoints and the result are those
-    of evaluating F at every midpoint, from 8 to 10 evaluations (at every N
-    tested) instead of about 51. Nothing here uses the closed-form radial
-    factor.
+    their logs by at most 3.5u, so log(above) >= log(r) + 2^-48 - 8.1u -
+    3.5u. Any midpoint mid >= above then has F(mid) >= G(mid) - E >=
+    2N*(2^-48 - 2*8.1u - 3.5u) = 2N*12.3u > 0, and becomes the upper end,
+    as evaluating F would make it. Likewise mid <= below has F(mid) < 0 and
+    becomes the lower end. (2^-48 is the narrowest power of two with a
+    positive margin: at 2^-49 it is 16u - 19.7u.)
+
+    So the search need not step through the midpoints outside the band.
+    below - 1 and above - 1 are exact (Sterbenz: both lie in [1/2, 2]), and
+    so is their scaling by 2^52. first and last are the least and greatest
+    k strictly inside the band, first raised to 1 where below < 1. The band
+    reaches at least 20u, ten steps, above r >= 1, and above < 1.42, so
+    0 < first <= last < 2^51. Let m be the one k among them with the most
+    trailing zeros (two with as many would have one with more between
+    them). Every ancestor of m's node is centred on a k with more trailing
+    zeros, so outside the band, and decides as an evaluation would: plain
+    bisection passes through m's node. The loop starts there and evaluates
+    F at every midpoint inside the band, so the bracket ends, the midpoints
+    and the result are those of evaluating F at every midpoint of [1, 3/2]:
+    from 5 to 8 evaluations, the first included, at every N tested. (If the
+    band holds 1.25, m's node is [1, 3/2] and 1.25 is evaluated twice.)
+    Nothing here uses the closed-form radial factor.
+
+    The result also equals plain bisection of [1, sqrt(2)], by evidence
+    rather than proof. Both end at adjacent doubles across which the
+    computed F turns positive, and those are the same whenever F changes
+    sign once near the root. That held in every case checked: the same
+    double on 52,922 cases of the test grid and 188,800 seeded (theta, N),
+    many of them at small N and near the axes and the diagonals; and in
+    60,000 of those, F changed sign once within 24 ulps of the result.
     """
     theta = core._check_angle(theta)
     return _bisect(math.cos(theta), math.sin(theta), core._check_exponent(n))
@@ -86,9 +115,18 @@ def _bisect(cos_t: float, sin_t: float, n: int) -> float:
     log_big, log_small = max(log_c, log_s), min(log_c, log_s)
     two_n = 2.0 * n
 
-    lo = 1.0
-    hi = _SQRT2
-    below, above = 0.0, math.inf  # no band until the first evaluation places the root
+    # F at the first midpoint, 1.25, places the band
+    big = two_n * (_LOG_T1 + log_big)
+    f = big + math.log1p(math.exp(two_n * (_LOG_T1 + log_small) - big))
+    above = 1.25 * math.exp(_BAND - f / two_n)
+    below = 1.25 * math.exp(-_BAND - f / two_n)
+    # the node centred on the integer with the most trailing zeros in the band
+    first = max(1, math.floor((below - 1.0) * _STEPS) + 1)
+    last = math.ceil((above - 1.0) * _STEPS) - 1
+    m = _most_trailing_zeros(first, last)
+    w = m & -m
+    lo = 1.0 + (m - w) / _STEPS
+    hi = 1.0 + (m + w) / _STEPS
     mid = 0.5 * (lo + hi)
     while lo < mid < hi:
         if mid >= above:
@@ -98,16 +136,19 @@ def _bisect(cos_t: float, sin_t: float, n: int) -> float:
         else:
             log_mid = math.log(mid)
             big = two_n * (log_mid + log_big)
-            f = big + math.log1p(math.exp(two_n * (log_mid + log_small) - big))
-            if above == math.inf:
-                above = mid * math.exp(_BAND - f / two_n)
-                below = mid * math.exp(-_BAND - f / two_n)
-            if f > 0.0:
+            if big + math.log1p(math.exp(two_n * (log_mid + log_small) - big)) > 0.0:
                 hi = mid
             else:
                 lo = mid
         mid = 0.5 * (lo + hi)
     return mid
+
+
+def _most_trailing_zeros(first: int, last: int) -> int:
+    """The integer in [first, last], 0 < first <= last, with the most trailing
+    zeros: last with every bit below the highest bit in which first - 1 and
+    last differ cleared."""
+    return last & -(1 << ((first - 1) ^ last).bit_length() - 1)
 
 
 def implicit_solve_x(y: float, n: int) -> float:

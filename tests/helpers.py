@@ -87,13 +87,15 @@ def ulps_around(x: float, count: int) -> list[float]:
     return out
 
 
-def reference_bisect(theta: float, n: int) -> tuple[float, int]:
+def reference_bisect(theta: float, n: int, hi: float = math.sqrt(2.0)) -> tuple[float, int]:
     """The radial factor by plain bisection, and how many times it evaluated
     the equation.
 
-    Halves [1, sqrt(2)] until the ends are adjacent doubles, evaluating
-    F(t) = log((t*cos)^(2N) + (t*sin)^(2N)) at every midpoint: the loop that
-    bisect_radial_factor must reproduce double for double.
+    Halves [1, hi] until the ends are adjacent doubles, evaluating
+    F(t) = log((t*cos)^(2N) + (t*sin)^(2N)) at every midpoint. With hi = 3/2
+    this is the loop that bisect_radial_factor proves it reproduces double for
+    double; with the default sqrt(2), the tighter bracket it is checked
+    against.
     """
     c = math.fabs(math.cos(theta))
     s = math.fabs(math.sin(theta))
@@ -101,7 +103,7 @@ def reference_bisect(theta: float, n: int) -> tuple[float, int]:
     log_s = math.log(s) if s > 0.0 else -math.inf
     log_big, log_small = max(log_c, log_s), min(log_c, log_s)
     two_n = 2.0 * n
-    lo, hi = 1.0, math.sqrt(2.0)
+    lo = 1.0
     mid = 0.5 * (lo + hi)
     evaluations = 0
     while lo < mid < hi:

@@ -129,22 +129,36 @@ def _identity_cases():
 
 class TestBisectionSkipsOnlyCertainMidpoints:
     """The oracle evaluates the equation at its first midpoint, then only at
-    midpoints within a relative 2^-46 of the root that value places, and
+    midpoints within a relative 2^-48 of the root that value places, and
     still returns plain bisection's double."""
 
     def test_matches_plain_bisection(self):
         for theta, n in _identity_cases():
             assert bisect_radial_factor(theta, n) == reference_bisect(theta, n)[0], (theta, n)
 
-    def test_at_most_ten_evaluations_per_case(self, monkeypatch):
+    def test_matches_plain_bisection_of_its_own_bracket(self):
+        # the proven claim: the same double as halving [1, 3/2] throughout
+        for theta, n in _identity_cases():
+            assert bisect_radial_factor(theta, n) == reference_bisect(theta, n, 1.5)[0], (theta, n)
+
+    def test_at_most_eight_evaluations_per_case(self, monkeypatch):
         counting = _CountingMath()
         monkeypatch.setattr(oracle, "math", counting)
         for theta, n in _identity_cases():
             counting.evaluations = 0
             bisect_radial_factor(theta, n)
-            assert counting.evaluations <= 10, (theta, n)
+            assert counting.evaluations <= 8, (theta, n)
 
-    @pytest.mark.parametrize("n, evaluations", [(1, 8), (100, 9), (_MAX_N, 9)])
+    def test_starts_at_the_band_integer_with_the_most_trailing_zeros(self):
+        # the band's integers, in steps of 2^-52 above 1, are 1 to 2^51 - 1
+        rng = random.Random(24)
+        ranges = [(first, last) for first in range(1, 300) for last in range(first, first + 70)]
+        ranges += [(first, first + rng.randrange(70)) for first in rng.sample(range(1, 2**51 - 70), 2000)]
+        for first, last in ranges:
+            want = max(range(first, last + 1), key=lambda k: (k & -k).bit_length())
+            assert oracle._most_trailing_zeros(first, last) == want, (first, last)
+
+    @pytest.mark.parametrize("n, evaluations", [(1, 5), (100, 8), (_MAX_N, 8)])
     def test_evaluations_are_pinned(self, monkeypatch, n, evaluations):
         counting = _CountingMath()
         monkeypatch.setattr(oracle, "math", counting)
