@@ -26,7 +26,7 @@ import re
 import sys
 from collections.abc import Sequence
 
-from .core import TWO_PI, AffineFrame, _affine_point, _check_exponent, _residual
+from .core import TWO_PI, AffineFrame, _check_exponent, _residual
 from .errors import QuadratureFailure
 from .oracle import oracle_polyline
 from .sampling import (
@@ -243,8 +243,7 @@ def _cmd_residual(ns, frame: AffineFrame) -> bytes:
     count = _check_size(ns.count, "--count", 1)
     n = _check_exponent(ns.n)
     worst = 0.0
-    for theta in _uniform_thetas(count):
-        point = _affine_point(theta, n, frame)
+    for point in _polyline(_uniform_thetas(count), n, frame, True).points:
         worst = max(worst, abs(_residual(point, n, frame)))
     return _scalar(worst)
 

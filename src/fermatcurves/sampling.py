@@ -223,7 +223,7 @@ def sample_uniform_theta(
 
 
 def _polyline(thetas, n: int, frame: AffineFrame, closed: bool) -> SampledCurve:
-    """The open or closed curve through the closed-form points at three or more thetas rising in [0, 2*pi]."""
+    """The open or closed curve through the closed-form points at trusted thetas rising in [0, 2*pi]."""
     points = tuple(core._affine_point(t, n, frame) for t in thetas)
     return _trusted_curve(thetas, points, closed, n, frame)
 

@@ -95,6 +95,12 @@ def test_core_doubles_match_the_golden_digest(name):
     assert _digest(_core_values(name)) == CORE_DIGESTS[name]
 
 
+# Each entry is an argv and the SHA-256 of its stdout. The last five are the
+# extreme requests that once ran only as CI shell steps: the top exponent
+# through oracle-diff, the arc length and arc-length resampling; the largest
+# Hausdorff scan (N = 1, 4096 vertices each side); and the skew frame's
+# arc length, checked against mpmath by
+# test_a_large_exponent_in_a_skew_frame_against_mpmath.
 CLI_DIGESTS = {
     ("sample", "--n", "1", "--count", "64", "--frame", FRAME_TEXTS[1]):
         "a2f88825ffa35e2750a138b8de192a660f276481cdef09fb467db0e13b18e340",
@@ -123,6 +129,20 @@ CLI_DIGESTS = {
         "827a461365eb5c815c8b636fd872cc29fcbaa45fe983dda4b2fe2986d7017bf7",
     ("oracle-diff", "--n", "37", "--count", "64", "--frame", FRAME_TEXTS[3]):
         "31115d0707cd3a0e8bc0fec9d1dc311d7b0a79809644daef90f6990eae9a2d70",
+    # 3.3308497693360055e-16
+    ("oracle-diff", "--n", "2147483647", "--count", "256"):
+        "ac0fab9bc460af614f51ce1e64b46443585e1917d0fba163b145a8a40f71d692",
+    # 0
+    ("oracle-diff", "--n", "1", "--count", "4096"):
+        "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",
+    # 7.999999998969392
+    ("arclength", "--n", "2147483647", "--tol", "1e-14"):
+        "b670b44bc3a345eff7e436a2d39a9bb1a4821fcb672ac5e3d5cdb6fd3a1a4160",
+    # 9.025641088623626
+    ("arclength", "--n", "199965042", "--frame", FRAME_TEXTS[3], "--tol", "1e-12"):
+        "b310c7ec75ab023d874be870b1f3c1b50d7cc0602da9e4dcad7a4988ceaef759",
+    ("sample", "--n", "2147483647", "--count", "32", "--resample", "arclength"):
+        "bf91336f05943bd9a6b91b3c251d381ae700a4d3775e77c7a754ca8502d99848",
 }
 
 
