@@ -22,11 +22,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import re
 import sys
 from collections.abc import Sequence
 
-from .core import TWO_PI, AffineFrame, _check_exponent, _residual
+from .core import TWO_PI, AffineFrame, _check_exponent, _log_sums
 from .errors import QuadratureFailure
 from .oracle import oracle_polyline
 from .sampling import (
@@ -243,8 +244,11 @@ def _cmd_residual(ns, frame: AffineFrame) -> bytes:
     count = _check_size(ns.count, "--count", 1)
     n = _check_exponent(ns.n)
     worst = 0.0
-    for point in _polyline(_uniform_thetas(count), n, frame, True).points:
-        worst = max(worst, abs(_residual(point, n, frame)))
+    for log_sum in _log_sums(_polyline(_uniform_thetas(count), n, frame, True).points, n, frame):
+        try:
+            worst = max(worst, abs(math.expm1(log_sum)))
+        except OverflowError:  # the sum overflows the double range: residual_log's +inf
+            worst = math.inf
     return _scalar(worst)
 
 

@@ -38,9 +38,13 @@ The speed, the arc-length integrand, has one batched body, ``_speeds``: a
 loop over many checked angles with the same radial factor, slope and frame
 inverse inline, its libm functions and per-call constants bound once.
 ``curve_speed`` is ``_speeds`` of one angle, and the quadrature calls it
-once per panel for all 15 nodes. Both copies, ``_evaluate`` with
-``curve_velocity``'s slope and ``_speeds``, skip the same terms and give the
-full expressions' doubles.
+once per panel for all 15 nodes. Curve points in bulk have the same kind of
+body, ``_points``, which every closed-form curve calls once;
+``affine_curve_point`` stays on ``_evaluate``, as a batch of one costs more
+per call. Every copy, ``_evaluate`` with ``curve_velocity``'s slope,
+``_speeds`` and ``_points``, skips the same terms and gives the full
+expressions' doubles. Likewise ``_log_sums`` is the batched ``_log_sum``
+behind ``residual_log``, for the membership test and the residual command.
 Each public function validates its arguments once and calls a private body
 that trusts them, as the package's own loops over checked values do; the
 quadrature's nodes, inside a span already checked, take no check.
@@ -363,13 +367,53 @@ def affine_curve_point(theta: float, n: int, frame: AffineFrame = IDENTITY) -> P
 
     With the identity frame this reduces bit-for-bit to ``curve_point``.
     """
-    return _affine_point(_check_angle(theta), _check_exponent(n), _check_frame(frame))
-
-
-def _affine_point(theta: float, n: int, frame: AffineFrame) -> Point2:
-    """affine_curve_point for an already-checked angle and exponent."""
+    theta, n, frame = _check_angle(theta), _check_exponent(n), _check_frame(frame)
     rho, c, s = _evaluate(theta, n)[:3]
     return _solve_linear(frame, rho * c - frame.gamma, rho * s - frame.zeta)
+
+
+def _points(thetas, n: int, frame: AffineFrame) -> tuple[Point2, ...]:
+    """affine_curve_point at each of the checked angles thetas, for a checked
+    exponent and frame: the one body of every closed-form curve.
+
+    One loop with _evaluate's radial factor (the same skips and the same
+    lazy clamp) and _solve_linear's inverse inline, and their libm functions
+    and the frame's coefficients bound once, so a curve pays one Python call
+    instead of three per vertex. Every double is the one affine_curve_point
+    gives, sign of zero included.
+    """
+    cos, sin, fabs, _, log, log1p, exp = _LIBM
+    two_n = 2.0 * n
+    flat = n == 1
+    alpha, beta, gamma, delta, epsilon, zeta = frame.coefficients()
+    det = frame._det
+    peak = None  # the clamp's upper end, taken at its first use
+    points = []
+    for theta in thetas:
+        c = cos(theta)
+        s = sin(theta)
+        ca = fabs(c)
+        sa = fabs(s)
+        if ca >= sa:
+            m, r = ca, sa / ca
+        else:
+            m, r = sa, ca / sa
+        log_power = two_n * log(r) if r > 0.0 else -math.inf
+        if log_power < _EXP_ZERO:
+            rho = 1.0 / m
+        else:
+            rho = exp(-log1p(exp(log_power)) / two_n) / m
+        if rho < 1.0:
+            rho = 1.0
+        elif flat or rho > _PEAK_FLOOR:
+            if peak is None:
+                peak = exp(_LN2 * (n - 1) / two_n)
+            if rho > peak:
+                rho = peak
+        u = rho * c - gamma
+        v = rho * s - zeta
+        points.append(((epsilon * u - beta * v) / det, (alpha * v - delta * u) / det))
+    return tuple(points)
 
 
 def residual_log(p: Point2, n: int, frame: AffineFrame = IDENTITY) -> float:
@@ -405,6 +449,28 @@ def _log_sum(p: Point2, n: int, frame: AffineFrame) -> float:
     b = two_n * math.log(av) if av != 0.0 else -math.inf
     hi, lo = (a, b) if a >= b else (b, a)
     return hi + math.log1p(math.exp(lo - hi))
+
+
+def _log_sums(points, n: int, frame: AffineFrame) -> list[float]:
+    """_log_sum at each of the checked points, for a checked exponent and
+    frame: one loop with _forward inline and its libm functions and the
+    frame's coefficients bound once. Every double is the one _log_sum gives."""
+    fabs, log, log1p, exp = math.fabs, math.log, math.log1p, math.exp
+    neg_inf = -math.inf
+    two_n = 2.0 * n
+    alpha, beta, gamma, delta, epsilon, zeta = frame.coefficients()
+    sums = []
+    for x, y in points:
+        au = fabs(alpha * x + beta * y + gamma)
+        av = fabs(delta * x + epsilon * y + zeta)
+        if au == 0.0 and av == 0.0:
+            sums.append(neg_inf)
+            continue
+        a = two_n * log(au) if au != 0.0 else neg_inf
+        b = two_n * log(av) if av != 0.0 else neg_inf
+        hi, lo = (a, b) if a >= b else (b, a)
+        sums.append(hi + log1p(exp(lo - hi)))
+    return sums
 
 
 def theta_of_point(p: Point2, frame: AffineFrame = IDENTITY) -> float:

@@ -12,7 +12,12 @@ is centrally symmetric, so the speed is pi-periodic in theta and a full turn,
 in any frame, is twice the half turn from its start. A panel evaluates the
 speed at its 15 nodes in one call of the batched integrand core._speeds;
 the nodes lie inside a span checked once at the public call, so they take
-no input check.
+no input check. In the same way every closed-form curve takes its points
+from one core._points call, and SampledCurve checks membership through one
+core._log_sums call.
+
+The gap to the limit square has a closed form, at a diagonal in every frame
+(convergence_gap), so it reads no grid.
 
 Resampling by arc length takes the accepted panels of the half turn [0, pi]
 as its cumulative table; a sample past the half length is the one found for
@@ -179,8 +184,9 @@ class SampledCurve:
             raise TooFewSamples(f"need at least 3 samples, got {len(self.thetas)}")
         _check_thetas(self.thetas)
         bound = _MEMBERSHIP * 2.0 * self.exponent * 2.0**-53 * self.frame._factor
-        for t, p in zip(self.thetas, self.points):
-            if not abs(core._log_sum(p, self.exponent, self.frame)) <= bound:
+        log_sums = core._log_sums(self.points, self.exponent, self.frame)
+        for t, p, log_sum in zip(self.thetas, self.points, log_sums):
+            if not abs(log_sum) <= bound:
                 raise OffCurve(
                     f"point {p!r} at theta={t!r} is off the curve:"
                     f" residual {core._residual(p, self.exponent, self.frame):.3e},"
@@ -224,8 +230,7 @@ def sample_uniform_theta(
 
 def _polyline(thetas, n: int, frame: AffineFrame, closed: bool) -> SampledCurve:
     """The open or closed curve through the closed-form points at trusted thetas rising in [0, 2*pi]."""
-    points = tuple(core._affine_point(t, n, frame) for t in thetas)
-    return _trusted_curve(thetas, points, closed, n, frame)
+    return _trusted_curve(thetas, core._points(thetas, n, frame), closed, n, frame)
 
 
 def _uniform_thetas(count: int) -> tuple[float, ...]:
@@ -505,23 +510,29 @@ def _legendre_integral(c, x0: float, x1: float, theta: float) -> tuple[float, fl
 def convergence_gap(
     n: int, frame: AffineFrame = IDENTITY, resolution: int = 4096
 ) -> float:
-    """Largest distance between the degree-2N curve and its limit shape.
+    """Largest distance between the degree-2N curve and its limit shape,
+    over every angle: sup |affine_curve_point - limit_map(square_point)|.
 
-    Measured over a uniform theta grid between affine_curve_point and the
-    limit-mapped square point of the same angle. For the identity frame this
-    is the largest radial gap to the square. The resolution must lie in
+    At each theta the two points lie on one ray of the mapped coordinates,
+    so with M the frame's inverse linear part, m and r as in core and
+    q = (cos, sin) / m on the square's boundary, the distance is
+    (1 - rho*m) * |M q|. The first factor, 1 - (1 + r**(2N))**(-1/(2N)),
+    depends only on r and is largest at r = 1, the four corners, where it
+    is 1 - 2**(-1/(2N)). |M q| is convex along each edge of the square,
+    so it too is largest at a corner. Both peak at a diagonal, so the gap is
+    -expm1(-ln 2 / (2N)) * max(|M(1, 1)|, |M(1, -1)|), in every frame and
+    at every N; it does not depend on the translation. For the identity
+    frame it is the largest radial gap to the square.
+
+    resolution, the size of the theta grid this was once measured on, no
+    longer changes the value; it is still checked, and must lie in
     [16, 2**20], else ValueError.
     """
     n = core._check_exponent(n)
     frame = core._check_frame(frame)
-    resolution = _check_size(core._check_integer(resolution, "resolution"), "resolution", _MIN_RESOLUTION)
-    worst = 0.0
-    for t in _uniform_thetas(resolution):
-        rho, c, s, m = core._evaluate(t, n)[:4]
-        px, py = core._solve_linear(frame, rho * c - frame.gamma, rho * s - frame.zeta)
-        qx, qy = core._solve_linear(frame, c / m - frame.gamma, s / m - frame.zeta)
-        worst = max(worst, math.hypot(px - qx, py - qy))
-    return worst
+    _check_size(core._check_integer(resolution, "resolution"), "resolution", _MIN_RESOLUTION)
+    corners = (core._solve_linear(frame, 1.0, 1.0), core._solve_linear(frame, 1.0, -1.0))
+    return -math.expm1(-core._LN2 / (2.0 * n)) * max(math.hypot(*corner) for corner in corners)
 
 
 def polyline_hausdorff(a, b) -> float:

@@ -31,6 +31,7 @@ from fermatcurves import (
     SingularFrame,
     affine_curve_point,
     arc_length,
+    cli,
     bisect_radial_factor,
     curve_point,
     curve_speed,
@@ -44,6 +45,7 @@ from fermatcurves import (
     radial_factor,
     radial_factor_limit,
     residual_log,
+    sample_uniform_theta,
     square_point,
     theta_of_point,
 )
@@ -581,6 +583,100 @@ class TestKernelSkipsOnlyKnownDoubles:
             assert sum(v < -746.0 for v in values) > 500 and sum(v >= -746.0 for v in values) > 500
         assert {(n, above) for n, above, _ in peaks} >= {(1, False), (2, False), (2, True), (3, True)}
         assert all(any(at_peak for k, _, at_peak in peaks if k == n) for n in (1, 2, 3))
+
+
+POINT_FRAMES = (
+    *SPEED_FRAMES,
+    AffineFrame(1.0, 0.0, -0.0, 0.0, 1.0, 0.0),
+    AffineFrame(1.0, 0.0, 0.0, 0.0, -1.0, 0.0),
+)
+POINT_FRAME_IDS = (*SPEED_FRAME_IDS, "-0 shift", "reflection")
+NAN_IMAGE = AffineFrame(1e10, 1e10, 0.0, 2.0, 1.0, 1.0)  # (1e300, -2e300) maps to (nan, ...)
+
+
+def _packed(values) -> bytes:
+    values = list(values)
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+class TestBatchedLoopsMatchTheScalarOnes:
+    """core._points, the body of every closed-form curve, and core._log_sums,
+    the body of the membership test and the residual command, give the
+    scalar functions' doubles, sign of zero included."""
+
+    @pytest.mark.parametrize("frame", POINT_FRAMES, ids=POINT_FRAME_IDS)
+    @pytest.mark.parametrize("kind", KERNEL_CASES)
+    def test_the_batched_points_match_affine_curve_point(self, kind, frame):
+        batches = {}
+        for theta, n in KERNEL_CASES[kind]:
+            batches.setdefault(n, []).append(theta)
+        for n, thetas in batches.items():
+            got = [c for p in core._points(thetas, n, frame) for c in p]
+            expected = [c for theta in thetas for c in affine_curve_point(theta, n, frame)]
+            assert _packed(got) == _packed(expected), n
+
+    @pytest.mark.parametrize("frame", POINT_FRAMES, ids=POINT_FRAME_IDS)
+    def test_uniform_turns_match_affine_curve_point(self, frame):
+        for n in EXPONENT_GRID:
+            curve = sample_uniform_theta(n, frame, 512)
+            expected = [c for theta in curve.thetas for c in affine_curve_point(theta, n, frame)]
+            assert _packed(c for p in curve.points for c in p) == _packed(expected), n
+
+    def test_the_cases_reach_signed_zeros(self):
+        # theta = 0 puts a zero coordinate into every frame's points, of either sign
+        zeros = {
+            math.copysign(1.0, c)
+            for frame in POINT_FRAMES
+            for p in core._points([0.0, math.pi / 2.0, math.pi], 3, frame)
+            for c in p
+            if c == 0.0
+        }
+        assert zeros == {1.0, -1.0}
+
+    @pytest.mark.parametrize("frame", POINT_FRAMES + (NAN_IMAGE,), ids=POINT_FRAME_IDS + ("nan image",))
+    def test_the_batched_log_sums_match_log_sum(self, frame):
+        thetas = [theta for theta, _ in KERNEL_CASES["axes and diagonals"]][::7]
+        for n in EXPONENT_GRID:
+            points = list(core._points(thetas, n, frame))
+            points += [(0.5 * x, 0.5 * y) for x, y in points[::5]] + [(2.0 * x, 2.0 * y) for x, y in points[::5]]
+            points += [(0.0, 0.0), (-0.0, 0.0), (1e300, -2e300), inverse_affine((0.0, 0.0), frame)]
+            expected = [core._log_sum(p, n, frame) for p in points]
+            assert _packed(core._log_sums(points, n, frame)) == _packed(expected), n
+
+    def test_the_log_sums_reach_the_origin_a_nan_image_and_an_overflow(self):
+        assert core._log_sums([(0.0, 0.0)], 3, IDENTITY) == [-math.inf]
+        assert math.isnan(core._log_sums([(1e300, -2e300)], 3, NAN_IMAGE)[0])
+        assert residual_log((2.0, 2.0), 1000) == math.inf
+        assert core._log_sums([(2.0, 2.0)], 1000, IDENTITY)[0] > 709.8  # expm1 overflows
+
+    @pytest.mark.parametrize(
+        "extra, frame",
+        [((0.0, 0.0), IDENTITY), ((1e300, -2e300), NAN_IMAGE), ((2.0, 2.0), IDENTITY)],
+        ids=["origin", "nan image", "overflow"],
+    )
+    @pytest.mark.parametrize("at", [0, 37, 64])
+    def test_the_residual_line_is_the_largest_scalar_residual(self, monkeypatch, capsys, extra, frame, at):
+        # The residual command folds max(worst, |expm1|) over the batched log
+        # sums; a vertex put into its grid shows it reads each special value
+        # as residual_log does: -1 at the origin, NaN skipped, +inf on overflow.
+        points = core._points
+
+        def with_extra(thetas, n, frame):
+            grid = points(thetas, n, frame)
+            return (*grid[:at], extra, *grid[at:])
+
+        monkeypatch.setattr(core, "_points", with_extra)
+        frame_text = ",".join(repr(c) for c in frame.coefficients())
+        assert cli.run(["residual", "--n", "1000", "--count", "64", "--frame", frame_text]) == 0
+        grid = with_extra(cli._uniform_thetas(64), 1000, frame)
+        worst = 0.0
+        for p in grid:
+            worst = max(worst, abs(residual_log(p, 1000, frame)))
+        assert capsys.readouterr().out == cli.fmt(worst) + "\n"
+        if extra == (1e300, -2e300):
+            assert 0.0 < worst < 1.0  # the NaN is skipped, as max skips it
+        else:
+            assert worst == {(0.0, 0.0): 1.0, (2.0, 2.0): math.inf}[extra]
 
 
 class _Three(IntEnum):

@@ -121,8 +121,10 @@ CLI_DIGESTS = {
     # k = 1, 2, 3, one ulp above (see test_resampled_eighths_against_mpmath).
     ("svg", "--n", "2", "--count", "8", "--resample", "arclength", "--frame", FRAME_TEXTS[1]):
         "34a3b6670793561d739898890bf7f9fc119dfa4b325902a548c7612dcf5ca898",
+    # 2.2823413457859207e-10, the closed form; mpmath gives 2.28234134578592036e-10,
+    # 1 ulp away. The 4096-point grid printed 2.2823413511787894e-10, 2.4e-9 relative off.
     ("gap", "--n", "2147483647"):
-        "af4e9dd214c67262ea66a3dd02884f7c9cde56c8e56cb96a3a44da6efd6666d3",
+        "83fcaff91a1658efb3468e17716eb87852a95c3b2a6339f03d09bd146c511870",
     ("residual", "--n", "1000000", "--frame", FRAME_TEXTS[2]):
         "625e8aac4ac54478fafac5f3f7ea6f1e013d82606459454c503f934cbd4042f3",
     ("arclength", "--n", "50", "--frame", FRAME_TEXTS[2]):

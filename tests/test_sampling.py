@@ -6,6 +6,7 @@ being pinned here.
 """
 
 import math
+import os
 import random
 import struct
 
@@ -39,17 +40,19 @@ from fermatcurves import (
     resample_by_arclength,
     sample_uniform_theta,
     sampling,
+    square_point,
 )
 from fermatcurves.sampling import _LEGENDRE, _XGK, _edges, _newton_in_panel, _panels
 from helpers import corner_arc_length, corner_deficit
+from test_core import SPEED_FRAME_IDS, SPEED_FRAMES
 from test_golden import FRAME_TEXTS as GOLDEN_FRAME_IDS
 from test_golden import FRAMES as GOLDEN_FRAMES
 
 QUARTER = math.pi / 2.0
 NEAR_SINGULAR = AffineFrame(1.0, 1.0, 0.0, 1.0, 1.0 + 5e-12, 0.0)  # condition number 8e11
-# convergence_gap's relative error on the identity frame, in units of 2N * u:
-# worst 2.15 measured over every N up to 20,000 and 20,000 seeded N up to 2^31 - 1.
-GAP_ERROR = 3.0
+# convergence_gap's relative error against mpmath's closed form, in units of
+# u = 2**-53: worst 3.0 measured on LOG_SPACED + [2], in the frame of condition number 8e11.
+GAP_ERROR = 4.0
 LOG_SPACED = sorted({min(MAX_EXPONENT, round(MAX_EXPONENT ** (i / 20))) for i in range(21)})
 
 
@@ -132,11 +135,13 @@ class TestSampledCurve:
         thetas = (0.1, 0.2, 0.3)
         pts = [affine_curve_point(t, 7, frame) for t in thetas]
         pts[1] = (pts[1][0] + 1e-6, pts[1][1])
+        pts[2] = (pts[2][0] + 1e-3, pts[2][1])
         with pytest.raises(OffCurve) as caught:
             SampledCurve(thetas, pts, False, 7, frame)
         message = str(caught.value)
         for part in (repr(pts[1]), "theta=0.2 ", "off the curve: residual ", "bound |log1p(residual)| <= 3.105e-13,", "N=7 ", repr(frame)):
             assert part in message
+        assert repr(pts[2]) not in message  # the first point off the curve is the one named
 
     @pytest.mark.parametrize("scale", [1.0 - 1e-12, 1.0 + 1e-12])
     @pytest.mark.parametrize("frame", GOLDEN_FRAMES, ids=GOLDEN_FRAME_IDS)
@@ -287,8 +292,8 @@ class TestFrameArguments:
 
 
 def _checks_made(monkeypatch, call) -> dict[str, int]:
-    """Calls of each core input check, and of the membership test's _log_sum, made by call()."""
-    names = ("_check_exponent", "_check_angle", "_check_point", "_log_sum")
+    """Calls of each core input check, and of the membership test's _log_sums, made by call()."""
+    names = ("_check_exponent", "_check_angle", "_check_point", "_log_sums")
     counts = dict.fromkeys(names, 0)
 
     def counted(name, original):
@@ -321,7 +326,7 @@ def test_validation_does_not_scale_with_the_vertex_count(monkeypatch, name):
     checks = [_checks_made(monkeypatch, make(count)) for count in (small, large)]
     assert checks[0] == checks[1]
     assert all(0 <= calls <= 2 for calls in checks[0].values()), checks[0]
-    assert checks[0]["_log_sum"] == 0  # the builders' own vertices skip the membership test
+    assert checks[0]["_log_sums"] == 0  # the builders' own vertices skip the membership test
 
 
 BUILDERS = {
@@ -334,26 +339,65 @@ BUILDERS = {
 @pytest.mark.parametrize("name", BUILDERS)
 def test_a_curve_from_outside_is_checked_once_per_value(monkeypatch, name):
     curve = BUILDERS[name]()
-    counts = {"theta": 0, "_check_point": 0, "_log_sum": 0}
-    check_real, check_point, log_sum = core._check_real, core._check_point, core._log_sum
+    counts = {"theta": 0, "_check_point": 0, "membership": 0}
+    check_real, check_point, log_sums = core._check_real, core._check_point, core._log_sums
+    batches = []
 
     def counted_real(value, what):
         if what == "theta":
             counts["theta"] += 1
         return check_real(value, what)
 
-    def counted(name, original):
-        def wrapper(*args):
-            counts[name] += 1
-            return original(*args)
+    def counted_point(p):
+        counts["_check_point"] += 1
+        return check_point(p)
 
-        return wrapper
+    def counted_log_sums(points, n, frame):
+        batches.append(len(points))
+        counts["membership"] += len(points)
+        return log_sums(points, n, frame)
 
     monkeypatch.setattr(core, "_check_real", counted_real)
-    monkeypatch.setattr(core, "_check_point", counted("_check_point", check_point))
-    monkeypatch.setattr(core, "_log_sum", counted("_log_sum", log_sum))
+    monkeypatch.setattr(core, "_check_point", counted_point)
+    monkeypatch.setattr(core, "_log_sums", counted_log_sums)
     revalidated(curve)
     assert counts == dict.fromkeys(counts, len(curve))
+    assert batches == [len(curve)]  # one batched membership loop
+
+
+def _run_ok(*argv: str) -> None:
+    assert cli.run([*argv, "--output", os.devnull]) == 0
+
+
+CURVE_CALLS = {  # a call and the curves it builds
+    "sample_uniform_theta": (lambda: sample_uniform_theta(7, GOLDEN_FRAMES[3], 64), 1),
+    "resample_by_arclength": (lambda: resample_by_arclength(7, GOLDEN_FRAMES[3], 64), 1),
+    "theta-range arc": (lambda: _run_ok("sample", "--n", "7", "--theta-range", "0.5,2"), 1),
+    "residual": (lambda: _run_ok("residual", "--n", "7", "--count", "100"), 1),
+    "svg family": (lambda: _run_ok("svg", "--n", "5", "--count", "32"), 5),
+    "oracle-diff": (lambda: _run_ok("oracle-diff", "--n", "7", "--count", "64"), 1),
+    "convergence_gap": (lambda: convergence_gap(7, GOLDEN_FRAMES[3], 4095), 0),
+}
+
+
+@pytest.mark.parametrize("name", CURVE_CALLS)
+def test_one_batched_point_loop_per_curve(monkeypatch, name):
+    call, curves = CURVE_CALLS[name]
+    calls = {"_points": 0, "_evaluate": 0}
+    points, evaluate = core._points, core._evaluate
+
+    def counted_points(thetas, n, frame):
+        calls["_points"] += 1
+        return points(thetas, n, frame)
+
+    def counted_evaluate(theta, n):
+        calls["_evaluate"] += 1
+        return evaluate(theta, n)
+
+    monkeypatch.setattr(core, "_points", counted_points)
+    monkeypatch.setattr(core, "_evaluate", counted_evaluate)
+    call()
+    assert calls == {"_points": curves, "_evaluate": 0}
 
 
 class TestArcLength:
@@ -805,17 +849,49 @@ class TestConvergenceGap:
         for a, b in zip(gaps, gaps[1:]):
             assert b <= a + 1e-15
 
-    @pytest.mark.parametrize("resolution", [16, 1024, 4096])
-    def test_error_is_a_few_2n_u_against_mpmath(self, resolution):
-        # The grid holds the diagonal, where the gap is sqrt(2) * -expm1(-ln 2 / (2N)).
-        # Rounding cos and sin there moves r**(2N) by about 2N ulps.
+    @pytest.mark.parametrize("frame", SPEED_FRAMES, ids=SPEED_FRAME_IDS)
+    def test_error_is_a_few_u_against_mpmath(self, frame):
+        # -expm1(-ln 2 / (2N)) * max(|M(1, 1)|, |M(1, -1)|), M the inverse linear part
         worst = 0.0
         with mpmath.workdps(40):
+            a, b, _, d, e, _ = (mpmath.mpf(c) for c in frame.coefficients())
+            corner = max(mpmath.hypot(e * u - b * v, a * v - d * u) for u, v in ((1, 1), (1, -1))) / abs(a * e - b * d)
             for n in LOG_SPACED + [2]:
-                exact = mpmath.sqrt(2) * -mpmath.expm1(-mpmath.log(2) / (2 * n))
-                error = abs(convergence_gap(n, resolution=resolution) - exact) / exact
-                worst = max(worst, float(error) / (2 * n * 2.0**-53))
+                exact = -mpmath.expm1(-mpmath.log(2) / (2 * n)) * corner
+                error = abs(convergence_gap(n, frame) - exact) / exact
+                worst = max(worst, float(error) / 2.0**-53)
         assert worst <= GAP_ERROR
+
+    @pytest.mark.parametrize("frame", GOLDEN_FRAMES, ids=GOLDEN_FRAME_IDS)
+    def test_no_dense_grid_exceeds_the_closed_form(self, frame):
+        # The distance from affine_curve_point to limit_map(square_point) on a 2^16
+        # grid, which holds the diagonals, reaches the closed form within the
+        # rounding of the two points' difference: the most it exceeded it by was 1.3 u * scale.
+        thetas = [TWO_PI * k / 2**16 for k in range(2**16)]
+        squares = [inverse_affine(square_point(t), frame) for t in thetas]
+        scale = max(abs(x) + abs(y) for x, y in squares)
+        for n in (1, 3, 100, 10**6):
+            gap = convergence_gap(n, frame)
+            grid = max(
+                math.hypot(px - qx, py - qy)
+                for (px, py), (qx, qy) in zip(sample_uniform_theta(n, frame, 2**16).points, squares)
+            )
+            assert grid <= gap + 4.0 * 2.0**-53 * scale, n
+            assert grid == pytest.approx(gap, rel=1e-6), n
+
+    @pytest.mark.parametrize("frame", [IDENTITY, GOLDEN_FRAMES[3]], ids=["identity", GOLDEN_FRAME_IDS[3]])
+    @pytest.mark.parametrize("count", [17, 1001, 4095])
+    @pytest.mark.parametrize("n", [100, 10**6])
+    def test_a_grid_that_misses_the_diagonals_reads_the_closed_form(self, capsys, n, count, frame):
+        # Measured on such a grid, gap --n 1000000 --count 4095 once printed
+        # 1.57e-16, where the gap is 4.9e-7.
+        closed = convergence_gap(n, frame)
+        if frame is IDENTITY:
+            assert closed == pytest.approx(math.sqrt(2.0) * -math.expm1(-math.log(2.0) / (2 * n)), rel=1e-15)
+        assert convergence_gap(n, frame, resolution=count) == closed
+        frame_text = ",".join(cli.fmt(c) for c in frame.coefficients())
+        assert cli.run(["gap", "--n", str(n), "--count", str(count), "--frame", frame_text]) == 0
+        assert capsys.readouterr().out == cli.fmt(closed) + "\n"
 
     def test_matches_the_diagonal_bound(self):
         # the farthest point from the limit square sits on the diagonal,
@@ -829,7 +905,7 @@ class TestConvergenceGap:
 
     def test_translation_invariant(self):
         frame = AffineFrame(1.0, 0.0, 2.5, 0.0, 1.0, -4.0)
-        assert convergence_gap(8, frame) == pytest.approx(convergence_gap(8), rel=1e-12)
+        assert convergence_gap(8, frame) == convergence_gap(8)
 
     def test_rejects_tiny_resolution(self):
         with pytest.raises(ValueError):
