@@ -32,7 +32,6 @@ from .errors import QuadratureFailure
 from .oracle import oracle_polyline
 from .sampling import (
     _MAX_COUNT,
-    _MIN_RESOLUTION,
     DEFAULT_TOL,
     SampledCurve,
     _check_count,
@@ -61,6 +60,8 @@ _INTEGRAL_POINT = re.compile(r"\.0(?=[ ,}\n]|\Z)")
 # so N is capped to keep its time and memory bounded, and so is N x count,
 # by the library's cap on one curve's count (2**20).
 SVG_MAX_CURVES = 256
+# gap's least --count: its closed form reads no grid, but the flag keeps its range
+_GAP_MIN_COUNT = 16
 
 
 def fmt(value: float) -> str:
@@ -236,8 +237,8 @@ def _cmd_arclength(ns, frame: AffineFrame) -> bytes:
 
 
 def _cmd_gap(ns, frame: AffineFrame) -> bytes:
-    resolution = _check_size(ns.count, "--count", _MIN_RESOLUTION)
-    return _scalar(convergence_gap(ns.n, frame, resolution=resolution))
+    _check_size(ns.count, "--count", _GAP_MIN_COUNT)
+    return _scalar(convergence_gap(ns.n, frame))
 
 
 def _cmd_residual(ns, frame: AffineFrame) -> bytes:

@@ -22,9 +22,9 @@ and returns that double. Below a log of -746, exp is exactly 0.0, so away
 from the diagonals at large N (2*N*log(r) < -746) log1p(r**(2*N)) is 0.0
 and rho is exactly 1.0 / m, and in the slope r**(2*N-2) is 0.0 past the same
 threshold and the shape factor is exp(-0.0) = 1.0. The clamp's upper end
-2**((N-1)/(2*N)) is at least 2**(1/4) for N >= 2, so its exp is taken only
-for N = 1 or a rho above ``_PEAK_FLOOR``. Every output double is the one the
-full expressions give.
+2**((N-1)/(2*N)) is at least 2**(1/4) for N >= 2, so the one-angle kernels
+take its exp only for N = 1 or a rho above ``_PEAK_FLOOR``, and ``_points``
+once per call. Every output double is the one the full expressions give.
 
 One private scalar kernel, ``_evaluate``, does this work for every
 one-angle evaluator: it takes cos, sin, m, r, log(r) and log1p(r**(2*N))
@@ -43,8 +43,8 @@ body, ``_points``, which every closed-form curve calls once;
 ``affine_curve_point`` stays on ``_evaluate``, as a batch of one costs more
 per call. Every copy, ``_evaluate`` with ``curve_velocity``'s slope,
 ``_speeds`` and ``_points``, skips the same terms and gives the full
-expressions' doubles. Likewise ``_log_sums`` is the batched ``_log_sum``
-behind ``residual_log``, for the membership test and the residual command.
+expressions' doubles. Likewise ``_log_sums`` is the batched log-sum of
+``residual_log``, for the membership test and the residual command.
 Each public function validates its arguments once and calls a private body
 that trusts them, as the package's own loops over checked values do; the
 quadrature's nodes, inside a span already checked, take no check.
@@ -110,7 +110,7 @@ _FRAME_FIELDS = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta")
 # exp(x) rounds to 0.0 for every x below log(2**-1075) = -745.13...
 _EXP_ZERO = -746.0
 # For N >= 2 the clamp's upper end 2**((N-1)/(2*N)) is at least 2**(1/4) = 1.18920...,
-# above any rho up to this one: the kernels take its exp only for N = 1 or a rho above it.
+# above any rho up to this one: the one-angle kernels take its exp only for N = 1 or a rho above it.
 _PEAK_FLOOR = 1.189
 # the libm functions _speeds binds to locals, in one unpacking per call
 _LIBM = (math.cos, math.sin, math.fabs, math.hypot, math.log, math.log1p, math.exp)
@@ -377,17 +377,16 @@ def _points(thetas, n: int, frame: AffineFrame) -> tuple[Point2, ...]:
     exponent and frame: the one body of every closed-form curve.
 
     One loop with _evaluate's radial factor (the same skips and the same
-    lazy clamp) and _solve_linear's inverse inline, and their libm functions
-    and the frame's coefficients bound once, so a curve pays one Python call
-    instead of three per vertex. Every double is the one affine_curve_point
-    gives, sign of zero included.
+    clamp) and _solve_linear's inverse inline, and their libm functions,
+    the clamp's upper end and the frame's coefficients bound once, so a
+    curve pays one Python call instead of three per vertex. Every double is
+    the one affine_curve_point gives, sign of zero included.
     """
     cos, sin, fabs, _, log, log1p, exp = _LIBM
     two_n = 2.0 * n
-    flat = n == 1
+    peak = exp(_LN2 * (n - 1) / two_n)
     alpha, beta, gamma, delta, epsilon, zeta = frame.coefficients()
     det = frame._det
-    peak = None  # the clamp's upper end, taken at its first use
     points = []
     for theta in thetas:
         c = cos(theta)
@@ -405,11 +404,8 @@ def _points(thetas, n: int, frame: AffineFrame) -> tuple[Point2, ...]:
             rho = exp(-log1p(exp(log_power)) / two_n) / m
         if rho < 1.0:
             rho = 1.0
-        elif flat or rho > _PEAK_FLOOR:
-            if peak is None:
-                peak = exp(_LN2 * (n - 1) / two_n)
-            if rho > peak:
-                rho = peak
+        elif rho > peak:
+            rho = peak
         u = rho * c - gamma
         v = rho * s - zeta
         points.append(((epsilon * u - beta * v) / det, (alpha * v - delta * u) / det))
@@ -421,40 +417,33 @@ def residual_log(p: Point2, n: int, frame: AffineFrame = IDENTITY) -> float:
 
     The power sum is evaluated in the log domain, so the residual stays
     meaningful at exponents where the powers themselves would underflow or
-    overflow. Returns +inf when the sum overflows the double range and
-    exactly -1.0 when both mapped coordinates are zero.
+    overflow. Returns +inf when the sum overflows the double range, as when
+    both mapped coordinates do, and exactly -1.0 when both are zero.
     """
     n = _check_exponent(n)
-    return _residual(_check_point(p), n, _check_frame(frame))
-
-
-def _residual(p: Point2, n: int, frame: AffineFrame) -> float:
-    """residual_log for an already-checked point and exponent."""
-    try:
-        return math.expm1(_log_sum(p, n, frame))
-    except OverflowError:
-        return math.inf
-
-
-def _log_sum(p: Point2, n: int, frame: AffineFrame) -> float:
-    """log(u^(2N) + v^(2N)) = log1p(residual) for (u, v) = forward_affine(p); -inf at the origin."""
-    u, v = _forward(p, frame)
-    au = math.fabs(u)
-    av = math.fabs(v)
-    if au == 0.0 and av == 0.0:
-        return -math.inf
+    x, y = _check_point(p)
+    frame = _check_frame(frame)
+    au = math.fabs(frame.alpha * x + frame.beta * y + frame.gamma)
+    av = math.fabs(frame.delta * x + frame.epsilon * y + frame.zeta)
     two_n = 2.0 * n
     # != and >=, not > and max()/min(): a NaN image must give a NaN residual.
     a = two_n * math.log(au) if au != 0.0 else -math.inf
     b = two_n * math.log(av) if av != 0.0 else -math.inf
-    hi, lo = (a, b) if a >= b else (b, a)
-    return hi + math.log1p(math.exp(lo - hi))
+    if a == b:  # log1p(exp(0.0)) is log(2); the origin's -infs and two +infs stay as they are
+        log_sum = a + _LN2
+    else:
+        hi, lo = (a, b) if a >= b else (b, a)
+        log_sum = hi + math.log1p(math.exp(lo - hi))
+    try:
+        return math.expm1(log_sum)
+    except OverflowError:
+        return math.inf
 
 
 def _log_sums(points, n: int, frame: AffineFrame) -> list[float]:
-    """_log_sum at each of the checked points, for a checked exponent and
-    frame: one loop with _forward inline and its libm functions and the
-    frame's coefficients bound once. Every double is the one _log_sum gives."""
+    """log(u^(2N) + v^(2N)) = log1p(residual_log) at each of the checked
+    points, for a checked exponent and frame: residual_log's log-sum in one
+    loop, with its libm functions and the frame's coefficients bound once."""
     fabs, log, log1p, exp = math.fabs, math.log, math.log1p, math.exp
     neg_inf = -math.inf
     two_n = 2.0 * n
@@ -463,13 +452,13 @@ def _log_sums(points, n: int, frame: AffineFrame) -> list[float]:
     for x, y in points:
         au = fabs(alpha * x + beta * y + gamma)
         av = fabs(delta * x + epsilon * y + zeta)
-        if au == 0.0 and av == 0.0:
-            sums.append(neg_inf)
-            continue
         a = two_n * log(au) if au != 0.0 else neg_inf
         b = two_n * log(av) if av != 0.0 else neg_inf
-        hi, lo = (a, b) if a >= b else (b, a)
-        sums.append(hi + log1p(exp(lo - hi)))
+        if a == b:
+            sums.append(a + _LN2)
+        else:
+            hi, lo = (a, b) if a >= b else (b, a)
+            sums.append(hi + log1p(exp(lo - hi)))
     return sums
 
 

@@ -53,7 +53,6 @@ __all__ = [
 DEFAULT_TOL = 1e-10
 _MEMBERSHIP = 32.0  # SampledCurve's bound in 2N * u * k; the package's own points reach 4.7
 
-_MIN_RESOLUTION = 16
 # The most samples or grid points one call takes. A curve holds all its
 # points at once, so a larger count is refused before anything is made.
 _MAX_COUNT = 2**20
@@ -189,7 +188,7 @@ class SampledCurve:
             if not abs(log_sum) <= bound:
                 raise OffCurve(
                     f"point {p!r} at theta={t!r} is off the curve:"
-                    f" residual {core._residual(p, self.exponent, self.frame):.3e},"
+                    f" residual {core.residual_log(p, self.exponent, self.frame):.3e},"
                     f" bound |log1p(residual)| <= {bound:.3e}, for N={self.exponent} in {self.frame!r}"
                 )
 
@@ -507,9 +506,7 @@ def _legendre_integral(c, x0: float, x1: float, theta: float) -> tuple[float, fl
     return (theta - x0) * (c[0] + (theta - x1) / half * tail), series
 
 
-def convergence_gap(
-    n: int, frame: AffineFrame = IDENTITY, resolution: int = 4096
-) -> float:
+def convergence_gap(n: int, frame: AffineFrame = IDENTITY) -> float:
     """Largest distance between the degree-2N curve and its limit shape,
     over every angle: sup |affine_curve_point - limit_map(square_point)|.
 
@@ -523,14 +520,9 @@ def convergence_gap(
     -expm1(-ln 2 / (2N)) * max(|M(1, 1)|, |M(1, -1)|), in every frame and
     at every N; it does not depend on the translation. For the identity
     frame it is the largest radial gap to the square.
-
-    resolution, the size of the theta grid this was once measured on, no
-    longer changes the value; it is still checked, and must lie in
-    [16, 2**20], else ValueError.
     """
     n = core._check_exponent(n)
     frame = core._check_frame(frame)
-    _check_size(core._check_integer(resolution, "resolution"), "resolution", _MIN_RESOLUTION)
     corners = (core._solve_linear(frame, 1.0, 1.0), core._solve_linear(frame, 1.0, -1.0))
     return -math.expm1(-core._LN2 / (2.0 * n)) * max(math.hypot(*corner) for corner in corners)
 
@@ -541,7 +533,8 @@ def polyline_hausdorff(a, b) -> float:
     Each direction measures every vertex of one polyline against the segments
     of the other; closed polylines include the wrap-around segment. Accepts
     SampledCurve instances or plain sequences of (x, y) pairs (plain
-    sequences are treated as closed).
+    sequences are treated as closed). A distance past the double range is
+    +inf.
     """
     pa, ca = _as_polyline(a)
     pb, cb = _as_polyline(b)
@@ -553,7 +546,10 @@ def polyline_hausdorff(a, b) -> float:
     pa = [(math.ldexp(x, -exponent), math.ldexp(y, -exponent)) for x, y in pa]
     pb = [(math.ldexp(x, -exponent), math.ldexp(y, -exponent)) for x, y in pb]
     worst = max(_directed_hausdorff(pa, pb, cb), _directed_hausdorff(pb, pa, ca))
-    return math.ldexp(math.sqrt(worst), exponent)
+    try:
+        return math.ldexp(math.sqrt(worst), exponent)
+    except OverflowError:
+        return math.inf
 
 
 def _as_polyline(curve):

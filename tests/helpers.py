@@ -1,9 +1,9 @@
 """Shared helpers for the test suite: seeded random affine frames, the
 corner-layer asymptotics of the arc length, and the plain loops that the
 package's faster ones must match double for double and byte for byte: the
-bisection behind the oracle, the evaluation kernel with every term computed,
-and the emitters that format one number at a time, by their own copy of
-cli.fmt's rule."""
+bisection behind the oracle, the evaluation kernel and the membership
+log-sum with every term computed, and the emitters that format one number
+at a time, by their own copy of cli.fmt's rule."""
 
 from __future__ import annotations
 
@@ -159,6 +159,24 @@ def reference_slope(n: int, c: float, s: float, m: float, log_r: float, log1p_po
     shape = math.exp(-(1.0 + 0.5 / n) * log1p_power)
     slope = (c * s) / (m * m * m) * (1.0 - low_power) * shape
     return slope if math.fabs(c) >= math.fabs(s) else -slope
+
+
+def reference_log_sum(p, n: int, frame: AffineFrame) -> float:
+    """log(u^(2N) + v^(2N)) for (u, v) the frame's image of p, with
+    log1p(exp(lo - hi)) computed at every point but two: -inf at the origin
+    and +inf where both mapped coordinates overflow."""
+    x, y = p
+    au = math.fabs(frame.alpha * x + frame.beta * y + frame.gamma)
+    av = math.fabs(frame.delta * x + frame.epsilon * y + frame.zeta)
+    if au == 0.0 and av == 0.0:
+        return -math.inf
+    if au == math.inf and av == math.inf:
+        return math.inf
+    two_n = 2.0 * n
+    a = two_n * math.log(au) if au != 0.0 else -math.inf
+    b = two_n * math.log(av) if av != 0.0 else -math.inf
+    hi, lo = (a, b) if a >= b else (b, a)
+    return hi + math.log1p(math.exp(lo - hi))
 
 
 def reference_fmt(value: float) -> str:

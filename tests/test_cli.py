@@ -22,7 +22,6 @@ from fermatcurves import (
     QuadratureFailure,
     SampledCurve,
     TooFewSamples,
-    convergence_gap,
     oracle_polyline,
     resample_by_arclength,
     sample_uniform_theta,
@@ -528,14 +527,6 @@ class TestFailureModes:
             with pytest.raises(ValueError) as caught:
                 build(3, count=CAP + 1)
             assert str(caught.value) == f"count must be at most {CAP}, got {CAP + 1}"
-        for resolution, message in (
-            (15, "resolution must be at least 16, got 15"),
-            (CAP + 1, f"resolution must be at most {CAP}, got {CAP + 1}"),
-            (10**12, f"resolution must be at most {CAP}, got {10**12}"),
-        ):
-            with pytest.raises(ValueError) as caught:
-                convergence_gap(3, resolution=resolution)
-            assert str(caught.value) == message
         for command, least in (("gap", 16), ("residual", 1)):
             for count, bound in ((least - 1, f"at least {least}"), (CAP + 1, f"at most {CAP}")):
                 code, out, err = invoke(capsys, command, "--n", "3", "--count", str(count))

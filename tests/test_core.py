@@ -50,7 +50,7 @@ from fermatcurves import (
     theta_of_point,
 )
 from fermatcurves import core
-from helpers import frame_family, random_frame, reference_evaluate, reference_slope, ulps_around
+from helpers import frame_family, random_frame, reference_evaluate, reference_log_sum, reference_slope, ulps_around
 from test_golden import FRAMES as GOLDEN_FRAMES
 
 EXPONENT_GRID = [1, 2, 3, 5, 10, 100, 10**4, 10**6, MAX_EXPONENT]
@@ -247,6 +247,13 @@ class TestResidualLog:
         p = (1e300, -2e300)
         assert any(math.isnan(c) for c in forward_affine(p, frame))
         assert math.isnan(residual_log(p, 3, frame))
+        # Two infinite mapped coordinates tie at +inf: the sum overflows, not NaN.
+        for q in BOTH_OVERFLOW:
+            assert all(math.isinf(c) for c in forward_affine(q, OVERFLOW_IMAGE))
+            assert residual_log(q, 3, OVERFLOW_IMAGE) == math.inf
+        # A finite tie is log1p(exp(0.0)) above its larger term.
+        hi = 6.0 * math.log(0.5)
+        assert _packed([residual_log((0.5, -0.5), 3)]) == _packed([math.expm1(hi + math.log1p(math.exp(0.0)))])
 
     @given(
         theta=moderate_angles,
@@ -592,11 +599,21 @@ POINT_FRAMES = (
 )
 POINT_FRAME_IDS = (*SPEED_FRAME_IDS, "-0 shift", "reflection")
 NAN_IMAGE = AffineFrame(1e10, 1e10, 0.0, 2.0, 1.0, 1.0)  # (1e300, -2e300) maps to (nan, ...)
+OVERFLOW_IMAGE = AffineFrame(1e100, 0.0, 0.0, 0.0, 1e100, 0.0)  # condition number 1
+BOTH_OVERFLOW = ((1e300, 1e300), (-1e300, 1e300))  # both map to infinities in OVERFLOW_IMAGE
 
 
 def _packed(values) -> bytes:
     values = list(values)
     return struct.pack(f"<{len(values)}d", *values)
+
+
+def _expm1_or_inf(log_sum: float) -> float:
+    """residual_log's value for a log-sum: expm1, or +inf where it overflows."""
+    try:
+        return math.expm1(log_sum)
+    except OverflowError:
+        return math.inf
 
 
 class TestBatchedLoopsMatchTheScalarOnes:
@@ -640,13 +657,18 @@ class TestBatchedLoopsMatchTheScalarOnes:
             points = list(core._points(thetas, n, frame))
             points += [(0.5 * x, 0.5 * y) for x, y in points[::5]] + [(2.0 * x, 2.0 * y) for x, y in points[::5]]
             points += [(0.0, 0.0), (-0.0, 0.0), (1e300, -2e300), inverse_affine((0.0, 0.0), frame)]
-            expected = [core._log_sum(p, n, frame) for p in points]
+            expected = [reference_log_sum(p, n, frame) for p in points]
             assert _packed(core._log_sums(points, n, frame)) == _packed(expected), n
+            residuals = [residual_log(p, n, frame) for p in points]
+            assert _packed(residuals) == _packed(_expm1_or_inf(s) for s in expected), n
 
     def test_the_log_sums_reach_the_origin_a_nan_image_and_an_overflow(self):
         assert core._log_sums([(0.0, 0.0)], 3, IDENTITY) == [-math.inf]
         assert math.isnan(core._log_sums([(1e300, -2e300)], 3, NAN_IMAGE)[0])
         assert core._log_sums([(2.0, 2.0)], 1000, IDENTITY)[0] > 709.8  # expm1 overflows
+        assert core._log_sums(BOTH_OVERFLOW, 3, OVERFLOW_IMAGE) == [math.inf, math.inf]
+        hi = 6.0 * math.log(0.5)
+        assert _packed(core._log_sums([(0.5, -0.5)], 3, IDENTITY)) == _packed([hi + math.log1p(math.exp(0.0))])
 
     @pytest.mark.parametrize(
         "extra, frame",

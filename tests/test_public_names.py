@@ -2,6 +2,7 @@
 
 import ast
 import collections
+import inspect
 import pathlib
 
 import fermatcurves
@@ -17,6 +18,41 @@ PUBLIC_NAMES = [
     "resample_by_arclength", "residual_log", "sample_uniform_theta", "square_point",
     "theta_of_point",
 ]
+
+# The parameters of every public function and class, exceptions aside: a
+# change that adds or removes an option edits this table.
+PARAMETERS = {
+    "AffineFrame": ("alpha", "beta", "gamma", "delta", "epsilon", "zeta"),
+    "SampledCurve": ("thetas", "points", "closed", "exponent", "frame"),
+    "affine_curve_point": ("theta", "n", "frame"),
+    "arc_length": ("n", "frame", "theta_a", "theta_b", "tol"),
+    "bisect_radial_factor": ("theta", "n"),
+    "convergence_gap": ("n", "frame"),
+    "curve_from_json": ("data",),
+    "curve_point": ("theta", "n"),
+    "curve_speed": ("theta", "n", "frame"),
+    "curve_velocity": ("theta", "n", "frame"),
+    "emit_csv": ("curve",),
+    "emit_json": ("curve",),
+    "emit_svg": ("curves",),
+    "fmt": ("value",),
+    "forward_affine": ("p", "frame"),
+    "implicit_solve_x": ("y", "n"),
+    "inverse_affine": ("p", "frame"),
+    "limit_map": ("p", "frame"),
+    "main": (),
+    "normalize_angle": ("theta",),
+    "oracle_polyline": ("n", "frame", "count"),
+    "polyline_hausdorff": ("a", "b"),
+    "radial_factor": ("theta", "n"),
+    "radial_factor_limit": ("theta",),
+    "resample_by_arclength": ("n", "frame", "count", "tol"),
+    "residual_log": ("p", "n", "frame"),
+    "run": ("argv",),
+    "sample_uniform_theta": ("n", "frame", "count"),
+    "square_point": ("theta",),
+    "theta_of_point": ("p", "frame"),
+}
 
 
 def test_the_package_exports_its_public_names():
@@ -37,3 +73,15 @@ def test_each_public_name_is_written_in_one_all():
     literals = [node.value for node in ast.walk(assignment.value) if isinstance(node, ast.Constant)]
     assert literals == ["__version__"]
     assert set(fermatcurves.__all__) == {"__version__", *counts} - set(cli.__all__)
+
+
+def test_each_public_callable_keeps_its_parameters():
+    modules = (fermatcurves, cli)
+    callables = {
+        name: obj
+        for module in modules
+        for name in module.__all__
+        if inspect.isfunction(obj := getattr(module, name))
+        or (inspect.isclass(obj) and not issubclass(obj, BaseException))
+    }
+    assert {name: tuple(inspect.signature(obj).parameters) for name, obj in callables.items()} == PARAMETERS

@@ -249,7 +249,6 @@ class TestSampleUniformTheta:
 SIZED_CALLS = {
     "sample_uniform_theta": lambda size: sample_uniform_theta(3, count=size),
     "oracle_polyline": lambda size: oracle_polyline(3, count=size),
-    "convergence_gap": lambda size: convergence_gap(3, resolution=size),
 }
 
 
@@ -312,7 +311,6 @@ def _checks_made(monkeypatch, call) -> dict[str, int]:
 
 VALIDATING_CALLS = {
     "sample_uniform_theta": (lambda count: lambda: sample_uniform_theta(7, count=count), (16, 4096)),
-    "convergence_gap": (lambda count: lambda: convergence_gap(7, resolution=count), (16, 4096)),
     "oracle_polyline": (lambda count: lambda: oracle_polyline(7, count=count), (16, 512)),
     "resample_by_arclength": (lambda count: lambda: resample_by_arclength(3, count=count, tol=1e-6), (8, 16)),
     # the quadrature's node count grows with N: 240 speed evaluations at N = 3, 480 at 2^31 - 1
@@ -375,7 +373,7 @@ CURVE_CALLS = {  # a call and the curves it builds
     "residual": (lambda: _run_ok("residual", "--n", "7", "--count", "100"), 1),
     "svg family": (lambda: _run_ok("svg", "--n", "5", "--count", "32"), 5),
     "oracle-diff": (lambda: _run_ok("oracle-diff", "--n", "7", "--count", "64"), 1),
-    "convergence_gap": (lambda: convergence_gap(7, GOLDEN_FRAMES[3], 4095), 0),
+    "convergence_gap": (lambda: convergence_gap(7, GOLDEN_FRAMES[3]), 0),
 }
 
 
@@ -844,7 +842,7 @@ class TestConvergenceGap:
         assert convergence_gap(1) == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-12)
 
     def test_nonincreasing_in_the_exponent(self):
-        gaps = [convergence_gap(2**k, resolution=1024) for k in range(11)]
+        gaps = [convergence_gap(2**k) for k in range(11)]
         for a, b in zip(gaps, gaps[1:]):
             assert b <= a + 1e-15
 
@@ -887,7 +885,6 @@ class TestConvergenceGap:
         closed = convergence_gap(n, frame)
         if frame is IDENTITY:
             assert closed == pytest.approx(math.sqrt(2.0) * -math.expm1(-math.log(2.0) / (2 * n)), rel=1e-15)
-        assert convergence_gap(n, frame, resolution=count) == closed
         frame_text = ",".join(cli.fmt(c) for c in frame.coefficients())
         assert cli.run(["gap", "--n", str(n), "--count", str(count), "--frame", frame_text]) == 0
         assert capsys.readouterr().out == cli.fmt(closed) + "\n"
@@ -905,10 +902,6 @@ class TestConvergenceGap:
     def test_translation_invariant(self):
         frame = AffineFrame(1.0, 0.0, 2.5, 0.0, 1.0, -4.0)
         assert convergence_gap(8, frame) == convergence_gap(8)
-
-    def test_rejects_tiny_resolution(self):
-        with pytest.raises(ValueError):
-            convergence_gap(2, resolution=8)
 
 
 class TestPolylineHausdorff:
@@ -946,6 +939,9 @@ class TestPolylineHausdorff:
             1e160, rel=1e-15
         )
         assert polyline_hausdorff([(1e300, 0.0), (-1e300, 0.0)], [(1e300, 1e300), (-1e300, 1e300)]) == 1e300
+        # a distance past the double range reads +inf
+        assert polyline_hausdorff([(1e308, 0.0), (1e308, 1.0)], [(-1e308, 0.0), (-1e308, 1.0)]) == math.inf
+        assert polyline_hausdorff([(8e307, 0.0), (8e307, 1.0)], [(-8e307, 0.0), (-8e307, 1.0)]) == 1.6e308
 
     def test_closed_form_against_oracle(self):
         closed_form = sample_uniform_theta(100, count=2048)
