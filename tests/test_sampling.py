@@ -315,6 +315,8 @@ VALIDATING_CALLS = {
     "resample_by_arclength": (lambda count: lambda: resample_by_arclength(3, count=count, tol=1e-6), (8, 16)),
     # the quadrature's node count grows with N: 240 speed evaluations at N = 3, 480 at 2^31 - 1
     "arc_length": (lambda n: lambda: arc_length(n), (3, MAX_EXPONENT)),
+    # the closed form reads no grid: the same checks at every N
+    "convergence_gap": (lambda n: lambda: convergence_gap(n), (3, MAX_EXPONENT)),
 }
 
 
@@ -903,6 +905,16 @@ class TestConvergenceGap:
         frame = AffineFrame(1.0, 0.0, 2.5, 0.0, 1.0, -4.0)
         assert convergence_gap(8, frame) == convergence_gap(8)
 
+    @pytest.mark.parametrize(
+        "call",
+        [lambda: convergence_gap(3, IDENTITY, 4096), lambda: convergence_gap(3, resolution=16)],
+        ids=["positional", "keyword"],
+    )
+    def test_the_resolution_option_is_gone(self, call):
+        with pytest.raises(TypeError):
+            call()
+        assert not hasattr(sampling, "_MIN_RESOLUTION")
+
 
 class TestPolylineHausdorff:
     def test_identical_curves_are_at_distance_zero(self):
@@ -939,9 +951,14 @@ class TestPolylineHausdorff:
             1e160, rel=1e-15
         )
         assert polyline_hausdorff([(1e300, 0.0), (-1e300, 0.0)], [(1e300, 1e300), (-1e300, 1e300)]) == 1e300
-        # a distance past the double range reads +inf
-        assert polyline_hausdorff([(1e308, 0.0), (1e308, 1.0)], [(-1e308, 0.0), (-1e308, 1.0)]) == math.inf
-        assert polyline_hausdorff([(8e307, 0.0), (8e307, 1.0)], [(-8e307, 0.0), (-8e307, 1.0)]) == 1.6e308
+
+    @pytest.mark.parametrize("swapped", [False, True], ids=["a-b", "b-a"])
+    @pytest.mark.parametrize("x, expected", [(1e308, math.inf), (8e307, 1.6e308)], ids=["past", "within"])
+    def test_a_distance_past_the_double_range_reads_inf(self, x, expected, swapped):
+        a, b = [(x, 0.0), (x, 1.0)], [(-x, 0.0), (-x, 1.0)]
+        if swapped:
+            a, b = b, a
+        assert polyline_hausdorff(a, b) == expected
 
     def test_closed_form_against_oracle(self):
         closed_form = sample_uniform_theta(100, count=2048)
