@@ -22,9 +22,9 @@ and returns that double. Below a log of -746, exp is exactly 0.0, so away
 from the diagonals at large N (2*N*log(r) < -746) log1p(r**(2*N)) is 0.0
 and rho is exactly 1.0 / m, and in the slope r**(2*N-2) is 0.0 past the same
 threshold and the shape factor is exp(-0.0) = 1.0. The clamp's upper end
-2**((N-1)/(2*N)) is at least 2**(1/4) for N >= 2, so the one-angle kernels
-take its exp only for N = 1 or a rho above ``_PEAK_FLOOR``, and ``_points``
-once per call. Every output double is the one the full expressions give.
+2**((N-1)/(2*N)) is at least 2**(1/4) for N >= 2, so ``_evaluate`` alone
+takes its exp lazily, for N = 1 or a rho above ``_PEAK_FLOOR``; ``_points``
+and ``_speeds`` take it once per call.
 
 One private scalar kernel, ``_evaluate``, does this work for every
 one-angle evaluator: it takes cos, sin, m, r, log(r) and log1p(r**(2*N))
@@ -109,8 +109,8 @@ _MAX_FACTOR = 1e12  # frame guard on k; for a unit-scale frame it sits where a 1
 _FRAME_FIELDS = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta")
 # exp(x) rounds to 0.0 for every x below log(2**-1075) = -745.13...
 _EXP_ZERO = -746.0
-# For N >= 2 the clamp's upper end 2**((N-1)/(2*N)) is at least 2**(1/4) = 1.18920...,
-# above any rho up to this one: the one-angle kernels take its exp only for N = 1 or a rho above it.
+# For N >= 2 the clamp's upper end 2**((N-1)/(2*N)) is at least 2**(1/4) = 1.18920..., above any rho up to
+# this one: _evaluate alone takes its exp lazily, for N = 1 or a rho above it; _points and _speeds once per call.
 _PEAK_FLOOR = 1.189
 # the libm functions _speeds binds to locals, in one unpacking per call
 _LIBM = (math.cos, math.sin, math.fabs, math.hypot, math.log, math.log1p, math.exp)
@@ -484,14 +484,14 @@ def curve_velocity(theta: float, n: int, frame: AffineFrame = IDENTITY) -> Point
 
     which factors through m and r into bounded terms; the shape factor
     S'^(-1 - 1/(2N)) with S' = 1 + r^(2N) reuses log1p(r^(2N)). drho is
-    exactly zero on the axes and on the diagonals, and identically zero for
-    N = 1. Two exps are skipped where their doubles are known: r^(2N-2) is
-    exactly 0.0 when its log is below -746, and the shape factor is
-    exp(+-0.0) = 1.0 exactly when log1p(r^(2N)) is 0.0.
+    exactly zero on the axes and on the diagonals, and at N = 1, where these
+    expressions give it as +-0.0. Two exps are skipped where their doubles
+    are known: r^(2N-2) is exactly 0.0 when its log is below -746, and the
+    shape factor is exp(+-0.0) = 1.0 exactly when log1p(r^(2N)) is 0.0.
     """
     theta, n, frame = _check_angle(theta), _check_exponent(n), _check_frame(frame)
     rho, c, s, m, log_r, log1p_power = _evaluate(theta, n)
-    if n == 1 or log_r == -math.inf:
+    if log_r == -math.inf:
         drho = 0.0
     else:
         log_low = (2.0 * n - 2.0) * log_r
@@ -520,18 +520,17 @@ def _speeds(thetas, n: int, frame: AffineFrame) -> list[float]:
     One loop with _evaluate's radial factor, curve_velocity's slope and
     _solve_linear's inverse inline, and their libm functions and
     per-call constants bound once, so the quadrature pays one Python call
-    per panel instead of several per node. Every double is the one those
-    functions give, sign of zero included.
+    per panel instead of several per node. Every double, sign of zero
+    included, is the one those functions give; the N = 1 slope is their +-0.0.
     """
     cos, sin, fabs, hypot, log, log1p, exp = _LIBM
     neg_inf = -math.inf
     two_n = 2.0 * n
     low_n = 2.0 * n - 2.0  # the exponent of r^(2N-2)
     shape_n = -(1.0 + 0.5 / n)  # the exponent of the shape factor 1 + r^(2N)
-    flat = n == 1  # the slope is identically zero
     alpha, beta, delta, epsilon, det = frame.alpha, frame.beta, frame.delta, frame.epsilon, frame._det
     identity = alpha == 1.0 and beta == 0.0 and delta == 0.0 and epsilon == 1.0
-    peak = None  # the clamp's upper end, taken at its first use
+    peak = exp(_LN2 * (n - 1) / two_n)
     speeds = []
     for theta in thetas:
         c = cos(theta)
@@ -552,12 +551,9 @@ def _speeds(thetas, n: int, frame: AffineFrame) -> list[float]:
             rho = exp(-log1p_power / two_n) / m
         if rho < 1.0:
             rho = 1.0
-        elif flat or rho > _PEAK_FLOOR:
-            if peak is None:
-                peak = exp(_LN2 * (n - 1) / two_n)
-            if rho > peak:
-                rho = peak
-        if flat or log_r == neg_inf:
+        elif rho > peak:
+            rho = peak
+        if log_r == neg_inf:
             slope = 0.0
         else:
             log_low = low_n * log_r

@@ -34,6 +34,7 @@ import bisect as _bisect
 import itertools
 import math
 import operator
+from collections.abc import Mapping, Set
 from dataclasses import dataclass
 
 from . import core
@@ -532,8 +533,9 @@ def polyline_hausdorff(a, b) -> float:
 
     Each direction measures every vertex of one polyline against the segments
     of the other; closed polylines include the wrap-around segment. Accepts
-    SampledCurve instances or plain sequences of (x, y) pairs (plain
-    sequences are treated as closed). A distance past the double range is
+    SampledCurve instances or plain ordered sequences of (x, y) pairs (plain
+    sequences are treated as closed); a set or a mapping, whose order is not
+    the polyline's, raises ValueError. A distance past the double range is
     +inf.
     """
     pa, ca = _as_polyline(a)
@@ -555,6 +557,8 @@ def polyline_hausdorff(a, b) -> float:
 def _as_polyline(curve):
     if isinstance(curve, SampledCurve):
         return curve.points, curve.closed
+    if isinstance(curve, (Set, Mapping)):
+        raise ValueError(f"polyline vertices must be ordered, got a {type(curve).__name__}")
     try:
         pts = [(x, y) for x, y in curve]
     except (TypeError, ValueError):

@@ -7,12 +7,13 @@ at a time, by their own copy of cli.fmt's rule."""
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 
 import mpmath
 
-from fermatcurves import AffineFrame
+from fermatcurves import AffineFrame, square_point
 
 
 def random_frame(
@@ -63,18 +64,56 @@ def corner_deficit(u, v) -> mpmath.mpf:
     return mpmath.quad(integrand, [0, peak, mpmath.inf])
 
 
+def _inverse_columns(frame: AffineFrame):
+    """M e1 and M e2 at the working precision, M the frame's inverse linear part."""
+    a, b, _, d, e, _ = (mpmath.mpf(c) for c in frame.coefficients())
+    det = a * e - b * d
+    return (e / det, -d / det), (-b / det, a / det)
+
+
+@functools.lru_cache(maxsize=None)
+def _corner_deficits(frame: AffineFrame) -> tuple[mpmath.mpf, mpmath.mpf]:
+    """The corner_deficit of the pair (1, 1), (-1, -1) and of the pair
+    (-1, 1), (1, -1), at 30 digits, the boundary running counterclockwise:
+    into (1, 1) along e2 and out along -e1, into (1, -1) along e1 and out
+    along e2. Cached, so each frame's quadratures run once per process."""
+    with mpmath.workdps(30):
+        m1, m2 = _inverse_columns(frame)
+        return corner_deficit(m2, (-m1[0], -m1[1])), corner_deficit(m1, m2)
+
+
 def corner_arc_length(n: int, frame: AffineFrame) -> float:
     """Full-turn arc length from the corner-layer asymptotics, 30 digits:
     L_N = 4(|M e1| + |M e2|) - (D+ + D-) / N + O(N^-2), M the inverse linear
-    part, D+ and D- the corner_deficit of the two pairs of opposite corners,
-    the boundary running counterclockwise through (1, 1) and (1, -1).
+    part, D+ and D- the corner_deficit of the two pairs of opposite corners.
     """
     with mpmath.workdps(30):
-        a, b, _, d, e, _ = (mpmath.mpf(c) for c in frame.coefficients())
-        det = a * e - b * d
-        m1, m2 = (e / det, -d / det), (-b / det, a / det)  # M e1, M e2
-        deficits = corner_deficit(m2, (-m1[0], -m1[1])) + corner_deficit(m1, m2)
-        return float(4 * (mpmath.hypot(*m1) + mpmath.hypot(*m2)) - deficits / n)
+        m1, m2 = _inverse_columns(frame)
+        return float(4 * (mpmath.hypot(*m1) + mpmath.hypot(*m2)) - sum(_corner_deficits(frame)) / n)
+
+
+def corner_partial_arc_length(n: int, frame: AffineFrame, theta_a: float, theta_b: float) -> float:
+    """Arc length over [theta_a, theta_b] from the corner-layer asymptotics,
+    30 digits: the limit parallelogram's path from M square_point(theta_a)
+    to M square_point(theta_b), less D / (2N) for each diagonal strictly
+    inside the span, D the corner_deficit of that corner's pair. The ends
+    must lie well outside the corner layers, which are about 1/N wide.
+    """
+    with mpmath.workdps(30):
+        m1, m2 = _inverse_columns(frame)
+        deficits = _corner_deficits(frame)
+        vertices, cut = [square_point(theta_a)], 0
+        for k in range(8):  # the diagonals pi/4 + k*pi/2 in (0, 4*pi), for a span that starts in [0, 2*pi]
+            diagonal = mpmath.pi / 4 + k * mpmath.pi / 2
+            if theta_a < diagonal < theta_b:
+                vertices.append(((1, 1), (-1, 1), (-1, -1), (1, -1))[k % 4])
+                cut += deficits[k % 2]
+        vertices.append(square_point(theta_b))
+        path = sum(
+            mpmath.hypot(m1[0] * (x1 - x0) + m2[0] * (y1 - y0), m1[1] * (x1 - x0) + m2[1] * (y1 - y0))
+            for (x0, y0), (x1, y1) in zip(vertices, vertices[1:])
+        )
+        return float(path - cut / (2 * n))
 
 
 def ulps_around(x: float, count: int) -> list[float]:

@@ -445,8 +445,14 @@ class TestThetaOfPoint:
 
 class TestVelocityAndSpeed:
     def test_circle_speed_is_exactly_unit(self):
-        for k in range(64):
-            assert curve_speed(TWO_PI * k / 64.0, 1) == 1.0
+        thetas = [TWO_PI * k / 64.0 for k in range(64)]
+        for theta in thetas:
+            assert curve_speed(theta, 1) == 1.0
+            # The circle's own velocity, with no slope term: == leaves the sign of a zero free.
+            for frame in SPEED_FRAMES:
+                expected = core._solve_linear(frame, -math.sin(theta), math.cos(theta))
+                assert curve_velocity(theta, 1, frame) == expected, (theta, frame)
+        assert core._speeds(thetas, 1, IDENTITY) == [1.0] * 64
 
     def test_matches_central_differences(self):
         rng = random.Random(20250819)

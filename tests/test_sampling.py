@@ -43,7 +43,7 @@ from fermatcurves import (
     square_point,
 )
 from fermatcurves.sampling import _LEGENDRE, _XGK, _edges, _newton_in_panel, _panels
-from helpers import corner_arc_length, corner_deficit
+from helpers import corner_arc_length, corner_deficit, corner_partial_arc_length
 from test_core import SPEED_FRAME_IDS, SPEED_FRAMES
 from test_golden import FRAME_TEXTS as GOLDEN_FRAME_IDS
 from test_golden import FRAMES as GOLDEN_FRAMES
@@ -472,10 +472,23 @@ class TestArcLength:
     )
     def test_large_exponents_against_the_corner_asymptotics(self, frame):
         # An independent witness: the O(N^-2) remainder is about 0.06 L / N^2 on these frames.
+        # Besides full turns, spans that hold 0, 1, 2, 2 and 4 diagonals, each end at least
+        # 0.07 rad from one, far outside the corner layers; worst gap measured 8.3e-16 L, at N = 10^7.
+        spans = {(0.3, 0.6): 0, (0.3, 2.1): 1, (1.0, 4.0): 2, (3.5, 6.0): 2, (0.2, 6.1): 4}
+        diagonals = [math.pi / 4.0 + k * math.pi / 2.0 for k in range(4)]
+        for (lo, hi), crossed in spans.items():
+            assert sum(lo < d < hi for d in diagonals) == crossed
+            assert min(abs(t - d) for t in (lo, hi) for d in diagonals) >= 0.07
         for n in (10**7, 199965042, MAX_EXPONENT):
             reference = corner_arc_length(n, frame)
             length = arc_length(n, frame, tol=1e-14)
             assert abs(length - reference) <= 1e-14 * reference + 0.1 * reference / n**2, (n, length, reference)
+            # The partial helper's full turn sums the perimeter in another order: equal up to its rounding.
+            assert abs(corner_partial_arc_length(n, frame, 0.0, TWO_PI) - reference) <= math.ulp(reference), n
+            for lo, hi in spans:
+                reference = corner_partial_arc_length(n, frame, lo, hi)
+                length = arc_length(n, frame, lo, hi, tol=1e-14)
+                assert abs(length - reference) <= 1e-14 * reference + 0.1 * reference / n**2, (n, lo, hi, length)
 
     def test_longer_than_inscribed_polyline(self):
         curve = sample_uniform_theta(3, count=1024)
@@ -959,6 +972,17 @@ class TestPolylineHausdorff:
         if swapped:
             a, b = b, a
         assert polyline_hausdorff(a, b) == expected
+
+    @pytest.mark.parametrize("unordered", [set, frozenset, dict.fromkeys], ids=["set", "frozenset", "dict"])
+    def test_unordered_vertices_are_refused(self, unordered):
+        # A set iterates this square in hash order, as a bowtie 0.3535533905932738 from b.
+        square = [(0, 0), (1, 0), (1, 1), (0, 1)]
+        b = square + [(0, 0.5)]
+        assert polyline_hausdorff(square, b) == 0.0
+        name = type(unordered(square)).__name__
+        for args in ((unordered(square), b), (b, unordered(square))):
+            with pytest.raises(ValueError, match=f"must be ordered, got a {name}$"):
+                polyline_hausdorff(*args)
 
     def test_closed_form_against_oracle(self):
         closed_form = sample_uniform_theta(100, count=2048)
