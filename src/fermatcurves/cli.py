@@ -12,9 +12,9 @@ All numbers are printed with the shortest decimal representation that parses
 back to the exact same double, so emitted files round-trip bit-for-bit; a
 -0.0 is printed -0, which curve_from_json reads back as -0.0.
 
-sample and svg check --tol on every request, whether or not they resample.
-A --theta-range arc is built by sampling's one curve builder, on a grid that
-starts at exactly LO and ends at exactly HI.
+sample and svg check --tol on every request, and each uniform one, full turn
+or --theta-range arc, checks N and --count once and builds all its curves on
+one theta grid, an arc's from exactly LO to exactly HI.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ import re
 import sys
 from collections.abc import Sequence
 
-from .core import TWO_PI, AffineFrame, _check_exponent, _log_sums
+from . import core
+from .core import TWO_PI, AffineFrame, _check_exponent
 from .errors import QuadratureFailure
 from .oracle import oracle_polyline
 from .sampling import (
@@ -44,7 +45,6 @@ from .sampling import (
     convergence_gap,
     polyline_hausdorff,
     resample_by_arclength,
-    sample_uniform_theta,
 )
 
 __all__ = ["SVG_MAX_CURVES", "curve_from_json", "emit_csv", "emit_json", "emit_svg", "fmt", "main", "run"]
@@ -143,11 +143,6 @@ def emit_svg(curves: Sequence[SampledCurve]) -> bytes:
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
-# sample's formats. Each entry looks its emitter up when called, so a wrapper
-# set on the module attribute (perfbench's tracer) sees the call.
-_EMITTERS = {"csv": lambda c: emit_csv(c), "json": lambda c: emit_json(c), "svg": lambda c: emit_svg([c])}
-
-
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -165,7 +160,7 @@ _FLAGS = {
     ),
     "--count": dict(type=int, default=256, help="sample count or grid resolution (default 256)"),
     "--tol": dict(type=float, default=DEFAULT_TOL, help="quadrature error target (default 1e-10)"),
-    "--format": dict(choices=tuple(_EMITTERS), default="csv", help="output format for sample"),
+    "--format": dict(choices=("csv", "json", "svg"), default="csv", help="output format for sample"),
     "--resample": dict(
         choices=("uniform", "arclength"), default="uniform", help="theta spacing: uniform angles or equal arc-length steps"
     ),
@@ -209,18 +204,19 @@ def _sample_curves(ns, exponents, frame: AffineFrame) -> list[SampledCurve]:
         if not full_turn:
             raise ValueError("arc-length resampling supports only the full default theta range")
         return [resample_by_arclength(n, frame, ns.count, ns.tol) for n in exponents]
-    if full_turn:
-        return [sample_uniform_theta(n, frame, ns.count) for n in exponents]
     if not 0.0 <= lo < hi <= TWO_PI:
         raise ValueError(
             f"--theta-range must satisfy 0 <= LO < HI <= 2*pi for sampling, got {lo!r},{hi!r}"
         )
-    count = _check_count(ns.count)
     exponents = [_check_exponent(n) for n in exponents]
-    # the last node is HI itself: the grid's last step can round to either side of it
-    thetas = (*(lo + ((hi - lo) * k) / (count - 1) for k in range(count - 1)), hi)
-    _check_thetas(thetas)  # a grid across a range a few ulps wide ties
-    return [_polyline(thetas, n, frame, False) for n in exponents]
+    count = _check_count(ns.count)
+    if full_turn:
+        thetas = _uniform_thetas(count)
+    else:
+        # the last node is HI itself: the grid's last step can round to either side of it
+        thetas = (*(lo + ((hi - lo) * k) / (count - 1) for k in range(count - 1)), hi)
+        _check_thetas(thetas)  # a grid across a range a few ulps wide ties
+    return [_polyline(thetas, n, frame, full_turn) for n in exponents]
 
 
 def _scalar(value: float) -> bytes:
@@ -228,7 +224,9 @@ def _scalar(value: float) -> bytes:
 
 
 def _cmd_sample(ns, frame: AffineFrame) -> bytes:
-    return _EMITTERS[ns.format](_sample_curves(ns, (ns.n,), frame)[0])
+    curve = _sample_curves(ns, (ns.n,), frame)[0]
+    # the emitter is looked up when called, so a wrapper on the module attribute (perfbench's tracer) sees the call
+    return emit_svg([curve]) if ns.format == "svg" else (emit_csv if ns.format == "csv" else emit_json)(curve)
 
 
 def _cmd_arclength(ns, frame: AffineFrame) -> bytes:
@@ -245,7 +243,7 @@ def _cmd_residual(ns, frame: AffineFrame) -> bytes:
     count = _check_size(ns.count, "--count", 1)
     n = _check_exponent(ns.n)
     worst = 0.0
-    for log_sum in _log_sums(_polyline(_uniform_thetas(count), n, frame, True).points, n, frame):
+    for log_sum in core._log_sums(core._points(_uniform_thetas(count), n, frame), n, frame):
         try:
             worst = max(worst, abs(math.expm1(log_sum)))
         except OverflowError:  # the sum overflows the double range: residual_log's +inf
@@ -263,8 +261,8 @@ def _cmd_svg(ns, frame: AffineFrame) -> bytes:
 
 
 def _cmd_oracle_diff(ns, frame: AffineFrame) -> bytes:
-    closed_form = sample_uniform_theta(ns.n, frame, ns.count)
     reference = oracle_polyline(ns.n, frame, ns.count)
+    closed_form = _polyline(reference.thetas, reference.exponent, frame, True)
     return _scalar(polyline_hausdorff(closed_form, reference))
 
 

@@ -23,7 +23,6 @@ import numpy as np
 import fermatcurves
 from fermatcurves import (
     TWO_PI,
-    AffineFrame,
     affine_curve_point,
     arc_length,
     bisect_radial_factor,

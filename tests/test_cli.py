@@ -26,7 +26,7 @@ from fermatcurves import (
     resample_by_arclength,
     sample_uniform_theta,
 )
-from fermatcurves import cli, sampling
+from fermatcurves import cli, core, oracle, sampling
 from fermatcurves.sampling import _trusted_curve
 from helpers import reference_emit_csv, reference_emit_json, reference_emit_svg, reference_fmt
 from test_golden import FRAMES as GOLDEN_FRAMES
@@ -300,13 +300,44 @@ class TestSvgCommand:
         assert f"at most {cli.SVG_MAX_CURVES} curves" in err
         assert f"N={n}" in err
 
-    def test_an_arc_grid_is_built_and_checked_once_for_all_exponents(self, capsys, monkeypatch):
-        checked, check = [], cli._check_thetas
-        monkeypatch.setattr(cli, "_check_thetas", lambda thetas: check(thetas) or checked.append(thetas))
-        code, out, err = invoke(capsys, "svg", "--n", "8", "--count", "64", "--theta-range", "0.25,2.5")
-        assert code == 0
-        assert out.count("<path ") == 8
-        assert len(checked) == 1
+    @pytest.mark.parametrize(
+        "argv, paths, exponents",
+        [
+            (("svg", "--n", "8", "--count", "64"), 8, [8, *range(1, 9)]),
+            (("svg", "--n", "8", "--count", "64", "--theta-range", "0.25,2.5"), 8, [8, *range(1, 9)]),
+            (("oracle-diff", "--n", "7", "--count", "64"), 0, [7]),
+        ],
+        ids=["full-turn", "arc", "oracle-diff"],
+    )
+    def test_a_grid_is_built_and_checked_once_for_all_exponents(self, capsys, monkeypatch, argv, paths, exponents):
+        # One count check and one grid per request, wherever they are made: a
+        # uniform grid, or an arc's grid held to the theta rule. svg checks N
+        # against its cap, then each exponent once; oracle-diff's closed form
+        # takes the oracle's checked exponent and grid.
+        calls = {"count": [], "grid": [], "exponent": []}
+
+        def counted(kind, function):
+            def wrapper(value):
+                calls[kind].append(value)
+                return function(value)
+
+            return wrapper
+
+        check_count, uniform_thetas = sampling._check_count, sampling._uniform_thetas
+        check_thetas, check_exponent = sampling._check_thetas, core._check_exponent
+        for module in (cli, sampling, oracle):
+            monkeypatch.setattr(module, "_check_count", counted("count", check_count))
+            monkeypatch.setattr(module, "_uniform_thetas", counted("grid", uniform_thetas))
+        for module in (cli, sampling):
+            monkeypatch.setattr(module, "_check_thetas", counted("grid", check_thetas))
+        for module in (cli, core):
+            monkeypatch.setattr(module, "_check_exponent", counted("exponent", check_exponent))
+        code, out, err = invoke(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.count("<path ") == paths
+        assert calls["count"] == [64]
+        assert len(calls["grid"]) == 1
+        assert calls["exponent"] == exponents
 
 
 # The flags each subcommand does not read; every other pairing of the six
@@ -426,6 +457,15 @@ class TestFailureModes:
         assert code == 2
         assert out == ""
         assert f"need at least 3 samples, got {count}" in err
+
+    @pytest.mark.parametrize(
+        "extra",
+        [(), ("--theta-range", "5.1516686345346425,5.441085925337452"), ("--resample", "arclength")],
+        ids=["full-turn", "arc", "arclength"],
+    )
+    def test_a_bad_exponent_is_named_before_a_bad_count(self, capsys, extra):
+        code, out, err = invoke(capsys, "sample", "--n", "0", "--count", "1", *extra, "--format", "json")
+        assert (code, out, err) == (2, "", "error: exponent must be in [1, 2147483647], got 0\n")
 
     def test_a_theta_range_whose_grid_ties_is_rejected(self, capsys, monkeypatch):
         # The one grid that comes from user input is held to the constructor's

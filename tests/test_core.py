@@ -50,6 +50,7 @@ from fermatcurves import (
     theta_of_point,
 )
 from fermatcurves import core
+from fermatcurves.sampling import _uniform_thetas
 from helpers import frame_family, random_frame, reference_evaluate, reference_log_sum, reference_slope, ulps_around
 from test_golden import FRAMES as GOLDEN_FRAMES
 
@@ -695,7 +696,7 @@ class TestBatchedLoopsMatchTheScalarOnes:
         monkeypatch.setattr(core, "_points", with_extra)
         frame_text = ",".join(repr(c) for c in frame.coefficients())
         assert cli.run(["residual", "--n", "1000", "--count", "64", "--frame", frame_text]) == 0
-        grid = with_extra(cli._uniform_thetas(64), 1000, frame)
+        grid = with_extra(_uniform_thetas(64), 1000, frame)
         worst = 0.0
         for p in grid:
             worst = max(worst, abs(residual_log(p, 1000, frame)))
