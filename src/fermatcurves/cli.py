@@ -12,9 +12,10 @@ All numbers are printed with the shortest decimal representation that parses
 back to the exact same double, so emitted files round-trip bit-for-bit; a
 -0.0 is printed -0, which curve_from_json reads back as -0.0.
 
-sample and svg check --tol on every request, and each uniform one, full turn
-or --theta-range arc, checks N and --count once and builds all its curves on
-one theta grid, an arc's from exactly LO to exactly HI.
+sample and svg check each request's flags once, --tol, --theta-range, N and
+--count in that order. A uniform request, full turn or --theta-range arc,
+builds all its curves on one theta grid, an arc's from exactly LO to exactly
+HI; an arc-length one builds each curve on its own equal-arc grid.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .sampling import (
     _MAX_COUNT,
     DEFAULT_TOL,
     SampledCurve,
+    _arclength_thetas,
     _check_count,
     _check_size,
     _check_thetas,
@@ -44,7 +46,6 @@ from .sampling import (
     arc_length,
     convergence_gap,
     polyline_hausdorff,
-    resample_by_arclength,
 )
 
 __all__ = ["SVG_MAX_CURVES", "curve_from_json", "emit_csv", "emit_json", "emit_svg", "fmt", "main", "run"]
@@ -197,19 +198,19 @@ def _parse_range(text: str) -> list[float]:
 
 def _sample_curves(ns, exponents, frame: AffineFrame) -> list[SampledCurve]:
     """sample's and svg's curves, one per exponent, with the request's flags checked once."""
-    _check_tol(ns.tol)
+    tol = _check_tol(ns.tol)
     lo, hi = _parse_range(ns.theta_range)
     full_turn = lo == 0.0 and hi == TWO_PI
-    if ns.resample == "arclength":
-        if not full_turn:
-            raise ValueError("arc-length resampling supports only the full default theta range")
-        return [resample_by_arclength(n, frame, ns.count, ns.tol) for n in exponents]
+    if ns.resample == "arclength" and not full_turn:
+        raise ValueError("arc-length resampling supports only the full default theta range")
     if not 0.0 <= lo < hi <= TWO_PI:
         raise ValueError(
             f"--theta-range must satisfy 0 <= LO < HI <= 2*pi for sampling, got {lo!r},{hi!r}"
         )
     exponents = [_check_exponent(n) for n in exponents]
     count = _check_count(ns.count)
+    if ns.resample == "arclength":
+        return [_polyline(_arclength_thetas(n, frame, count, tol), n, frame, True) for n in exponents]
     if full_turn:
         thetas = _uniform_thetas(count)
     else:

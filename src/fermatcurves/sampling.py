@@ -31,6 +31,7 @@ speed only at the quadrature nodes.
 from __future__ import annotations
 
 import bisect as _bisect
+import decimal
 import itertools
 import math
 import operator
@@ -66,77 +67,62 @@ _REACH = 1.0 + 2.0**-40
 
 # The Gauss-Kronrod 7/15 rule on [-1, 1], as in QUADPACK's qk15 (Piessens
 # et al., 1983): the Kronrod nodes +-_XGK[j] and the centre; the Gauss nodes
-# are +-_XGK[1], +-_XGK[3], +-_XGK[5] and the centre. Added in the order
-# _gauss_kronrod uses, the weights _WGK sum to exactly 2.0 in binary64, so
-# the circle's constant speed 1.0 integrates to the exact panel width.
-_XGK = (
-    0.991455371120812639206854697526329,
-    0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926,
-    0.741531185599394439863864773280788,
-    0.586087235467691130294144845693013,
-    0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245,
+# are +-_XGK[1], +-_XGK[3], +-_XGK[5] and the centre. QUADPACK's 33-digit
+# node values are the rule's only data; every other table is derived from
+# them at import by _legendre_inverse.
+_XGK_DIGITS = (
+    "0.991455371120812639206854697526329",
+    "0.949107912342758524526189684047851",
+    "0.864864423359769072789712788640926",
+    "0.741531185599394439863864773280788",
+    "0.586087235467691130294144845693013",
+    "0.405845151377397166906606412076961",
+    "0.207784955007898467600689403773245",
 )
-_WGK = (
-    0.022935322010529224963732008058970,
-    0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518,
-    0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550,
-    0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
-    0.209482141084727828012999174891714,
-)
-_WG = (
-    0.129484966168869693270611432679082,
-    0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975,
-    0.417959183673469387755102040816327,
-)
+_XGK = tuple(map(float, _XGK_DIGITS))
+
+
+def _legendre_inverse(half: tuple[str, ...]) -> tuple[tuple[float, ...], ...]:
+    """The inverse of the matrix P_k(x_i), x_i the nodes -half, 0, reversed
+    half in increasing order, by Gauss-Jordan elimination at 50 digits in a
+    local decimal context, each entry rounded to a double. The entries below
+    1e-20 vanish by symmetry (P_k has the parity of k) and are written 0.0.
+    """
+    with decimal.localcontext() as context:
+        context.prec = 50
+        positive = [decimal.Decimal(x) for x in half]
+        nodes = [x.copy_negate() for x in positive] + [decimal.Decimal(0)] + positive[::-1]
+        size = len(nodes)
+        rows = []
+        for i, x in enumerate(nodes):
+            p = [decimal.Decimal(1), x]
+            for k in range(1, size - 1):
+                p.append(((2 * k + 1) * x * p[k] - k * p[k - 1]) / (k + 1))
+            rows.append(p + [decimal.Decimal(int(i == j)) for j in range(size)])
+        for col in range(size):
+            pivot = max(range(col, size), key=lambda r: abs(rows[r][col]))
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            rows[col] = [v / rows[col][col] for v in rows[col]]
+            for r, row in enumerate(rows):
+                if r != col:
+                    factor = row[col]
+                    rows[r] = [v - factor * w for v, w in zip(row, rows[col])]
+        inverse = [[float(v) for v in row[size:]] for row in rows]
+    return tuple(tuple(0.0 if abs(v) < 1e-20 else v for v in row) for row in inverse)
+
+
 # The Legendre coefficients of the degree-14 interpolant through values f[i]
-# at the 15 Kronrod nodes x_i in increasing order: c[k] = sum(_LEGENDRE[k][i]
-# * f[i]), the inverse of the matrix P_k(x_i), rounded from mpmath's at 50
-# digits. The nodes are symmetric about 0 and P_k has the parity of k, so
-# _LEGENDRE[k][14 - i] == (-1)**k * _LEGENDRE[k][i]: only columns 0-7, the
-# nodes up to the centre, are stored, and the rest are built here by parity.
-# Row 0 is _WGK / 2, since K15 is interpolatory. The entries that vanish by
-# symmetry (odd rows at the centre, row 7 at the Gauss nodes) are 0.0, and
-# 0.0 - c mirrors them as 0.0, not -0.0.
-_LEGENDRE = tuple(
-    (*row, *(c if k % 2 == 0 else 0.0 - c for c in row[6::-1]))
-    for k, row in enumerate((
-        tuple(0.5 * w for w in _WGK),
-        (-0.034109022293586894, -0.08982180648206232, -0.13594372777682573, -0.15644816765291022,
-         -0.14857726952547207, -0.11587928875421684, -0.06371713388351757, 0.0),
-        (0.05587478087847913, 0.13426135229514038, 0.16294472142989178, 0.11421141346688096,
-         0.006442194574720016, -0.12036560386608114, -0.22244252060107625, -0.2618526763559098),
-        (-0.07620200797169804, -0.1576103840821567, -0.11735719493811697, 0.04575072506245405,
-         0.22231025835279045, 0.29423953041265866, 0.20696269624477193, 0.0),
-        (0.09455854852494794, 0.15532301525101164, 0.008395267206013801, -0.23051798432487464,
-         -0.3018566733275861, -0.10619172999425479, 0.20353900012450304, 0.3535011130804782),
-        (-0.11045446778342152, -0.1261814974756487, 0.13156106990239894, 0.3185446060591244,
-         0.10973580163389182, -0.27508684673134104, -0.35322482764223134, 0.0),
-        (0.12345265484469584, 0.07251680283695504, -0.25663414008788155, -0.23431462719201765,
-         0.22399736501397743, 0.3697158150962807, -0.08597857097283315, -0.4255105990783534),
-        (-0.1331783704428591, 0.0, 0.32184247285373396, 0.0,
-         -0.4095811890287014, 0.0, 0.4511424456559007, 0.0),
-        (0.13932754650543916, -0.0829759570922851, -0.2978452929581856, 0.26811000611394326,
-         0.2538022246263692, -0.42304021150439813, -0.10081947574051764, 0.48688232009926974),
-        (-0.14167366908250087, 0.16625662342216882, 0.18144256612202006, -0.4197140759322146,
-         0.1471297862156984, 0.36245417276198255, -0.46372779425153965, 0.0),
-        (0.13872995639664487, -0.2352326356157767, -0.004541631154137807, 0.363653242793321,
-         -0.47315054388256383, 0.17262410695309918, 0.30246233772285497, -0.5290896664268834),
-        (-0.1316843493202232, 0.28385694572069614, -0.19146076555803068, -0.10194870237333015,
-         0.4179115987863639, -0.5453592955245016, 0.3789148316938571, 0.0),
-        (0.11619472935182698, -0.2917994578364213, 0.32977357709990546, -0.2126004976261196,
-         -0.02645012409582552, 0.3095594368242653, -0.533418125181995, 0.6174809229287275),
-        (-0.09657071433469647, 0.2676113270758079, -0.38488886570043707, 0.4378995548077848,
-         -0.42065741223756176, 0.33002741379440775, -0.18039828528440988, 0.0),
-        (0.050505252367027825, -0.14620195137938188, 0.23075524792889424, -0.3062029390379786,
-         0.37216073819317697, -0.4216517681445557, 0.45017624892715435, -0.45908165770867426),
-    ))
-)
+# at the 15 Kronrod nodes in increasing order: c[k] = sum(_LEGENDRE[k][i] *
+# f[i]). Both rules are interpolatory: each integrates its nodes'
+# interpolant exactly, and over [-1, 1] P_0 integrates to 2 and every other
+# P_k to 0, so a rule's weights are twice row 0 of the inverse on its own
+# nodes: _WGK, up to the centre, on the Kronrod nodes and _WG on every
+# second one, the Gauss nodes. Added in the order _gauss_kronrod uses, _WGK
+# sums to exactly 2.0 in binary64, so the circle's constant speed 1.0
+# integrates to the exact panel width.
+_LEGENDRE = _legendre_inverse(_XGK_DIGITS)
+_WGK = tuple(2.0 * w for w in _LEGENDRE[0][:8])
+_WG = tuple(2.0 * w for w in _legendre_inverse(_XGK_DIGITS[1::2])[0][:4])
 _NODES = 15
 # QUADPACK's floor on the error test: the rounding of a 15-term sum.
 _ROUNDING = 50.0 * math.ulp(1.0)
@@ -421,8 +407,11 @@ def resample_by_arclength(
     n = core._check_exponent(n)
     frame = core._check_frame(frame)
     count = _check_count(count)
-    tol = _check_tol(tol)
+    return _polyline(_arclength_thetas(n, frame, count, _check_tol(tol)), n, frame, True)
 
+
+def _arclength_thetas(n: int, frame: AffineFrame, count: int, tol: float) -> tuple[float, ...]:
+    """resample_by_arclength's thetas, for checked arguments."""
     panels = _half_turn(n, frame, 0.0, tol)
     cum = list(itertools.accumulate((panel[2] for panel in panels), initial=0.0))
     half = math.fsum(panel[2] for panel in panels)
@@ -439,7 +428,7 @@ def resample_by_arclength(
         if i not in series:
             series[i] = _series(panels[i])
         thetas.append(shift + _newton_in_panel(n, frame, series[i], cum[i] + offset, target))
-    return _polyline(tuple(thetas), n, frame, True)
+    return tuple(thetas)
 
 
 def _series(panel):

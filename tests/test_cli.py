@@ -339,6 +339,24 @@ class TestSvgCommand:
         assert len(calls["grid"]) == 1
         assert calls["exponent"] == exponents
 
+    def test_an_arc_length_request_checks_count_and_tol_once(self, capsys, monkeypatch):
+        # Eight resampled curves, each built from the trusted equal-arc body
+        # after one check of the request's --count and --tol.
+        calls = {"_check_count": [], "_check_tol": []}
+        for name, calls_of in calls.items():
+            function = getattr(sampling, name)
+
+            def counted(value, function=function, calls_of=calls_of):
+                calls_of.append(value)
+                return function(value)
+
+            for module in (cli, sampling):
+                monkeypatch.setattr(module, name, counted)
+        code, out, err = invoke(capsys, "svg", "--n", "8", "--count", "16", "--resample", "arclength")
+        assert (code, err) == (0, "")
+        assert out.count("<path ") == 8
+        assert calls == {"_check_count": [16], "_check_tol": [cli.DEFAULT_TOL]}
+
 
 # The flags each subcommand does not read; every other pairing of the six
 # subcommands and eight flags is read by the subcommand.

@@ -42,7 +42,7 @@ from fermatcurves import (
     sampling,
     square_point,
 )
-from fermatcurves.sampling import _LEGENDRE, _XGK, _edges, _newton_in_panel, _panels
+from fermatcurves.sampling import _LEGENDRE, _WG, _WGK, _XGK, _XGK_DIGITS, _edges, _newton_in_panel, _panels
 from helpers import corner_arc_length, corner_deficit, corner_partial_arc_length
 from test_core import SPEED_FRAME_IDS, SPEED_FRAMES
 from test_golden import FRAME_TEXTS as GOLDEN_FRAME_IDS
@@ -624,25 +624,51 @@ def _mp_speed(t, n: int, frame: AffineFrame):
     return mpmath.hypot((e * wu - b * wv) / det, (a * wv - d * wu) / det)
 
 
+def _packed(*rows) -> bytes:
+    """The doubles of the rows as bytes, so 0.0 and -0.0 differ."""
+    flat = [v for row in rows for v in row]
+    return struct.pack(f"<{len(flat)}d", *flat)
+
+
+def _mp_legendre_inverse(half):
+    """The inverse of V[i][k] = P_k(x_i), x_i the nodes -half, 0, reversed
+    half in increasing order, at 50 digits, rounded to doubles; the entries
+    that vanish by symmetry are 0.0."""
+    with mpmath.workdps(50):
+        half = [mpmath.mpf(d) for d in half]
+        nodes = [-x for x in half] + [mpmath.mpf(0)] + half[::-1]
+        size = len(nodes)
+        inverse = mpmath.matrix([[mpmath.legendre(k, x) for k in range(size)] for x in nodes]) ** -1
+        return tuple(
+            tuple(float(inverse[k, i]) if abs(inverse[k, i]) > 1e-20 else 0.0 for i in range(size))
+            for k in range(size)
+        )
+
+
 def test_legendre_table_against_mpmath():
-    # The inverse of V[i][k] = P_k(x_i), x_i the Kronrod nodes in increasing
-    # order from QUADPACK's qk15 to 33 digits; exact zeros stay 0.0.
+    # The Kronrod nodes from QUADPACK's qk15 to 33 digits; the Gauss nodes
+    # are every second one. Every derived table matches mpmath's inverse on
+    # its nodes byte for byte, signed zeros included.
     digits = (
         "0.991455371120812639206854697526329", "0.949107912342758524526189684047851",
         "0.864864423359769072789712788640926", "0.741531185599394439863864773280788",
         "0.586087235467691130294144845693013", "0.405845151377397166906606412076961",
         "0.207784955007898467600689403773245",
     )
-    assert _XGK == tuple(float(d) for d in digits)
-    with mpmath.workdps(50):
-        half = [mpmath.mpf(d) for d in digits]
-        nodes = [-x for x in half] + [mpmath.mpf(0)] + half[::-1]
-        inverse = mpmath.matrix([[mpmath.legendre(k, x) for k in range(15)] for x in nodes]) ** -1
-        expected = tuple(
-            tuple(float(inverse[k, i]) if abs(inverse[k, i]) > 1e-20 else 0.0 for i in range(15))
-            for k in range(15)
-        )
-    assert _LEGENDRE == expected
+    assert _XGK_DIGITS == digits
+    assert _packed(_XGK) == _packed(tuple(float(d) for d in digits))
+    kronrod, gauss = _mp_legendre_inverse(digits), _mp_legendre_inverse(digits[1::2])
+    assert _packed(*_LEGENDRE) == _packed(*kronrod)
+    assert _packed(_WGK) == _packed(tuple(2.0 * w for w in kronrod[0][:8]))
+    assert _packed(_WG) == _packed(tuple(2.0 * w for w in gauss[0][:4]))
+    # Added in _gauss_kronrod's order, the centre and then the node pairs
+    # from the ends inward, both rules' weights sum to exactly 2.0.
+    k15, g7 = _WGK[7], _WG[3]
+    for j in range(7):
+        k15 += _WGK[j] * 2.0
+        if j % 2:
+            g7 += _WG[j // 2] * 2.0
+    assert (k15, g7) == (2.0, 2.0)
 
 
 class TestArcLengthMeetsTol:

@@ -1,7 +1,9 @@
 """The package runs on the standard library alone: numpy is for the tests.
 
 A child interpreter blocks ``import numpy`` before importing fermatcurves and
-runs every subcommand once through ``cli.run``.
+runs every subcommand once through ``cli.run``. Another imports the CLI in a
+fresh interpreter and reads the decimal context that the quadrature tables'
+derivation must leave as it found it.
 """
 
 import os
@@ -28,13 +30,37 @@ for argv in (
 """
 
 
-def test_every_subcommand_runs_with_numpy_blocked():
+# The decimal context of a fresh interpreter after the import: precision,
+# rounding, traps and flags as a new default Context has them.
+DECIMAL_CHILD = """
+import fermatcurves.cli
+import decimal
+context = decimal.getcontext()
+print(context.prec, context.rounding)
+print(*sorted(signal.__name__ for signal, on in context.traps.items() if on))
+print(*sorted(signal.__name__ for signal, on in context.flags.items() if on))
+"""
+
+
+def _run_child(code: str) -> subprocess.CompletedProcess:
     src = os.path.dirname(os.path.dirname(fermatcurves.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    done = subprocess.run(
-        [sys.executable, "-c", CHILD],
+    return subprocess.run(
+        [sys.executable, "-c", code],
         capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_every_subcommand_runs_with_numpy_blocked():
+    done = _run_child(CHILD)
     assert done.returncode == 0, done.stderr
     assert done.stderr.split() == ["sample", "arclength", "gap", "residual", "svg", "oracle-diff"]
     assert done.stdout.splitlines()[-1] == "3.330680367628952e-16"  # as README.md shows
+
+
+def test_the_import_leaves_the_decimal_context_alone():
+    # The tables are derived at 50 digits in a local context, so the
+    # interpreter's own keeps 28 digits, the default traps and no flags.
+    done = _run_child(DECIMAL_CHILD)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["28 ROUND_HALF_EVEN", "DivisionByZero InvalidOperation Overflow", ""]
