@@ -13,7 +13,8 @@ back to the exact same double, so emitted files round-trip bit-for-bit; a
 -0.0 is printed -0, which curve_from_json reads back as -0.0.
 
 sample and svg check each request's flags once, --tol, --theta-range, N and
---count in that order. A uniform request, full turn or --theta-range arc,
+--count in that order, svg after N and its caps of 256 curves and of 2**20
+vertices in all. A uniform request, full turn or --theta-range arc,
 builds all its curves on one theta grid, an arc's from exactly LO to exactly
 HI; an arc-length one builds each curve on its own equal-arc grid.
 """

@@ -256,11 +256,11 @@ def _evaluate(theta: float, n: int) -> tuple[float, float, float, float, float, 
 
     Returns (rho, cos, sin, m, log(r), log1p(r**(2*N))) with rho the clamped
     radial factor and m, r as in the module docstring; the last three are
-    the pieces ``curve_velocity``'s slope reuses. On the axes r is 0 and
-    log(r) is -inf. Where 2*N*log(r) < -746, the axes included, r**(2*N) =
-    exp(2*N*log(r)) is exactly 0.0, so log1p of it is 0.0 and rho is
-    exp(-0.0) / m = 1.0 / m: those are returned without the calls. The
-    clamp's exp is taken only where rho could exceed its upper end.
+    the pieces ``curve_velocity``'s slope reuses. r is 0, and log(r) -inf,
+    only at theta = +-0.0. Where 2*N*log(r) < -746, theta = +-0.0 included,
+    r**(2*N) = exp(2*N*log(r)) is exactly 0.0, so log1p of it is 0.0 and
+    rho is exp(-0.0) / m = 1.0 / m: those are returned without the calls.
+    The clamp's exp is taken only where rho could exceed its upper end.
     """
     c = math.cos(theta)
     s = math.sin(theta)
@@ -306,7 +306,7 @@ def radial_factor(theta: float, n: int) -> float:
 
 def radial_factor_limit(theta: float) -> float:
     """Large-N limit of radial_factor: distance to the unit-square boundary."""
-    return min(max(1.0 / _evaluate(_check_angle(theta), MAX_EXPONENT)[3], 1.0), _SQRT2)
+    return min(1.0 / _evaluate(_check_angle(theta), MAX_EXPONENT)[3], _SQRT2)
 
 
 def curve_point(theta: float, n: int) -> Point2:
@@ -484,22 +484,19 @@ def curve_velocity(theta: float, n: int, frame: AffineFrame = IDENTITY) -> Point
 
     which factors through m and r into bounded terms; the shape factor
     S'^(-1 - 1/(2N)) with S' = 1 + r^(2N) reuses log1p(r^(2N)). drho is
-    exactly zero on the axes and on the diagonals, and at N = 1, where these
-    expressions give it as +-0.0. Two exps are skipped where their doubles
-    are known: r^(2N-2) is exactly 0.0 when its log is below -746, and the
-    shape factor is exp(+-0.0) = 1.0 exactly when log1p(r^(2N)) is 0.0.
+    +-0.0 at N = 1 and theta = +-0.0, but -6.1e-17 at fl(pi/2) and 1.3e-16 at
+    fl(pi/4) for N = 2. Two exps are skipped where their doubles are known:
+    r^(2N-2) is 0.0 when its log is below -746 or NaN (theta = +-0.0, N = 1),
+    and the shape factor is exp(+-0.0) = 1.0 exactly when log1p(r^(2N)) is 0.0.
     """
     theta, n, frame = _check_angle(theta), _check_exponent(n), _check_frame(frame)
     rho, c, s, m, log_r, log1p_power = _evaluate(theta, n)
-    if log_r == -math.inf:
-        drho = 0.0
-    else:
-        log_low = (2.0 * n - 2.0) * log_r
-        low_power = math.exp(log_low) if log_low >= _EXP_ZERO else 0.0  # r^(2N-2)
-        shape = math.exp(-(1.0 + 0.5 / n) * log1p_power) if log1p_power else 1.0
-        drho = (c * s) / (m * m * m) * (1.0 - low_power) * shape
-        if math.fabs(c) < math.fabs(s):
-            drho = -drho
+    log_low = (2.0 * n - 2.0) * log_r
+    low_power = math.exp(log_low) if log_low >= _EXP_ZERO else 0.0  # r^(2N-2)
+    shape = math.exp(-(1.0 + 0.5 / n) * log1p_power) if log1p_power else 1.0
+    drho = (c * s) / (m * m * m) * (1.0 - low_power) * shape
+    if math.fabs(c) < math.fabs(s):
+        drho = -drho
     return _solve_linear(frame, drho * c - rho * s, drho * s + rho * c)
 
 
@@ -524,7 +521,6 @@ def _speeds(thetas, n: int, frame: AffineFrame) -> list[float]:
     included, is the one those functions give; the N = 1 slope is their +-0.0.
     """
     cos, sin, fabs, hypot, log, log1p, exp = _LIBM
-    neg_inf = -math.inf
     two_n = 2.0 * n
     low_n = 2.0 * n - 2.0  # the exponent of r^(2N-2)
     shape_n = -(1.0 + 0.5 / n)  # the exponent of the shape factor 1 + r^(2N)
@@ -541,7 +537,7 @@ def _speeds(thetas, n: int, frame: AffineFrame) -> list[float]:
             m, r = ca, sa / ca
         else:
             m, r = sa, ca / sa
-        log_r = log(r) if r > 0.0 else neg_inf
+        log_r = log(r) if r > 0.0 else -math.inf
         log_power = two_n * log_r
         if log_power < _EXP_ZERO:
             log1p_power = 0.0
@@ -553,15 +549,12 @@ def _speeds(thetas, n: int, frame: AffineFrame) -> list[float]:
             rho = 1.0
         elif rho > peak:
             rho = peak
-        if log_r == neg_inf:
-            slope = 0.0
-        else:
-            log_low = low_n * log_r
-            low_power = exp(log_low) if log_low >= _EXP_ZERO else 0.0
-            shape = exp(shape_n * log1p_power) if log1p_power else 1.0
-            slope = (c * s) / (m * m * m) * (1.0 - low_power) * shape
-            if ca < sa:
-                slope = -slope
+        log_low = low_n * log_r
+        low_power = exp(log_low) if log_low >= _EXP_ZERO else 0.0
+        shape = exp(shape_n * log1p_power) if log1p_power else 1.0
+        slope = (c * s) / (m * m * m) * (1.0 - low_power) * shape
+        if ca < sa:
+            slope = -slope
         if identity:
             speeds.append(hypot(rho, slope))
         else:

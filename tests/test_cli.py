@@ -301,6 +301,23 @@ class TestSvgCommand:
         assert f"N={n}" in err
 
     @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (("svg", "--n", "0", "--tol", "1e-20"), "error: exponent must be in [1, 2147483647], got 0"),
+            (("svg", "--n", "300", "--tol", "1e-20"),
+             "error: svg draws at most 256 curves, one per exponent 1..N; got N=300"),
+            (("svg", "--n", "10", "--count", "200000", "--tol", "1e-20"),
+             "error: svg draws at most 1048576 vertices in all, N x count; got N=10, count=200000"),
+            (("sample", "--n", "0", "--tol", "1e-20"), "error: tol must be finite and at least 1e-14, got 1e-20"),
+        ],
+        ids=["svg-exponent", "svg-curves", "svg-vertices", "sample-tol"],
+    )
+    def test_svg_checks_n_and_its_caps_before_the_sampling_flags(self, capsys, argv, line):
+        # With two faults, svg reports N or a cap where sample reports --tol.
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out, err.splitlines()[0]) == (2, "", line)
+
+    @pytest.mark.parametrize(
         "argv, paths, exponents",
         [
             (("svg", "--n", "8", "--count", "64"), 8, [8, *range(1, 9)]),

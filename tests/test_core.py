@@ -521,12 +521,9 @@ def _kernel_cases() -> dict[str, list[tuple[float, int]]]:
         band.append((_angle_at(rng, math.exp(rng.uniform(-747.0, -744.0) / (2.0 * n))), n))
         n = _log_uniform_exponent(rng, 2.0)
         band.append((_angle_at(rng, math.exp(rng.uniform(-747.0, -744.0) / (2.0 * n - 2.0))), n))
-    special = [
-        (theta, n)
-        for n in (1, 2, 3, 4, 10, 1000, 10**6, MAX_EXPONENT)
-        for k in range(-8, 17)
-        for theta in ulps_around(k * math.pi / 4.0, 4)
-    ]
+    exponents = (1, 2, 3, 4, 10, 1000, 10**6, MAX_EXPONENT)
+    special = [(theta, n) for n in exponents for k in range(-8, 17) for theta in ulps_around(k * math.pi / 4.0, 4)]
+    special += [(-0.0, n) for n in exponents]  # ulps_around(0.0, 4) gives +0.0 and subnormals, not -0.0
     near_peak = [  # rho about 2**((N-1)/(2N)), on both sides of the clamp's 1.189 test
         (k * math.pi / 2.0 + math.pi / 4.0 + rng.choice((-1.0, 1.0)) * math.exp(rng.uniform(-40.0, -1.0)), n)
         for n in (1, 2, 3)

@@ -3,7 +3,8 @@
 A child interpreter blocks ``import numpy`` before importing fermatcurves and
 runs every subcommand once through ``cli.run``. Another imports the CLI in a
 fresh interpreter and reads the decimal context that the quadrature tables'
-derivation must leave as it found it.
+derivation must leave as it found it. Both run with ``-W error``, so a
+warning from the package's use of the standard library fails them.
 """
 
 import os
@@ -46,7 +47,7 @@ def _run_child(code: str) -> subprocess.CompletedProcess:
     src = os.path.dirname(os.path.dirname(fermatcurves.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-W", "error", "-c", code],
         capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": path},
     )
 
