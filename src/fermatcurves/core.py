@@ -104,7 +104,6 @@ TWO_PI = 2.0 * math.pi
 MAX_EXPONENT = 2**31 - 1
 
 _LN2 = math.log(2.0)
-_SQRT2 = math.sqrt(2.0)
 _MAX_FACTOR = 1e12  # frame guard on k; for a unit-scale frame it sits where a 1e-12 determinant did
 _FRAME_FIELDS = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta")
 # exp(x) rounds to 0.0 for every x below log(2**-1075) = -745.13...
@@ -177,11 +176,11 @@ class AffineFrame:
     """Coefficients of the affine map (x, y) -> (alpha*x + beta*y + gamma,
     delta*x + epsilon*y + zeta).
 
-    The defaults give the identity map. Construction rejects frames whose
-    linear part is singular or close enough to singular that the inverse
-    map cannot be trusted, else SingularFrame: the linear part's condition
-    number (scale-free) times 1 + |(gamma, zeta)| must be at most 1e12, and
-    alpha*epsilon - beta*delta a normal double.
+    The defaults give the identity map. Construction stores the linear part's
+    determinant alpha*epsilon - beta*delta as ``det`` and rejects frames whose
+    linear part is too near singular for the inverse map to be trusted, else
+    SingularFrame: the linear part's condition number (scale-free) times
+    1 + |(gamma, zeta)| must be at most 1e12, and det a normal double.
     """
 
     alpha: float = 1.0
@@ -197,7 +196,7 @@ class AffineFrame:
             if not math.isfinite(value):
                 raise ValueError(f"frame coefficient {name} must be finite, got {value!r}")
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "_det", self.alpha * self.epsilon - self.beta * self.delta)
+        object.__setattr__(self, "det", self.alpha * self.epsilon - self.beta * self.delta)
         # k bounds how much the frame magnifies rounding in a curve point; kappa = sigma_max / sigma_min
         # from sigma_max * sigma_min = |det|, sigma_max**2 + sigma_min**2 = ||A||_F**2 on entries <= 1.
         scale = max(abs(self.alpha), abs(self.beta), abs(self.delta), abs(self.epsilon)) or 1.0
@@ -212,16 +211,11 @@ class AffineFrame:
             failed.append(
                 f"condition number {kappa:.6g} times 1 + |(gamma, zeta)| is {k:.6g} (must be <= {_MAX_FACTOR:g})"
             )
-        if not 2.0**-1022 <= abs(self._det) < math.inf:
-            failed.append(f"|det| = {abs(self._det):.6g} (must be a normal double)")
+        if not 2.0**-1022 <= abs(self.det) < math.inf:
+            failed.append(f"|det| = {abs(self.det):.6g} (must be a normal double)")
         if failed:
             raise SingularFrame("singular frame: " + ", ".join(failed))
         object.__setattr__(self, "_factor", k)
-
-    @property
-    def det(self) -> float:
-        """Determinant alpha*epsilon - beta*delta of the linear part, computed at construction."""
-        return self._det
 
     def coefficients(self) -> tuple[float, float, float, float, float, float]:
         """The six coefficients in (alpha, beta, gamma, delta, epsilon, zeta) order."""
@@ -306,7 +300,7 @@ def radial_factor(theta: float, n: int) -> float:
 
 def radial_factor_limit(theta: float) -> float:
     """Large-N limit of radial_factor: distance to the unit-square boundary."""
-    return min(1.0 / _evaluate(_check_angle(theta), MAX_EXPONENT)[3], _SQRT2)
+    return 1.0 / _evaluate(_check_angle(theta), MAX_EXPONENT)[3]
 
 
 def curve_point(theta: float, n: int) -> Point2:
@@ -352,7 +346,7 @@ def inverse_affine(p: Point2, frame: AffineFrame = IDENTITY) -> Point2:
 
 def _solve_linear(frame: AffineFrame, u: float, v: float) -> Point2:
     """Apply the inverse of the frame's linear part (no translation)."""
-    det = frame._det
+    det = frame.det
     return (
         (frame.epsilon * u - frame.beta * v) / det,
         (frame.alpha * v - frame.delta * u) / det,
@@ -386,7 +380,7 @@ def _points(thetas, n: int, frame: AffineFrame) -> tuple[Point2, ...]:
     two_n = 2.0 * n
     peak = exp(_LN2 * (n - 1) / two_n)
     alpha, beta, gamma, delta, epsilon, zeta = frame.coefficients()
-    det = frame._det
+    det = frame.det
     points = []
     for theta in thetas:
         c = cos(theta)
@@ -524,7 +518,7 @@ def _speeds(thetas, n: int, frame: AffineFrame) -> list[float]:
     two_n = 2.0 * n
     low_n = 2.0 * n - 2.0  # the exponent of r^(2N-2)
     shape_n = -(1.0 + 0.5 / n)  # the exponent of the shape factor 1 + r^(2N)
-    alpha, beta, delta, epsilon, det = frame.alpha, frame.beta, frame.delta, frame.epsilon, frame._det
+    alpha, beta, delta, epsilon, det = frame.alpha, frame.beta, frame.delta, frame.epsilon, frame.det
     identity = alpha == 1.0 and beta == 0.0 and delta == 0.0 and epsilon == 1.0
     peak = exp(_LN2 * (n - 1) / two_n)
     speeds = []
@@ -540,18 +534,18 @@ def _speeds(thetas, n: int, frame: AffineFrame) -> list[float]:
         log_r = log(r) if r > 0.0 else -math.inf
         log_power = two_n * log_r
         if log_power < _EXP_ZERO:
-            log1p_power = 0.0
             rho = 1.0 / m
+            shape = 1.0
         else:
             log1p_power = log1p(exp(log_power))
             rho = exp(-log1p_power / two_n) / m
+            shape = exp(shape_n * log1p_power)
         if rho < 1.0:
             rho = 1.0
         elif rho > peak:
             rho = peak
         log_low = low_n * log_r
         low_power = exp(log_low) if log_low >= _EXP_ZERO else 0.0
-        shape = exp(shape_n * log1p_power) if log1p_power else 1.0
         slope = (c * s) / (m * m * m) * (1.0 - low_power) * shape
         if ca < sa:
             slope = -slope

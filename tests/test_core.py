@@ -169,7 +169,15 @@ class TestLimitFactor:
         for k in range(100):
             theta = TWO_PI * k / 100.0
             m = max(abs(math.cos(theta)), abs(math.sin(theta)))
-            assert radial_factor_limit(theta) == pytest.approx(1.0 / m, rel=1e-15)
+            assert radial_factor_limit(theta) == 1.0 / m
+
+    @pytest.mark.parametrize("k", range(-4, 4))
+    def test_reciprocal_never_passes_sqrt2_beside_a_diagonal(self, k):
+        # max(|cos|, |sin|) >= 1/sqrt(2) exactly, so 1/m rounds to at most fl(sqrt(2)) with no clamp.
+        for theta in ulps_around(math.pi / 4.0 + k * math.pi / 2.0, 64):
+            v = radial_factor_limit(theta)
+            assert v == 1.0 / max(abs(math.cos(theta)), abs(math.sin(theta)))
+            assert v <= math.sqrt(2.0)
 
     def test_range_and_diagonal(self):
         assert radial_factor_limit(0.0) == 1.0
@@ -276,6 +284,13 @@ class TestAffineFrame:
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             IDENTITY.alpha = 2.0
+
+    def test_det_is_a_read_only_attribute_and_not_a_field(self):
+        frame = GOLDEN_FRAMES[2]
+        assert "det" not in {field.name for field in dataclasses.fields(frame)}
+        assert "det" not in repr(frame)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            frame.det = 1.0
 
     def test_singular_frame_rejected_at_construction(self):
         with pytest.raises(SingularFrame, match="singular frame"):

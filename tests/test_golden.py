@@ -7,6 +7,13 @@ sweep covers the whole exponent range up to 2**31 - 1, the axis and
 diagonal angles, and four frames. The digests assume a libm whose cos,
 sin, exp, log and log1p round as glibc's do; another libm may differ in
 the last bit and then legitimately fails this file alone.
+
+The speed takes math.hypot, which CPython rounds in two families: an exact
+halfway case goes up on 3.10 and 3.11 and down on 3.12 and 3.13. The
+digests of speed-derived values, the curve_speed doubles and the top-N
+arc-length resampling, are kept once per family, and a probe of one such
+tie picks the family; a probe value in neither family fails those tests
+and names it. Every other digest is the same in both families.
 """
 
 import hashlib
@@ -52,6 +59,20 @@ def _sweep() -> list[tuple[float, int]]:
     return cases
 
 
+# hypot of these two doubles is a tie between the neighbours 0x1.4c05d2d105ac4p+0 and ...ac5p+0
+HYPOT_UP, HYPOT_DOWN = "0x1.4c05d2d105ac5p+0", "0x1.4c05d2d105ac4p+0"
+HYPOT_TIE = math.hypot(float.fromhex("-0x1.8e6d63613a01fp-1"), float.fromhex("-0x1.099e4240d156ap+0")).hex()
+
+
+def _expected(digest) -> str:
+    """The digest, or of a per-family digest the one that HYPOT_TIE picks."""
+    if isinstance(digest, str):
+        return digest
+    if HYPOT_TIE not in digest:
+        pytest.fail(f"math.hypot rounds the probe tie to {HYPOT_TIE}, in neither family {sorted(digest)}")
+    return digest[HYPOT_TIE]
+
+
 def _digest(values) -> str:
     h = hashlib.sha256()
     for value in values:
@@ -67,7 +88,10 @@ CORE_DIGESTS = {
     "curve_point": "e44ba8b1baf0f98086305be58e254e1da085f3f5c56d0db0d4fded20e2260e02",
     "affine_curve_point": "287c44529d00500731fa5e396eb4684447908454d61a5f5ec1aea5841d398439",
     "curve_velocity": "b3022b5ae6f8470879cba12827afcf014a6707ba402baae7ed50a32a4039450e",
-    "curve_speed": "b1fee24629cf1b54c7466b9bef88f58b5b94461a6a7eb1d09438bd5113e021f7",
+    "curve_speed": {
+        HYPOT_UP: "b1fee24629cf1b54c7466b9bef88f58b5b94461a6a7eb1d09438bd5113e021f7",
+        HYPOT_DOWN: "9e1d205d228474736f1be8ed1260c4430b0666b7e54cc8dbbff79203d37209b8",
+    },
     "radial_factor_limit": "51ee47846819824d706d05818908c8602f5a3aa2f4c8781095afe0384ad40e6a",
     "square_point": "e505215c15afaedf095faaa330b2aca072d095634d93128f191ca96db9708c08",
 }
@@ -92,7 +116,7 @@ def _core_values(name: str):
 
 @pytest.mark.parametrize("name", sorted(CORE_DIGESTS))
 def test_core_doubles_match_the_golden_digest(name):
-    assert _digest(_core_values(name)) == CORE_DIGESTS[name]
+    assert _digest(_core_values(name)) == _expected(CORE_DIGESTS[name])
 
 
 # Each entry is an argv and the SHA-256 of its stdout. The last five are the
@@ -143,8 +167,11 @@ CLI_DIGESTS = {
     # 9.025641088623626
     ("arclength", "--n", "199965042", "--frame", FRAME_TEXTS[3], "--tol", "1e-12"):
         "b310c7ec75ab023d874be870b1f3c1b50d7cc0602da9e4dcad7a4988ceaef759",
-    ("sample", "--n", "2147483647", "--count", "32", "--resample", "arclength"):
-        "bf91336f05943bd9a6b91b3c251d381ae700a4d3775e77c7a754ca8502d99848",
+    # Between the hypot families two of its rows differ: each theta by one ulp, and its point with it.
+    ("sample", "--n", "2147483647", "--count", "32", "--resample", "arclength"): {
+        HYPOT_UP: "bf91336f05943bd9a6b91b3c251d381ae700a4d3775e77c7a754ca8502d99848",
+        HYPOT_DOWN: "cc003a5891c3b8d4bc7d87f93ee697b988462855e6c5a1340c4a4acf1bb93976",
+    },
 }
 
 
@@ -153,4 +180,4 @@ def test_cli_stdout_matches_the_golden_digest(capsys, argv):
     code = cli.run(list(argv))
     out = capsys.readouterr().out.encode("ascii")
     assert code == 0
-    assert hashlib.sha256(out).hexdigest() == CLI_DIGESTS[argv]
+    assert hashlib.sha256(out).hexdigest() == _expected(CLI_DIGESTS[argv])
