@@ -62,8 +62,8 @@ _MIN_TOL = 1e-14
 _QUARTER_PI = math.pi / 4.0
 _SPAN_SLACK = 4.0 * math.ulp(TWO_PI)
 _GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
-# relative slack on a vertex's distance when _directed_hausdorff skips a block
-_REACH = 1.0 + 2.0**-40
+# how far _directed_hausdorff pads each block's box, per axis
+_PAD = 2.0**-38
 
 # The Gauss-Kronrod 7/15 rule on [-1, 1], as in QUADPACK's qk15 (Piessens
 # et al., 1983): the Kronrod nodes +-_XGK[j] and the centre; the Gauss nodes
@@ -530,9 +530,9 @@ def polyline_hausdorff(a, b) -> float:
     pa, ca = _as_polyline(a)
     pb, cb = _as_polyline(b)
     # Squared distances overflow past about 1.3e154. Scaling every
-    # coordinate below 1 by a power of two keeps them in range; the scale is
-    # exact for every coordinate it leaves a normal double, so the result
-    # is then the same double as the unscaled scan's.
+    # coordinate below 1 by a power of two keeps them in range and fixes
+    # _directed_hausdorff's box padding; the scale is exact for every
+    # coordinate it leaves a normal double, so the result is the unscaled scan's.
     exponent = math.frexp(max(abs(c) for p in (*pa, *pb) for c in p))[1]
     pa = [(math.ldexp(x, -exponent), math.ldexp(y, -exponent)) for x, y in pa]
     pb = [(math.ldexp(x, -exponent), math.ldexp(y, -exponent)) for x, y in pb]
@@ -569,16 +569,16 @@ def _directed_hausdorff(pts, poly, poly_closed: bool) -> float:
 
     Past those two the scan goes by blocks of about sqrt(m) contiguous
     segments, from the proportional one's block on, and skips a block whose
-    bounding box lies farther than sqrt(nearest) * (1 + 2^-40) + margin,
-    nearest being the least squared distance the vertex has met and margin
-    2^-40 times the largest coordinate magnitude L of poly (at least 2^-460,
-    so that every square the test bounds is a normal double). A segment's
-    computed distance is within a few ulps, relative to itself and to L, of
-    the distance to a point on the segment, which lies in the block's box;
-    so every segment of a skipped block has a computed squared distance
-    above nearest, which stays above the running maximum while the scan
-    runs. Skipping it changes neither the vertex's minimum nor where its
-    scan breaks off, so the maximum is the full scan's, double for double.
+    box, padded by _PAD = 2^-38 per axis, lies farther than sqrt(nearest),
+    nearest being the least squared distance the vertex has met. This needs
+    every coordinate below 1 in magnitude, as polyline_hausdorff's scale
+    makes them: a segment's computed distance is then within about 2^-50 of
+    the distance to a point on it, which lies in the box, and the padded box
+    lies farther than sqrt(nearest) only where the box lies farther than
+    sqrt(nearest) + 2^-38. So every segment of a skipped block has a computed
+    squared distance above nearest, and above the running maximum. Skipping
+    it changes neither the vertex's minimum nor where its scan breaks off,
+    so the maximum is the full scan's, double for double.
     A record vertex tests about sqrt(m) boxes and one or two blocks of
     segments instead of all m segments.
     """
@@ -593,8 +593,8 @@ def _directed_hausdorff(pts, poly, poly_closed: bool) -> float:
     blocks = []
     for lo in range(0, m, size):
         span_x, span_y = xs[lo : lo + size + 1], ys[lo : lo + size + 1]
-        blocks.append((min(span_x), max(span_x), min(span_y), max(span_y), segments[lo : lo + size]))
-    margin = 2.0**-40 * max(max(xs), -min(xs), max(ys), -min(ys), 2.0**-460)
+        box = min(span_x) - _PAD, max(span_x) + _PAD, min(span_y) - _PAD, max(span_y) + _PAD
+        blocks.append((*box, segments[lo : lo + size]))
     stride = round(n / _GOLDEN_RATIO)
     while math.gcd(stride, n) != 1:
         stride += 1
@@ -614,18 +614,16 @@ def _directed_hausdorff(pts, poly, poly_closed: bool) -> float:
         nearest = _scan(px, py, (segments[start + 1 - m],), worst, nearest)  # the vertex's other segment
         if nearest <= worst:
             continue
-        reach2 = (math.sqrt(nearest) * _REACH + margin) ** 2
         first = start // size
         for b in range(first - len(blocks), first):  # a negative index wraps around
             x0, x1, y0, y1, block = blocks[b]
             bx = x0 - px if px < x0 else px - x1 if px > x1 else 0.0
             by = y0 - py if py < y0 else py - y1 if py > y1 else 0.0
-            if bx * bx + by * by > reach2:
+            if bx * bx + by * by > nearest:
                 continue
             nearest = _scan(px, py, block, worst, nearest)
             if nearest <= worst:
                 break
-            reach2 = (math.sqrt(nearest) * _REACH + margin) ** 2
         else:
             worst = nearest
     return worst

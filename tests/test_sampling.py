@@ -834,6 +834,18 @@ class TestResampleByArclength:
         with pytest.raises(QuadratureFailure, match=r"N=3 .* in panel \[0.0, 1.0\] .* after 60 Newton steps"):
             _newton_in_panel(3, IDENTITY, panel, 0.0, 0.5)
 
+    def test_a_newton_step_out_of_the_bracket_bisects(self):
+        # One node value 1000 times the rest makes the interpolant swing, so
+        # Newton steps leave [lo, hi]; those steps bisect, and the search
+        # stops by its rule. Over [0, 1] the series integrates to c[0].
+        _, _, _, coefficients = sampling._series((0.0, 1.0, None, (1000.0,) + (1.0,) * 14))
+        panel = (0.0, 1.0, coefficients[0], coefficients)
+        target = 0.75 * coefficients[0]
+        theta = _newton_in_panel(1, IDENTITY, panel, 0.0, target)
+        assert theta == pytest.approx(0.0095796, rel=1e-5)
+        arc, speed = sampling._legendre_integral(coefficients, 0.0, 1.0, theta)
+        assert abs(arc - target) <= sampling._ROUNDING * target + abs(speed) * math.ulp(theta)
+
     def test_the_step_cap_error_names_n_frame_target_panel_and_steps(self, monkeypatch):
         frame = GOLDEN_FRAMES[3]
         panel = sampling._series(_panels(7, frame, 0.0, math.pi, 1e-10)[0])
@@ -1115,6 +1127,37 @@ def _random_walk(rng, size: int, scale: float) -> list[tuple[float, float]]:
     return pts
 
 
+def _spokes(rng) -> list[tuple[float, float]]:
+    """3 to 12 spokes in the first quadrant, their inner ends at one radius r
+    in [0.1, 0.3] and their outer ends 1.5 to 3 r out, joined end to end and
+    reversed half the time. Each inner end is the point nearest the origin on
+    two segments, one that starts there and one that ends there, and the two
+    computed distances from the origin round apart."""
+    pts = []
+    inner = rng.uniform(0.1, 0.3)
+    for _ in range(rng.randint(3, 12)):
+        angle = rng.uniform(0.05, QUARTER - 0.05)
+        outer = inner * rng.uniform(1.5, 3.0)
+        pts += [(inner * math.cos(angle), inner * math.sin(angle)),
+                (outer * math.cos(angle), outer * math.sin(angle))]
+    return pts[::-1] if rng.random() < 0.5 else pts
+
+
+def _scaled(*polylines):
+    """polyline_hausdorff's exponent e and the polylines scaled by 2^-e, all
+    coordinates then below 1 in magnitude."""
+    exponent = math.frexp(max(abs(c) for p in polylines for point in p for c in point))[1]
+    return exponent, [[(math.ldexp(x, -exponent), math.ldexp(y, -exponent)) for x, y in p] for p in polylines]
+
+
+def _directed(pts, poly, closed: bool) -> float:
+    """The directed distance of sampling._directed_hausdorff, which takes
+    coordinates below 1 in magnitude, on the polylines scaled and the result
+    scaled back, which is exact at these tests' scales."""
+    exponent, (pts, poly) = _scaled(pts, poly)
+    return math.ldexp(math.sqrt(sampling._directed_hausdorff(pts, poly, closed)), exponent)
+
+
 def _random_arc(rng, n: int, frame: AffineFrame) -> SampledCurve:
     thetas = sorted({rng.uniform(0.0, TWO_PI) for _ in range(rng.randint(3, 40))})
     points = tuple(affine_curve_point(t, n, frame) for t in thetas)
@@ -1141,8 +1184,7 @@ class TestHausdorffMatchesTheAllPairsScan:
             a = _random_polyline(rng, rng.randint(2, 40), scale)
             b = _random_polyline(rng, rng.randint(2, 40), scale)
             closed = rng.random() < 0.5
-            got = math.sqrt(sampling._directed_hausdorff(a, b, closed))
-            assert got == _all_pairs_directed(np.asarray(a), np.asarray(b), closed)
+            assert _directed(a, b, closed) == _all_pairs_directed(np.asarray(a), np.asarray(b), closed)
 
     def test_seeded_open_and_closed_arcs(self):
         rng = random.Random(6)
@@ -1176,7 +1218,7 @@ class TestHausdorffMatchesTheAllPairsScan:
                         for x, y in rng.sample(poly, 300)]
                 pts = near + _random_walk(rng, 60, scale)
                 for closed in (False, True):
-                    got = math.sqrt(sampling._directed_hausdorff(pts, poly, closed))
+                    got = _directed(pts, poly, closed)
                     assert got == _all_pairs_directed(np.asarray(pts), np.asarray(poly), closed)
 
     @pytest.mark.parametrize("scale", [1e-6, 0.3, 1e3])
@@ -1193,8 +1235,38 @@ class TestHausdorffMatchesTheAllPairsScan:
         pts = [(x, 0.0) for x in xs[::7]] + [(0.5 * (a + b), 0.0) for a, b in zip(xs[::9], xs[1::9])]
         pts += [(x, 0.25 * h) for x in xs[3::11]]
         for closed in (False, True):
-            got = math.sqrt(sampling._directed_hausdorff(pts, poly, closed))
+            got = _directed(pts, poly, closed)
             assert got == _all_pairs_directed(np.asarray(pts), np.asarray(poly), closed)
+
+    def test_spokes_whose_inner_ends_round_two_ways(self):
+        # The inner ends' computed distances from the origin tie within an
+        # ulp. A block whose box corner is an inner end v can lie farther
+        # than the nearest so far, from another inner end, and still hold
+        # the segment ending at v, which computes an ulp nearer: without the
+        # box padding the scan skips that block and returns an ulp more.
+        rng = random.Random(1)
+        for _ in range(5000):
+            poly = _spokes(rng)
+            want = _all_pairs_hausdorff([(0.0, 0.0)] + poly, True, poly, True)
+            assert polyline_hausdorff([(0.0, 0.0)] + poly, poly) == want
+
+    @pytest.mark.parametrize("scale", [1e-310, 1e-300, 1e-160, 1e150, 1e300, "tiny against unit"])
+    def test_extreme_scales(self, scale):
+        # Unscaled, the reference's squares underflow or overflow, so it
+        # runs on both polylines scaled by polyline_hausdorff's power of two.
+        rng = random.Random(repr(scale))
+        for _ in range(200):
+            if scale == "tiny against unit":
+                tiny = rng.choice([1e-310, 1e-300, 1e-160, 1e-20])
+                a = _random_polyline(rng, rng.randint(2, 40), tiny)
+                b = _random_polyline(rng, rng.randint(2, 40), 1.0)
+                a, b = (b, a) if rng.random() < 0.5 else (a, b)
+            else:
+                a = _random_polyline(rng, rng.randint(2, 40), scale)
+                b = _random_polyline(rng, rng.randint(2, 40), scale)
+            exponent, (scaled_a, scaled_b) = _scaled(a, b)
+            want = math.ldexp(_all_pairs_hausdorff(scaled_a, True, scaled_b, True), exponent)
+            assert polyline_hausdorff(a, b) == want
 
     @pytest.mark.parametrize("frame", GOLDEN_FRAMES, ids=GOLDEN_FRAME_IDS)
     @pytest.mark.parametrize("n", [1, 2, 7, 100, 10**4])
