@@ -25,7 +25,7 @@ from .sampling import SampledCurve, _check_count, _trusted_curve, _uniform_theta
 
 __all__ = ["bisect_radial_factor", "implicit_solve_x", "oracle_polyline"]
 
-# Half-width, in log t, of the band around the root's place in which _bisect
+# Half-width, in log t, of the band around the root's place in which _radii
 # still evaluates the equation; bisect_radial_factor shows that it outweighs
 # every rounding in the decisions it makes outside.
 _BAND = 2.0**-48
@@ -93,6 +93,9 @@ def bisect_radial_factor(theta: float, n: int) -> float:
     band holds 1.25, m's node is [1, 3/2] and 1.25 is evaluated twice.)
     Nothing here uses the closed-form radial factor.
 
+    The loop is _radii, the oracle's one body, run here on one angle after
+    the angle and exponent checks; oracle_polyline runs it once per curve.
+
     The result also equals plain bisection of [1, sqrt(2)], by evidence
     rather than proof. Both end at adjacent doubles across which the
     computed F turns positive, and those are the same whenever F changes
@@ -102,46 +105,63 @@ def bisect_radial_factor(theta: float, n: int) -> float:
     60,000 of those, F changed sign once within 24 ulps of the result.
     """
     theta = core._check_angle(theta)
-    return _bisect(math.cos(theta), math.sin(theta), core._check_exponent(n))
+    return _radii((theta,), core._check_exponent(n))[0]
 
 
-def _bisect(cos_t: float, sin_t: float, n: int) -> float:
-    """bisect_radial_factor from cos(theta), sin(theta) and a checked exponent."""
-    c = math.fabs(cos_t)
-    s = math.fabs(sin_t)
-    log_c = math.log(c) if c > 0.0 else -math.inf
-    log_s = math.log(s) if s > 0.0 else -math.inf
-    # finite: the larger of |cos| and |sin| is at least 1/sqrt(2)
-    log_big, log_small = max(log_c, log_s), min(log_c, log_s)
+def _radii(thetas, n: int) -> list[float]:
+    """bisect_radial_factor at each of the checked angles thetas, for a
+    checked exponent: the one body of the bisection oracle.
+
+    Its libm functions are bound once per call, from the module's math at
+    call time (so a stand-in for math sees every evaluation), and a curve
+    pays one Python call instead of one per vertex.
+    """
+    cos, sin, fabs, log, log1p, exp, floor, ceil = (
+        math.cos, math.sin, math.fabs, math.log, math.log1p, math.exp, math.floor, math.ceil
+    )
     two_n = 2.0 * n
-
-    # F at the first midpoint, 1.25, places the band
-    big = two_n * (_LOG_T1 + log_big)
-    f = big + math.log1p(math.exp(two_n * (_LOG_T1 + log_small) - big))
-    above = 1.25 * math.exp(_BAND - f / two_n)
-    below = 1.25 * math.exp(-_BAND - f / two_n)
-    # the node centred on the integer with the most trailing zeros in the band
-    first = max(1, math.floor((below - 1.0) * _STEPS) + 1)
-    last = math.ceil((above - 1.0) * _STEPS) - 1
-    m = _most_trailing_zeros(first, last)
-    w = m & -m
-    lo = 1.0 + (m - w) / _STEPS
-    hi = 1.0 + (m + w) / _STEPS
-    mid = 0.5 * (lo + hi)
-    while lo < mid < hi:
-        if mid >= above:
-            hi = mid
-        elif mid <= below:
-            lo = mid
+    radii = []
+    for theta in thetas:
+        c = fabs(cos(theta))
+        s = fabs(sin(theta))
+        log_c = log(c) if c > 0.0 else -math.inf
+        log_s = log(s) if s > 0.0 else -math.inf
+        # finite: the larger of |cos| and |sin| is at least 1/sqrt(2)
+        if log_c >= log_s:
+            log_big, log_small = log_c, log_s
         else:
-            log_mid = math.log(mid)
-            big = two_n * (log_mid + log_big)
-            if big + math.log1p(math.exp(two_n * (log_mid + log_small) - big)) > 0.0:
-                hi = mid
-            else:
-                lo = mid
+            log_big, log_small = log_s, log_c
+
+        # F at the first midpoint, 1.25, places the band
+        big = two_n * (_LOG_T1 + log_big)
+        f = big + log1p(exp(two_n * (_LOG_T1 + log_small) - big))
+        above = 1.25 * exp(_BAND - f / two_n)
+        below = 1.25 * exp(-_BAND - f / two_n)
+        # the node centred on the integer with the most trailing zeros in the band
+        first = floor((below - 1.0) * _STEPS) + 1
+        if first < 1:
+            first = 1
+        last = ceil((above - 1.0) * _STEPS) - 1
+        m = _most_trailing_zeros(first, last)
+        w = m & -m
+        lo = 1.0 + (m - w) / _STEPS
+        hi = 1.0 + (m + w) / _STEPS
         mid = 0.5 * (lo + hi)
-    return mid
+        while lo < mid < hi:
+            if mid >= above:
+                hi = mid
+            elif mid <= below:
+                lo = mid
+            else:
+                log_mid = log(mid)
+                big = two_n * (log_mid + log_big)
+                if big + log1p(exp(two_n * (log_mid + log_small) - big)) > 0.0:
+                    hi = mid
+                else:
+                    lo = mid
+            mid = 0.5 * (lo + hi)
+        radii.append(mid)
+    return radii
 
 
 def _most_trailing_zeros(first: int, last: int) -> int:
@@ -181,15 +201,20 @@ def oracle_polyline(
 
     Same uniform theta grid as ``sampling.sample_uniform_theta`` but with the
     radial factor found by ``bisect_radial_factor``, giving an independent
-    polyline to compare the closed form against.
+    polyline to compare the closed form against. The radii come from one
+    call of its bisection body for the whole grid, and each vertex takes the
+    frame's inverse inline, as ``core._points`` does: the same doubles as
+    ``inverse_affine`` of the bisected point.
     """
     n = core._check_exponent(n)
     frame = core._check_frame(frame)
     thetas = _uniform_thetas(_check_count(count))
+    cos, sin = math.cos, math.sin
+    alpha, beta, gamma, delta, epsilon, zeta = frame.coefficients()
+    det = frame.det
     points = []
-    for t in thetas:
-        c, s = math.cos(t), math.sin(t)
-        radius = _bisect(c, s, n)
-        x, y = radius * c, radius * s
-        points.append(core._solve_linear(frame, x - frame.gamma, y - frame.zeta))
+    for theta, radius in zip(thetas, _radii(thetas, n)):
+        u = radius * cos(theta) - gamma
+        v = radius * sin(theta) - zeta
+        points.append(((epsilon * u - beta * v) / det, (alpha * v - delta * u) / det))
     return _trusted_curve(thetas, tuple(points), True, n, frame)

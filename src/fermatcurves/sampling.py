@@ -525,18 +525,21 @@ def polyline_hausdorff(a, b) -> float:
     SampledCurve instances or plain ordered sequences of (x, y) pairs (plain
     sequences are treated as closed); a set or a mapping, whose order is not
     the polyline's, raises ValueError. A distance past the double range is
-    +inf.
+    +inf. Each polyline is scanned as flat x and y lists, scaled by one power
+    of two with ldexp.
     """
     pa, ca = _as_polyline(a)
     pb, cb = _as_polyline(b)
+    (ax, ay), (bx, by) = zip(*pa), zip(*pb)
     # Squared distances overflow past about 1.3e154. Scaling every
     # coordinate below 1 by a power of two keeps them in range and fixes
     # _directed_hausdorff's box padding; the scale is exact for every
     # coordinate it leaves a normal double, so the result is the unscaled scan's.
-    exponent = math.frexp(max(abs(c) for p in (*pa, *pb) for c in p))[1]
-    pa = [(math.ldexp(x, -exponent), math.ldexp(y, -exponent)) for x, y in pa]
-    pb = [(math.ldexp(x, -exponent), math.ldexp(y, -exponent)) for x, y in pb]
-    worst = max(_directed_hausdorff(pa, pb, cb), _directed_hausdorff(pb, pa, ca))
+    # ldexp, not a product with 2^-exponent, which overflows where every
+    # coordinate is subnormal.
+    exponent = math.frexp(max(max(map(abs, c)) for c in (ax, ay, bx, by)))[1]
+    ax, ay, bx, by = (list(map(math.ldexp, c, itertools.repeat(-exponent))) for c in (ax, ay, bx, by))
+    worst = max(_directed_hausdorff(ax, ay, bx, by, cb), _directed_hausdorff(bx, by, ax, ay, ca))
     try:
         return math.ldexp(math.sqrt(worst), exponent)
     except OverflowError:
@@ -557,15 +560,18 @@ def _as_polyline(curve):
     return [core._check_point(p) for p in pts], True
 
 
-def _directed_hausdorff(pts, poly, poly_closed: bool) -> float:
-    """Largest squared distance from a vertex of pts to the polyline poly.
+def _directed_hausdorff(xs, ys, qx, qy, poly_closed: bool) -> float:
+    """Largest squared distance from a vertex (xs[i], ys[i]) to the polyline
+    through the vertices (qx[j], qy[j]).
 
     The exact early-break scan of Taha & Hanbury (IEEE TPAMI 2015): a vertex's
     scan stops at the first segment within the running maximum, which that
-    vertex cannot raise. Vertices are visited with a stride near len(pts)/phi,
+    vertex cannot raise. Vertices are visited with a stride near len(xs)/phi,
     coprime to it, so large distances turn up early; each scan starts at the
     two segments that meet at the proportional vertex, the likeliest nearest,
-    and a vertex that is no new record mostly stops at the first.
+    and a vertex that is no new record mostly stops at the first. Segment j
+    runs from vertex j to vertex j + 1 and is read from the coordinate lists
+    by index, its squared length computed at each test.
 
     Past those two the scan goes by blocks of about sqrt(m) contiguous
     segments, from the proportional one's block on, and skips a block whose
@@ -582,46 +588,44 @@ def _directed_hausdorff(pts, poly, poly_closed: bool) -> float:
     A record vertex tests about sqrt(m) boxes and one or two blocks of
     segments instead of all m segments.
     """
-    path = poly + poly[:1] if poly_closed else poly  # segment j runs from path[j] to path[j + 1]
-    segments = []
-    for (sx, sy), (ex, ey) in zip(path, path[1:]):
-        dx, dy = ex - sx, ey - sy
-        segments.append((sx, sy, dx, dy, dx * dx + dy * dy or 1.0))  # 1.0: zero length
-    n, m = len(pts), len(segments)
-    xs, ys = [x for x, _ in path], [y for _, y in path]
+    if poly_closed:  # the wrap-around segment
+        qx, qy = [*qx, qx[0]], [*qy, qy[0]]
+    n, m = len(xs), len(qx) - 1
     size = math.isqrt(m)
-    blocks = []
+    blocks = []  # each block's padded box and its segments' range
     for lo in range(0, m, size):
-        span_x, span_y = xs[lo : lo + size + 1], ys[lo : lo + size + 1]
-        box = min(span_x) - _PAD, max(span_x) + _PAD, min(span_y) - _PAD, max(span_y) + _PAD
-        blocks.append((*box, segments[lo : lo + size]))
+        hi = min(lo + size, m)
+        span_x, span_y = qx[lo : hi + 1], qy[lo : hi + 1]
+        blocks.append((min(span_x) - _PAD, max(span_x) + _PAD, min(span_y) - _PAD, max(span_y) + _PAD, lo, hi))
     stride = round(n / _GOLDEN_RATIO)
     while math.gcd(stride, n) != 1:
         stride += 1
     worst = 0.0
     for k in range(n):
         i = k * stride % n
-        px, py = pts[i]
+        px, py = xs[i], ys[i]
         start = (i * m // n - 1) % m
-        sx, sy, dx, dy, len2 = segments[start]  # _scan's test, inline: most vertices stop here
+        sx, sy = qx[start], qy[start]  # _scan's test, inline: most vertices stop here
+        dx, dy = qx[start + 1] - sx, qy[start + 1] - sy
         wx, wy = px - sx, py - sy
-        t = (wx * dx + wy * dy) / len2
+        t = (wx * dx + wy * dy) / (dx * dx + dy * dy or 1.0)  # 1.0: zero length
         t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
         ex, ey = wx - t * dx, wy - t * dy
         nearest = ex * ex + ey * ey
         if nearest <= worst:
             continue
-        nearest = _scan(px, py, (segments[start + 1 - m],), worst, nearest)  # the vertex's other segment
+        other = start + 1 if start + 1 < m else 0  # the vertex's other segment
+        nearest = _scan(px, py, qx, qy, other, other + 1, worst, nearest)
         if nearest <= worst:
             continue
         first = start // size
         for b in range(first - len(blocks), first):  # a negative index wraps around
-            x0, x1, y0, y1, block = blocks[b]
+            x0, x1, y0, y1, lo, hi = blocks[b]
             bx = x0 - px if px < x0 else px - x1 if px > x1 else 0.0
             by = y0 - py if py < y0 else py - y1 if py > y1 else 0.0
             if bx * bx + by * by > nearest:
                 continue
-            nearest = _scan(px, py, block, worst, nearest)
+            nearest = _scan(px, py, qx, qy, lo, hi, worst, nearest)
             if nearest <= worst:
                 break
         else:
@@ -629,12 +633,14 @@ def _directed_hausdorff(pts, poly, poly_closed: bool) -> float:
     return worst
 
 
-def _scan(px: float, py: float, block, worst: float, nearest: float) -> float:
+def _scan(px: float, py: float, qx, qy, lo: int, hi: int, worst: float, nearest: float) -> float:
     """The least of nearest and the squared distances from (px, py) to the
-    segments of block, or the first of those distances within worst."""
-    for sx, sy, dx, dy, len2 in block:
+    segments lo to hi - 1, or the first of those distances within worst."""
+    for j in range(lo, hi):
+        sx, sy = qx[j], qy[j]
+        dx, dy = qx[j + 1] - sx, qy[j + 1] - sy
         wx, wy = px - sx, py - sy
-        t = (wx * dx + wy * dy) / len2
+        t = (wx * dx + wy * dy) / (dx * dx + dy * dy or 1.0)
         t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
         ex, ey = wx - t * dx, wy - t * dy
         d2 = ex * ex + ey * ey

@@ -15,6 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fermatcurves import (
+    IDENTITY,
     TWO_PI,
     AffineFrame,
     OutOfRange,
@@ -166,10 +167,25 @@ class TestBisectionSkipsOnlyCertainMidpoints:
         assert counting.evaluations == evaluations
         assert evaluations <= reference_bisect(0.7, n)[1]
 
-    @pytest.mark.parametrize("n", [1, 7, 10**4, _MAX_N])
+    def test_a_polyline_evaluates_as_its_vertices_do(self, monkeypatch):
+        # one body for both: a polyline reads oracle.math when it is called,
+        # so the counter sees every evaluation, as it does for one angle
+        counting = _CountingMath()
+        monkeypatch.setattr(oracle, "math", counting)
+        curve = oracle_polyline(100, IDENTITY, 256)
+        polyline = counting.evaluations
+        counting.evaluations = 0
+        for theta in curve.thetas:
+            bisect_radial_factor(theta, 100)
+        assert polyline == counting.evaluations > 0
+
+    @pytest.mark.parametrize("n", [1, 7, 10**4, 10**6, _MAX_N])
     def test_polyline_vertices_match_plain_bisection(self, n):
-        for frame in GOLDEN_FRAMES:
-            curve = oracle_polyline(n, frame, 256)
+        cases = [(frame, 256) for frame in GOLDEN_FRAMES]
+        if n >= 10**6:  # oracle-diff's count, in the README frame 2,0.5,-1,0,1.5,3
+            cases.append((GOLDEN_FRAMES[2], 1024))
+        for frame, count in cases:
+            curve = oracle_polyline(n, frame, count)
             want = []
             for t in curve.thetas:
                 radius = reference_bisect(t, n)[0]

@@ -1152,10 +1152,10 @@ def _scaled(*polylines):
 
 def _directed(pts, poly, closed: bool) -> float:
     """The directed distance of sampling._directed_hausdorff, which takes
-    coordinates below 1 in magnitude, on the polylines scaled and the result
-    scaled back, which is exact at these tests' scales."""
+    flat coordinate lists below 1 in magnitude, on the polylines scaled and
+    the result scaled back, which is exact at these tests' scales."""
     exponent, (pts, poly) = _scaled(pts, poly)
-    return math.ldexp(math.sqrt(sampling._directed_hausdorff(pts, poly, closed)), exponent)
+    return math.ldexp(math.sqrt(sampling._directed_hausdorff(*zip(*pts), *zip(*poly), closed)), exponent)
 
 
 def _random_arc(rng, n: int, frame: AffineFrame) -> SampledCurve:
@@ -1269,13 +1269,25 @@ class TestHausdorffMatchesTheAllPairsScan:
             assert polyline_hausdorff(a, b) == want
 
     @pytest.mark.parametrize("frame", GOLDEN_FRAMES, ids=GOLDEN_FRAME_IDS)
-    @pytest.mark.parametrize("n", [1, 2, 7, 100, 10**4])
-    def test_closed_form_against_the_oracle(self, n, frame):
-        for count in (16, 97, 256):
+    @pytest.mark.parametrize("n", [1, 2, 7, 100, 10**4, 10**6, MAX_EXPONENT])
+    def test_closed_form_against_the_oracle(self, n, frame, monkeypatch):
+        # At count 1024, as oracle-diff sends it, a record vertex scans whole
+        # blocks of 32 segments.
+        scanned = set()
+        scan = sampling._scan
+
+        def recording_scan(px, py, qx, qy, lo, hi, worst, nearest):
+            scanned.add(hi - lo)
+            return scan(px, py, qx, qy, lo, hi, worst, nearest)
+
+        monkeypatch.setattr(sampling, "_scan", recording_scan)
+        for count in (16, 97, 256, 1024) if n >= 10**6 else (16, 97, 256):
             closed_form = sample_uniform_theta(n, frame, count)
             reference = oracle_polyline(n, frame, count)
             want = _all_pairs_hausdorff(closed_form.points, True, reference.points, True)
             assert polyline_hausdorff(closed_form, reference) == want
+        if n >= 10**6:
+            assert 32 in scanned
 
 
 class TestRadialNesting:
