@@ -9,12 +9,12 @@ layer only, from below 16/N: at a distance d beyond 8/N the layer's term,
 about e^(-4Nd), is under e^(-32), below the least tol. Bisection only
 refines what the error estimate still flags. Every affine image of the curve
 is centrally symmetric, so the speed is pi-periodic in theta and a full turn,
-in any frame, is twice the half turn from its start. A panel evaluates the
-speed at its 15 nodes in one call of the batched integrand core._speeds;
-the nodes lie inside a span checked once at the public call, so they take
-no input check. In the same way every closed-form curve takes its points
-from one core._points call, and SampledCurve checks membership through one
-core._log_sums call.
+in any frame and from any start, is twice the half turn [0, pi]. A panel
+evaluates the speed at its 15 nodes in one call of the batched integrand
+core._speeds; the nodes lie inside a span checked once at the public call,
+so they take no input check. In the same way every closed-form curve takes
+its points from one core._points call, and SampledCurve checks membership
+through one core._log_sums call.
 
 The gap to the limit square has a closed form, at a diagonal in every frame
 (convergence_gap), so it reads no grid.
@@ -259,10 +259,10 @@ def arc_length(
     """Arc length of the curve between parameter angles theta_a and theta_b.
 
     The span theta_b - theta_a must lie in [0, 2*pi]; a zero span returns
-    exactly 0.0 and the full span covers one closed circuit, integrated as
-    twice the half turn from theta_a at tol / 2. The error is at most about
-    tol * max(1, arc length). Raises QuadratureFailure if the tolerance
-    cannot be met within the evaluation budget.
+    exactly 0.0 and a full span, from any theta_a, is one closed circuit,
+    integrated as twice the half turn [0, pi] at tol / 2. The error is at
+    most about tol * max(1, arc length). Raises QuadratureFailure if the
+    tolerance cannot be met within the evaluation budget.
     """
     n = core._check_exponent(n)
     frame = core._check_frame(frame)
@@ -274,21 +274,21 @@ def arc_length(
         raise ValueError(
             f"theta span must lie in [0, 2*pi], got {span!r} from ({theta_a!r}, {theta_b!r})"
         )
-    a = core._normalize(theta_a)
     # fsum: the panel widths telescope exactly, so a constant speed of 1.0
     # (the circle) sums to the exact span, and twice pi is exactly TWO_PI.
     if span < TWO_PI:
+        a = core._normalize(theta_a)
         return math.fsum(panel[2] for panel in _panels(n, frame, a, a + span, tol))
-    return 2.0 * math.fsum(panel[2] for panel in _half_turn(n, frame, a, tol))
+    return 2.0 * math.fsum(panel[2] for panel in _half_turn(n, frame, tol))
 
 
-def _half_turn(n: int, frame: AffineFrame, a: float, tol: float):
-    """Accepted panels on [a, a + pi], which stand for the full turn from a.
+def _half_turn(n: int, frame: AffineFrame, tol: float):
+    """Accepted panels on [0, pi], which stand for every full turn.
 
-    The speed is pi-periodic, so the full turn is twice this half; at tol / 2
-    twice the half still meets the full turn's bound tol * max(1, L).
+    The speed is pi-periodic, so a turn from any start is twice this half;
+    at tol / 2 twice the half still meets the full turn's bound tol * max(1, L).
     """
-    return _panels(n, frame, a, a + math.pi, 0.5 * tol)
+    return _panels(n, frame, 0.0, math.pi, 0.5 * tol)
 
 
 def _panels(n: int, frame: AffineFrame, a: float, b: float, tol: float):
@@ -331,7 +331,8 @@ def _edges(a: float, b: float, n: int) -> list[float]:
     """The starting panel edges on [a, b] for the exponent n: a, b and every
     point strictly between them that is a multiple of pi/4, lies pi/8 from a
     diagonal, or lies pi/16, pi/32, ... from a diagonal and closer than
-    16/n, down to the first such offset at most 1/(2n).
+    16/n, down to the first such offset at most 1/(2n). Each diagonal x adds
+    the axis pi/4 below it, x - d for each offset d inward, x, then x + d.
 
     The speed has a kink at every multiple of pi/4 and a boundary layer
     about 1/(4N) wide on each diagonal theta = (2k + 1)*pi/4: at a distance
@@ -346,14 +347,12 @@ def _edges(a: float, b: float, n: int) -> list[float]:
     offsets = [_QUARTER_PI / 2.0**j for j in range(1, math.ceil(math.log2(math.pi * n)))]
     offsets = offsets[:1] + [d for d in offsets[1:] if d < 16.0 / n]
     edges = [a]
-    k = math.floor(a / _QUARTER_PI)
-    while k * _QUARTER_PI < b:
-        if k % 2 == 0:  # the diagonal is the upper end of the octant
-            inner = [(k + 1) * _QUARTER_PI - d for d in offsets]
-        else:
-            inner = [k * _QUARTER_PI + d for d in reversed(offsets)]
-        edges += (x for x in (k * _QUARTER_PI, *inner) if a < x < b)
-        k += 1
+    k = math.floor(a / _QUARTER_PI) | 1  # the diagonal of the octant that holds a
+    while (k - 1) * _QUARTER_PI < b:
+        x = k * _QUARTER_PI
+        rungs = ((k - 1) * _QUARTER_PI, *(x - d for d in offsets), x, *(x + d for d in reversed(offsets)))
+        edges += (t for t in rungs if a < t < b)
+        k += 2
     edges.append(b)
     return edges
 
@@ -392,7 +391,7 @@ def resample_by_arclength(
     """Sample one full turn at ``count`` equal arc-length steps.
 
     The accepted quadrature panels of the half turn [0, pi], the ones
-    arc_length integrates the full turn with, form a cumulative arc-length
+    arc_length integrates every full turn with, form a cumulative arc-length
     table that brackets each target; a target past the half length is
     placed pi on from the same arc length in the first half, and one that
     lands on it exactly is pi. Inside the bracketing panel the arc length
@@ -412,7 +411,7 @@ def resample_by_arclength(
 
 def _arclength_thetas(n: int, frame: AffineFrame, count: int, tol: float) -> tuple[float, ...]:
     """resample_by_arclength's thetas, for checked arguments."""
-    panels = _half_turn(n, frame, 0.0, tol)
+    panels = _half_turn(n, frame, tol)
     cum = list(itertools.accumulate((panel[2] for panel in panels), initial=0.0))
     half = math.fsum(panel[2] for panel in panels)
     step = 2.0 * half / count

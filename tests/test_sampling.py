@@ -423,9 +423,32 @@ class TestArcLength:
 
     def test_offset_full_turn_matches_the_closed_circuit(self):
         start = 1.234
-        assert arc_length(1, theta_a=start, theta_b=start + TWO_PI) == pytest.approx(
-            TWO_PI, abs=1e-12
-        )
+        assert arc_length(1, theta_a=start, theta_b=start + TWO_PI) == TWO_PI
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-14])
+    @pytest.mark.parametrize("n", [1, 7, 1000, 10**6, MAX_EXPONENT])
+    @pytest.mark.parametrize(
+        "frame", GOLDEN_FRAMES + (NEAR_SINGULAR,), ids=GOLDEN_FRAME_IDS + ("near-singular",)
+    )
+    def test_every_full_turn_has_one_value(self, rng, frame, n, tol):
+        # The speed is pi-periodic in every frame, so the length of a closed
+        # circuit belongs to the curve, not to its start: every full turn,
+        # one that ends in the span's slack too, is the turn from 0 to the bit.
+        turn = arc_length(n, frame, tol=tol)
+        starts = [rng.uniform(-10.0, 10.0) for _ in range(8)]
+        for a in starts:
+            assert (a + TWO_PI) - a == TWO_PI
+            assert arc_length(n, frame, a, a + TWO_PI, tol) == turn, a
+        a = starts[0]
+        b = math.nextafter(a + TWO_PI, math.inf)
+        assert TWO_PI < b - a <= TWO_PI + sampling._SPAN_SLACK
+        assert arc_length(n, frame, a, b, tol) == turn
+
+    def test_a_full_turn_failure_names_the_half_turn_it_integrates(self, monkeypatch):
+        monkeypatch.setattr(core, "_speeds", lambda thetas, n, frame: [1.0 / x for x in thetas])
+        with pytest.raises(QuadratureFailure) as caught:
+            arc_length(1, IDENTITY, 1.0, 1.0 + TWO_PI)
+        assert f"on [0.0, {math.pi!r}]" in str(caught.value)
 
     def test_monotone_in_the_exponent_and_bounded_by_square(self):
         lengths = [arc_length(2**k) for k in range(13)]
@@ -581,6 +604,11 @@ class TestArcLength:
             if k % 2:  # the diagonal is the lower end of the octant
                 widths.reverse()
             assert widths == pytest.approx(toward_diagonal, rel=1e-12)
+        # the other span shapes arc_length sends: the half turn, a span from
+        # mid-octant that wraps past 2*pi, and a zero span
+        for a, b in ((0.0, math.pi), (5.9, 5.9 + 0.45 * TWO_PI), (1.3, 1.3)):
+            ladder = _graded_ladder(a, b, n)
+            assert _edges(a, b, n) == [x for x, d in ladder if not 16.0 / n <= d < math.pi / 8.0], (a, b)
 
 
 def _graded_ladder(a: float, b: float, n: int) -> list[tuple[float, float]]:
