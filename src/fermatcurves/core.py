@@ -23,8 +23,8 @@ from the diagonals at large N (2*N*log(r) < -746) log1p(r**(2*N)) is 0.0
 and rho is exactly 1.0 / m, and in the slope r**(2*N-2) is 0.0 past the same
 threshold and the shape factor is exp(-0.0) = 1.0. The clamp's upper end
 2**((N-1)/(2*N)) is at least 2**(1/4) for N >= 2, so ``_evaluate`` alone
-takes its exp lazily, for N = 1 or a rho above ``_PEAK_FLOOR``; ``_points``
-and ``_speeds`` take it once per call.
+takes its exp lazily, for N = 1 or a rho above ``_PEAK_FLOOR``; the batched
+bodies take it once per call.
 
 One private scalar kernel, ``_evaluate``, does this work for every
 one-angle evaluator: it takes cos, sin, m, r, log(r) and log1p(r**(2*N))
@@ -34,15 +34,19 @@ wrappers over it; ``curve_velocity`` computes the slope from its pieces in
 its own body. The square point and the limit factor read only (cos, sin,
 m), which do not depend on N, at MAX_EXPONENT: there the log1p and exp of
 r**(2*N) are skipped except within about 8.7e-8 rad of a diagonal.
-The speed, the arc-length integrand, has one batched body, ``_speeds``: a
-loop over many checked angles with the same radial factor, slope and frame
-inverse inline, its libm functions and per-call constants bound once.
-``curve_speed`` is ``_speeds`` of one angle, and the quadrature calls it
-once per panel for all 15 nodes. Curve points in bulk have the same kind of
-body, ``_points``, which every closed-form curve calls once;
-``affine_curve_point`` stays on ``_evaluate``, as a batch of one costs more
-per call. Every copy, ``_evaluate`` with ``curve_velocity``'s slope,
-``_speeds`` and ``_points``, skips the same terms and gives the full
+The speed has one batched body, ``_speeds``: a loop over many checked
+angles with the same radial factor, slope and frame inverse inline, its
+libm functions and per-call constants bound once; ``curve_speed`` is
+``_speeds`` of one angle. The arc-length integrand has a second,
+``_octant_speeds``: the radial factor keeps the square's symmetries, so it
+evaluates one radial factor and slope at an angle of the base octant
+[0, pi/4] and returns the speeds of the four octants of a half turn that
+fold onto it. The quadrature calls it once per panel for all 15 nodes.
+Curve points in bulk have the same kind of body, ``_points``, which every
+closed-form curve calls once; ``affine_curve_point`` stays on
+``_evaluate``, as a batch of one costs more per call. Every copy,
+``_evaluate`` with ``curve_velocity``'s slope, ``_speeds``,
+``_octant_speeds`` and ``_points``, skips the same terms and gives the full
 expressions' doubles. Likewise ``_log_sums`` is the batched log-sum of
 ``residual_log``, for the membership test and the residual command.
 Each public function validates its arguments once and calls a private body
@@ -109,9 +113,9 @@ _FRAME_FIELDS = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta")
 # exp(x) rounds to 0.0 for every x below log(2**-1075) = -745.13...
 _EXP_ZERO = -746.0
 # For N >= 2 the clamp's upper end 2**((N-1)/(2*N)) is at least 2**(1/4) = 1.18920..., above any rho up to
-# this one: _evaluate alone takes its exp lazily, for N = 1 or a rho above it; _points and _speeds once per call.
+# this one: _evaluate alone takes its exp lazily, for N = 1 or a rho above it; the batched bodies once per call.
 _PEAK_FLOOR = 1.189
-# the libm functions _speeds binds to locals, in one unpacking per call
+# the libm functions the batched bodies bind to locals, in one unpacking per call
 _LIBM = (math.cos, math.sin, math.fabs, math.hypot, math.log, math.log1p, math.exp)
 
 Point2 = tuple[float, float]
@@ -556,3 +560,64 @@ def _speeds(thetas, n: int, frame: AffineFrame) -> list[float]:
             v = slope * s + rho * c
             speeds.append(hypot((epsilon * u - beta * v) / det, (alpha * v - delta * u) / det))
     return speeds
+
+
+def _octant_speeds(phis, n: int, frame: AffineFrame) -> tuple[list[float], list[float], list[float], list[float]]:
+    """The speeds of the four octant images of each checked angle phi of the
+    base octant [0, pi/4], for a checked exponent and frame: the arc-length
+    quadrature's kernel.
+
+    The radial factor keeps the square's symmetries, so with (u, v) the
+    identity-frame velocity at phi, the velocities at pi/2 - phi, pi/2 + phi
+    and pi - phi are (-v, -u), (-v, u) and (u, -v). Image k, k = 0 .. 3, is
+    the speed at the angle of octant k of a half turn that folds onto phi:
+    the hypot of _solve_linear of that velocity, the frame's inverse applied
+    to each permuted velocity from one radial factor and slope per phi.
+    These are _speeds' expressions with cos >= sin >= 0, which hold on the
+    base octant, so without the branch on the larger of |cos| and |sin| and
+    without the slope's sign flip; image 0 is _speeds at phi, double for
+    double. The identity keeps hypot(rho, slope), one list for all four.
+    """
+    cos, sin, _, hypot, log, log1p, exp = _LIBM
+    two_n = 2.0 * n
+    low_n = 2.0 * n - 2.0
+    shape_n = -(1.0 + 0.5 / n)
+    alpha, beta, delta, epsilon, det = frame.alpha, frame.beta, frame.delta, frame.epsilon, frame.det
+    identity = alpha == 1.0 and beta == 0.0 and delta == 0.0 and epsilon == 1.0
+    peak = exp(_LN2 * (n - 1) / two_n)
+    image0, image1, image2, image3 = [], [], [], []
+    for phi in phis:
+        c = cos(phi)
+        s = sin(phi)
+        r = s / c
+        log_r = log(r) if r > 0.0 else -math.inf
+        log_power = two_n * log_r
+        if log_power < _EXP_ZERO:
+            rho = 1.0 / c
+            shape = 1.0
+        else:
+            log1p_power = log1p(exp(log_power))
+            rho = exp(-log1p_power / two_n) / c
+            shape = exp(shape_n * log1p_power)
+        if rho < 1.0:
+            rho = 1.0
+        elif rho > peak:
+            rho = peak
+        log_low = low_n * log_r
+        low_power = exp(log_low) if log_low >= _EXP_ZERO else 0.0
+        slope = (c * s) / (c * c * c) * (1.0 - low_power) * shape
+        if identity:
+            image0.append(hypot(rho, slope))
+            continue
+        u = slope * c - rho * s
+        v = slope * s + rho * c
+        eu, ev, bu, bv = epsilon * u, epsilon * v, beta * u, beta * v
+        au, av, du, dv = alpha * u, alpha * v, delta * u, delta * v
+        # each inverse up to the sign of both coordinates, which hypot drops
+        image0.append(hypot((eu - bv) / det, (av - du) / det))
+        image1.append(hypot((ev - bu) / det, (au - dv) / det))
+        image2.append(hypot((ev + bu) / det, (au + dv) / det))
+        image3.append(hypot((eu + bv) / det, (av + du) / det))
+    if identity:
+        return image0, image0, image0, image0
+    return image0, image1, image2, image3

@@ -3,29 +3,36 @@
 Arc length is integrated with Gauss-Kronrod 7/15 panels. The integrand (the
 parameterization speed) is analytic away from the axis and diagonal angles
 theta = k*pi/4, and at large N it has a boundary layer about 1/(4N) wide on
-each diagonal. So every integral is split at those angles first, and each
-piece starts from panels that halve in width toward its diagonal across that
-layer only, from below 16/N: at a distance d beyond 8/N the layer's term,
-about e^(-4Nd), is under e^(-32), below the least tol. Bisection only
-refines what the error estimate still flags. Every affine image of the curve
-is centrally symmetric, so the speed is pi-periodic in theta and a full turn,
-in any frame and from any start, is twice the half turn [0, pi]. A panel
-evaluates the speed at its 15 nodes in one call of the batched integrand
-core._speeds; the nodes lie inside a span checked once at the public call,
-so they take no input check. In the same way every closed-form curve takes
-its points from one core._points call, and SampledCurve checks membership
-through one core._log_sums call.
+each diagonal. The radial factor keeps the square's symmetries, so every
+octant between two such angles is a reflection or a turn of the base octant
+[0, pi/4], and in any frame the speed on it is one of four linear images of
+the base octant's velocity. So every integral is split at those angles
+into octant pieces, each folded onto a sub-interval of the base octant,
+and is integrated there: one call of the kernel core._octant_speeds
+evaluates a panel's 15 nodes once and gives the speed at the matching
+nodes of all four images, and pieces that fold onto the same sub-interval
+share those calls. The base octant starts from panels that halve in width
+toward its diagonal across the layer only, from below 16/N: at a distance
+d beyond 8/N the layer's term, about e^(-4Nd), is under e^(-32), below the
+least tol. Bisection only refines what the error estimate still flags.
+Every affine image of the curve is centrally symmetric, so the speed is
+pi-periodic in theta and a full turn, in any frame and from any start, is
+twice the half turn [0, pi]: four whole base octants, one of each image.
+The nodes lie inside a span checked once at the public call, so they take
+no input check. In the same way every closed-form curve takes its points
+from one core._points call, and SampledCurve checks membership through one
+core._log_sums call.
 
 The gap to the limit square has a closed form, at a diagonal in every frame
 (convergence_gap), so it reads no grid.
 
-Resampling by arc length takes the accepted panels of the half turn [0, pi]
-as its cumulative table; a sample past the half length is the one found for
-the same arc length in the first half, moved on by pi. Inside its panel a
-sample is found by Newton's method on the integral of the panel's own
-degree-14 interpolant of the speed, a Legendre series through the 15
-Kronrod node values, computed once per panel, so resampling evaluates the
-speed only at the quadrature nodes.
+Resampling by arc length takes the accepted panels of the half turn [0, pi],
+unfolded into theta order, as its cumulative table; a sample past the half
+length is the one found for the same arc length in the first half, moved on
+by pi. Inside its panel a sample is found by Newton's method on the integral
+of the panel's own degree-14 interpolant of the speed, a Legendre series
+through the 15 Kronrod node values, computed once per panel, so resampling
+evaluates the speed only at the quadrature nodes.
 """
 
 from __future__ import annotations
@@ -126,10 +133,11 @@ _WG = tuple(2.0 * w for w in _legendre_inverse(_XGK_DIGITS[1::2])[0][:4])
 _NODES = 15
 # QUADPACK's floor on the error test: the rounding of a 15-term sum.
 _ROUNDING = 50.0 * math.ulp(1.0)
-# Speed evaluations per quadrature: a power of two over 9x the most any
-# exponent, frame, span and tol were measured to take (1,695, in a sweep of
-# 91 exponents up to 2^31 - 1, 11 frames up to kappa 8e11, two full turns
-# and one partial span, and tol 1e-6 to 1e-14).
+# Kernel evaluations per quadrature, each one base-octant node and its four
+# image speeds: over 32x the most any exponent, frame, span and tol were
+# measured to take (510, in a sweep of 88 exponents up to 2^31 - 1, 11
+# frames up to kappa 8e11, two full turns and one partial span, and tol
+# 1e-6 to 1e-14), so a call that cannot meet its tol ends in bounded time.
 _EVAL_BUDGET = 2**14
 _ROOT_STEPS = 60
 
@@ -278,12 +286,18 @@ def arc_length(
     # (the circle) sums to the exact span, and twice pi is exactly TWO_PI.
     if span < TWO_PI:
         a = core._normalize(theta_a)
-        return math.fsum(panel[2] for panel in _panels(n, frame, a, a + span, tol))
-    return 2.0 * math.fsum(panel[2] for panel in _half_turn(n, frame, tol))
+        return _length(_panels(n, frame, a, a + span, tol))
+    return 2.0 * _length(_half_turn(n, frame, tol))
+
+
+def _length(panels) -> float:
+    """The arc length of accepted base panels: each image's integral as many times as pieces cover it."""
+    return math.fsum(w * integral for panel in panels for w, integral in zip(panel[2], panel[3]))
 
 
 def _half_turn(n: int, frame: AffineFrame, tol: float):
-    """Accepted panels on [0, pi], which stand for every full turn.
+    """Accepted base panels of the half turn [0, pi], which stand for every
+    full turn: four whole octants, one of each image.
 
     The speed is pi-periodic, so a turn from any start is twice this half;
     at tol / 2 twice the half still meets the full turn's bound tol * max(1, L).
@@ -292,94 +306,170 @@ def _half_turn(n: int, frame: AffineFrame, tol: float):
 
 
 def _panels(n: int, frame: AffineFrame, a: float, b: float, tol: float):
-    """Accepted Gauss-Kronrod panels (x0, x1, integral, speeds) that cover
-    [a, b], in order; speeds, the speed at the 15 Kronrod nodes, serve
-    resampling.
+    """Accepted Gauss-Kronrod panels (x0, x1, weights, integrals, images) of
+    the base octant [0, pi/4] that integrate [a, b], 0 <= a <= b, in order.
 
-    The error target tol * max(1, L), with L the starting panels' estimate
-    of the arc length, is shared equally among those graded panels, and a
+    [a, b] splits into octant pieces (_pieces), each the image of a
+    sub-interval of the base octant. The starting panels are those of the
+    base ladder (_ladder) cut at the pieces' ends, and a panel's weights
+    count the pieces of each image that cover it; a panel no piece covers is
+    left out. integrals and images are each image's K15 integral over the
+    panel and its speed at the 15 Kronrod nodes (core._octant_speeds), so
+    the arc length is the weighted sum of the integrals, and resampling
+    reads the speeds. The error target tol * max(1, L), with L the starting
+    panels' estimate of the arc length, is shared equally among them, and a
     bisected panel passes half its share to each half. A panel is accepted
-    once |K15 - G7| is within its share or within the rounding floor of its
-    15-term sum. Raises QuadratureFailure when a bisection would take the
-    speed evaluations past the budget.
+    once sum(w * |K15 - G7|) over its images is within its share or within
+    the rounding floor of its 15-term sums; images cannot cancel each
+    other's errors. Raises QuadratureFailure when a bisection would take
+    the kernel evaluations past the budget.
     """
-    edges = _edges(a, b, n)
-    estimates = [(x0, x1, *_gauss_kronrod(n, frame, x0, x1)) for x0, x1 in zip(edges, edges[1:])]
+    pieces = _pieces(a, b)
+    edges = sorted({*_ladder(n), *(end for _, phi0, phi1 in pieces for end in (phi0, phi1))})
+    estimates = []
+    for x0, x1 in zip(edges, edges[1:]):
+        weights = [0, 0, 0, 0]
+        for k, phi0, phi1 in pieces:
+            if phi0 <= x0 and x1 <= phi1:
+                weights[k % 4] += 1
+        if any(weights):
+            estimates.append((x0, x1, weights, *_gauss_kronrod(n, frame, x0, x1, weights)))
+    if not estimates:
+        return []
     spent = _NODES * len(estimates)
-    share = tol * max(1.0, math.fsum(estimate[2] for estimate in estimates)) / len(estimates)
+    share = tol * max(1.0, _length(estimates)) / len(estimates)
     stack = [(*estimate, share) for estimate in reversed(estimates)]
     panels = []
     while stack:
-        x0, x1, kronrod, gauss, speeds, share = stack.pop()
-        if abs(kronrod - gauss) <= max(share, _ROUNDING * kronrod):
-            panels.append((x0, x1, kronrod, speeds))
+        x0, x1, weights, integrals, error, images, share = stack.pop()
+        if error <= max(share, _ROUNDING * sum(map(operator.mul, weights, integrals))):
+            panels.append((x0, x1, weights, integrals, images))
             continue
         if spent + 2 * _NODES > _EVAL_BUDGET:
+            at = ", ".join(
+                "[{!r}, {!r}]".format(*_theta_image(k, x0, x1)) for k, phi0, phi1 in pieces if phi0 <= x0 and x1 <= phi1
+            )
             raise QuadratureFailure(
                 f"arc length of N={n} in {frame!r} on [{a!r}, {b!r}] did not meet"
-                f" tol {tol:g} within {_EVAL_BUDGET} speed evaluations:"
-                f" {spent} spent, panel [{x0!r}, {x1!r}] still open"
+                f" tol {tol:g} within {_EVAL_BUDGET} kernel evaluations:"
+                f" {spent} spent, base panel [{x0!r}, {x1!r}] still open, at theta {at}"
             )
         spent += 2 * _NODES
         mid = 0.5 * (x0 + x1)
-        stack.append((mid, x1, *_gauss_kronrod(n, frame, mid, x1), 0.5 * share))
-        stack.append((x0, mid, *_gauss_kronrod(n, frame, x0, mid), 0.5 * share))
+        stack.append((mid, x1, weights, *_gauss_kronrod(n, frame, mid, x1, weights), 0.5 * share))
+        stack.append((x0, mid, weights, *_gauss_kronrod(n, frame, x0, mid, weights), 0.5 * share))
     return panels
 
 
-def _edges(a: float, b: float, n: int) -> list[float]:
-    """The starting panel edges on [a, b] for the exponent n: a, b and every
-    point strictly between them that is a multiple of pi/4, lies pi/8 from a
-    diagonal, or lies pi/16, pi/32, ... from a diagonal and closer than
-    16/n, down to the first such offset at most 1/(2n). Each diagonal x adds
-    the axis pi/4 below it, x - d for each offset d inward, x, then x + d.
+def _pieces(a: float, b: float) -> list[tuple[int, float, float]]:
+    """The octant pieces of [a, b], 0 <= a <= b: (k, phi0, phi1) for each
+    octant [k*pi/4, (k + 1)*pi/4] that [a, b] overlaps in more than a point,
+    with [phi0, phi1] the sub-interval of the base octant [0, pi/4] that the
+    overlap folds onto, theta = k*pi/4 + phi for even k and
+    (k + 1)*pi/4 - phi for odd k. The speed at theta is image k % 4 of
+    core._octant_speeds at phi.
 
-    The speed has a kink at every multiple of pi/4 and a boundary layer
-    about 1/(4N) wide on each diagonal theta = (2k + 1)*pi/4: at a distance
-    d from the diagonal the curve differs from the limit parallelogram's
-    side by a term of order e^(-4Nd). So the panels halve in width toward
-    the diagonal only across the layer: the offsets from 16/n up to pi/8
-    are left out (none up to n = 81). The next offset kept is then at least
-    8/n, where that term is under e^(-32), about 1.3e-14 and below the least
-    tol; beyond it the speed is the parallelogram's smooth speed, and
-    bisection splits a wide panel only if tol asks.
+    The octant edges are the doubles k * fl(pi/4), as the base ladder's
+    diagonal is fl(pi/4). An end on an octant edge folds onto 0.0 or pi/4
+    exactly, and an end inside one folds by one exact subtraction, clamped
+    to pi/4 where the octant's rounded width exceeds it.
+    """
+    k = math.floor(a / _QUARTER_PI)
+    k += (a >= (k + 1) * _QUARTER_PI) - (a < k * _QUARTER_PI)  # the quotient's rounding
+    pieces = []
+    lo = k * _QUARTER_PI
+    while lo < b:
+        hi = (k + 1) * _QUARTER_PI
+        if k % 2:
+            phi0 = min(hi - b, _QUARTER_PI) if b < hi else 0.0
+            phi1 = min(hi - a, _QUARTER_PI) if a > lo else _QUARTER_PI
+        else:
+            phi0 = min(a - lo, _QUARTER_PI) if a > lo else 0.0
+            phi1 = min(b - lo, _QUARTER_PI) if b < hi else _QUARTER_PI
+        pieces.append((k, phi0, phi1))
+        k += 1
+        lo = hi
+    return pieces
+
+
+def _theta_image(k: int, x0: float, x1: float) -> tuple[float, float]:
+    """The interval of octant k that the base interval [x0, x1] folds from, as in _pieces."""
+    if k % 2:
+        hi = (k + 1) * _QUARTER_PI
+        return hi - x1, hi - x0
+    lo = k * _QUARTER_PI
+    return lo + x0, lo + x1
+
+
+def _ladder(n: int) -> list[float]:
+    """The base ladder, the starting panel edges on the base octant [0, pi/4]
+    for the exponent n: 0, pi/4 and every point that lies pi/8 short of the
+    diagonal pi/4, or pi/16, pi/32, ... short of it and closer than 16/n,
+    down to the first such offset at most 1/(2n).
+
+    Every octant folds onto this one, so its ends stand for the kinks
+    k*pi/4 of the speed and its upper end for every diagonal
+    theta = (2k + 1)*pi/4, where the speed has a boundary layer about
+    1/(4N) wide: at a distance d from the diagonal the curve differs from
+    the limit parallelogram's side by a term of order e^(-4Nd). So the
+    panels halve in width toward the diagonal only across the layer: the
+    offsets from 16/n up to pi/8 are left out (none up to n = 81). The next
+    offset kept is then at least 8/n, where that term is under e^(-32),
+    about 1.3e-14 and below the least tol; beyond it the speed is the
+    parallelogram's smooth speed, and bisection splits a wide panel only if
+    tol asks.
     """
     offsets = [_QUARTER_PI / 2.0**j for j in range(1, math.ceil(math.log2(math.pi * n)))]
     offsets = offsets[:1] + [d for d in offsets[1:] if d < 16.0 / n]
-    edges = [a]
-    k = math.floor(a / _QUARTER_PI) | 1  # the diagonal of the octant that holds a
-    while (k - 1) * _QUARTER_PI < b:
-        x = k * _QUARTER_PI
-        rungs = ((k - 1) * _QUARTER_PI, *(x - d for d in offsets), x, *(x + d for d in reversed(offsets)))
-        edges += (t for t in rungs if a < t < b)
-        k += 2
-    edges.append(b)
-    return edges
+    return [0.0, *(_QUARTER_PI - d for d in offsets), _QUARTER_PI]
 
 
-def _gauss_kronrod(
-    n: int, frame: AffineFrame, x0: float, x1: float
-) -> tuple[float, float, list[float]]:
-    """The 15-point Kronrod and 7-point Gauss integrals of the speed over
-    [x0, x1], and the speed at the 15 Kronrod nodes in increasing order.
+def _gauss_kronrod(n: int, frame: AffineFrame, x0: float, x1: float, weights):
+    """The 15-point Kronrod integral of each image's speed over the base
+    panel [x0, x1], the sum of weight * |K15 - G7| over the images with the
+    7-point Gauss integral G7, and each image's speed at the 15 Kronrod nodes
+    in increasing order.
 
-    One core._speeds call evaluates all 15 nodes, with no input check: they
-    lie inside a span checked at the public call. The K15 and G7 sums add
-    their terms in the order that makes _WGK sum to exactly 2.0."""
+    One core._octant_speeds call evaluates all 15 nodes, with no input
+    check: they lie inside the base octant. An image of weight 0 is not
+    summed; its integral reads 0.0. The K15 and G7 sums add their terms in
+    the order that makes _WGK sum to exactly 2.0."""
     center = 0.5 * (x0 + x1)
     half = 0.5 * (x1 - x0)
     nodes = [center - half * x for x in _XGK]
     nodes += [center, *(center + half * x for x in reversed(_XGK))]
-    speeds = core._speeds(nodes, n, frame)
-    f = speeds[7]
-    kronrod = _WGK[7] * f
-    gauss = _WG[3] * f
-    for j in range(7):
-        pair = speeds[j] + speeds[14 - j]
-        kronrod += _WGK[j] * pair
-        if j % 2:
-            gauss += _WG[j // 2] * pair
-    return half * kronrod, half * gauss, speeds
+    images = core._octant_speeds(nodes, n, frame)
+    k0, k1, k2, k3, k4, k5, k6, k7 = _WGK
+    g0, g1, g2, g3 = _WG
+    integrals = []
+    error = 0.0
+    for weight, speeds in zip(weights, images):
+        if not weight:
+            integrals.append(0.0)
+            continue
+        f0, f1, f2, f3, f4, f5, f6, f7, f8, f9, f10, f11, f12, f13, f14 = speeds
+        p1, p3, p5 = f1 + f13, f3 + f11, f5 + f9  # the Gauss nodes' pairs
+        kronrod = (
+            k7 * f7 + k0 * (f0 + f14) + k1 * p1 + k2 * (f2 + f12) + k3 * p3 + k4 * (f4 + f10) + k5 * p5 + k6 * (f6 + f8)
+        )
+        gauss = g3 * f7 + g0 * p1 + g1 * p3 + g2 * p5
+        integrals.append(half * kronrod)
+        error += weight * abs(half * kronrod - half * gauss)
+    return integrals, error, images
+
+
+def _unfold(panels) -> list[tuple[float, float, float, list[float]]]:
+    """The half turn's accepted base panels as panels (t0, t1, integral,
+    speeds) of [0, pi] in theta order: octant k's image of each, with the
+    panel order and the node speeds reversed where octant k runs backwards
+    in phi (odd k). The Kronrod nodes are symmetric, so a reversed panel's
+    speeds are its nodes' in increasing theta."""
+    table = []
+    for k in range(4):
+        for x0, x1, _, integrals, images in reversed(panels) if k % 2 else panels:
+            speeds = images[k]
+            table.append((*_theta_image(k, x0, x1), integrals[k], speeds[::-1] if k % 2 else speeds))
+    return table
 
 
 def resample_by_arclength(
@@ -391,8 +481,9 @@ def resample_by_arclength(
     """Sample one full turn at ``count`` equal arc-length steps.
 
     The accepted quadrature panels of the half turn [0, pi], the ones
-    arc_length integrates every full turn with, form a cumulative arc-length
-    table that brackets each target; a target past the half length is
+    arc_length integrates every full turn with, unfolded from the base
+    octant into theta order, form a cumulative arc-length table that
+    brackets each target; a target past the half length is
     placed pi on from the same arc length in the first half, and one that
     lands on it exactly is pi. Inside the bracketing panel the arc length
     is the antiderivative of the panel's own interpolant of the speed, so
@@ -411,7 +502,7 @@ def resample_by_arclength(
 
 def _arclength_thetas(n: int, frame: AffineFrame, count: int, tol: float) -> tuple[float, ...]:
     """resample_by_arclength's thetas, for checked arguments."""
-    panels = _half_turn(n, frame, tol)
+    panels = _unfold(_half_turn(n, frame, tol))
     cum = list(itertools.accumulate((panel[2] for panel in panels), initial=0.0))
     half = math.fsum(panel[2] for panel in panels)
     step = 2.0 * half / count

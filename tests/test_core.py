@@ -596,6 +596,33 @@ class TestKernelSkipsOnlyKnownDoubles:
                     expected = math.hypot(*core._solve_linear(frame, slope * c - rho * s, slope * s + rho * c))
                 assert struct.pack("<d", got) == struct.pack("<d", expected), (theta, n)
 
+    @pytest.mark.parametrize("frame", SPEED_FRAMES, ids=SPEED_FRAME_IDS)
+    def test_the_octant_speeds_match_the_full_expressions(self, frame):
+        # _octant_speeds holds one more copy of the radial factor and the slope,
+        # with the base octant's cos >= sin >= 0 in place of _speeds' branch, and
+        # the frame's inverse of four velocities: w = (u, v), (-v, -u), (-v, u)
+        # and (u, -v), those at phi, pi/2 - phi, pi/2 + phi and pi - phi.
+        rng = random.Random(20261020)
+        quarter = math.pi / 4.0
+        images = (lambda u, v: (u, v), lambda u, v: (-v, -u), lambda u, v: (-v, u), lambda u, v: (u, -v))
+        identity = (frame.alpha, frame.beta, frame.delta, frame.epsilon) == (1.0, 0.0, 0.0, 1.0)
+        for n in (1, 2, 3, 7, 100, 10**6, MAX_EXPONENT):
+            phis = [0.0, quarter, *(x for x in ulps_around(quarter, 8) if x < quarter), *ulps_around(0.0, 4)[2::2]]
+            for two_n in (2.0 * n, 2.0 * n - 2.0):  # both sides of where r^(2N) and r^(2N-2) underflow
+                phis += [math.atan(math.exp(rng.uniform(-747.0, -744.0) / max(two_n, 1.0))) for _ in range(40)]
+            phis += [rng.uniform(0.0, quarter) for _ in range(80)]
+            assert all(0.0 <= phi <= quarter for phi in phis)
+            got = core._octant_speeds(phis, n, frame)
+            speeds = core._speeds(phis, n, frame)
+            assert _packed(got[0]) == _packed(speeds), n
+            for k, image in enumerate(images):
+                if identity:
+                    expected = speeds
+                else:
+                    velocities = (image(*curve_velocity(phi, n, IDENTITY)) for phi in phis)
+                    expected = [math.hypot(*core._solve_linear(frame, *w)) for w in velocities]
+                assert _packed(got[k]) == _packed(expected), (n, k)
+
     def test_the_cases_reach_both_sides_of_every_skip(self):
         log_powers, low_logs, peaks = [], [], []
         for theta, n in KERNEL_CASES["band"]:

@@ -161,16 +161,22 @@ CLI_DIGESTS = {
     # 0
     ("oracle-diff", "--n", "1", "--count", "4096"):
         "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",
-    # 7.999999998969392
+    # 7.9999999989693915, 0.88 ulp below mpmath's 7.99999999896939229235 (30 digits,
+    # 8 times the base octant's integral on its whole graded ladder). Integrated
+    # octant by octant the turn printed 7.999999998969392, 0.12 ulp above it.
     ("arclength", "--n", "2147483647", "--tol", "1e-14"):
-        "b670b44bc3a345eff7e436a2d39a9bb1a4821fcb672ac5e3d5cdb6fd3a1a4160",
+        "5dccd752b802e92a07782f928a1a7dd1f1fad22f0f27dbe0f44be4e46d0fbb41",
     # 9.025641088623626
     ("arclength", "--n", "199965042", "--frame", FRAME_TEXTS[3], "--tol", "1e-12"):
         "b310c7ec75ab023d874be870b1f3c1b50d7cc0602da9e4dcad7a4988ceaef759",
-    # Between the hypot families two of its rows differ: each theta by one ulp, and its point with it.
+    # Between the hypot families three of its rows differ: each theta by one ulp, and its point with it.
+    # Against mpmath's thetas at the 32 equal arc-length steps (30 digits), both families are
+    # at most 51.8 ulp off, the Newton stop's 50 eps of arc, as they were when each octant
+    # was integrated apart; the eight multiples of pi/4 are now each the double nearest
+    # k*pi/4, where three were one ulp off.
     ("sample", "--n", "2147483647", "--count", "32", "--resample", "arclength"): {
-        HYPOT_UP: "bf91336f05943bd9a6b91b3c251d381ae700a4d3775e77c7a754ca8502d99848",
-        HYPOT_DOWN: "cc003a5891c3b8d4bc7d87f93ee697b988462855e6c5a1340c4a4acf1bb93976",
+        HYPOT_UP: "dc2037307c2585836a8562eb2f4ab13f9cae4ec2f0fb2379c533a16f385f73e1",
+        HYPOT_DOWN: "1b14a1c3a6280ac275fe4cf79758662221dff8a45380d47ac5ffd4183d6bf514",
     },
 }
 

@@ -8,6 +8,7 @@ being pinned here.
 import math
 import os
 import random
+import re
 import struct
 
 import mpmath
@@ -42,7 +43,17 @@ from fermatcurves import (
     sampling,
     square_point,
 )
-from fermatcurves.sampling import _LEGENDRE, _WG, _WGK, _XGK, _XGK_DIGITS, _edges, _newton_in_panel, _panels
+from fermatcurves.sampling import (
+    _LEGENDRE,
+    _WG,
+    _WGK,
+    _XGK,
+    _XGK_DIGITS,
+    _ladder,
+    _newton_in_panel,
+    _panels,
+    _pieces,
+)
 from helpers import corner_arc_length, corner_deficit, corner_partial_arc_length
 from test_core import SPEED_FRAME_IDS, SPEED_FRAMES
 from test_golden import FRAME_TEXTS as GOLDEN_FRAME_IDS
@@ -313,7 +324,7 @@ VALIDATING_CALLS = {
     "sample_uniform_theta": (lambda count: lambda: sample_uniform_theta(7, count=count), (16, 4096)),
     "oracle_polyline": (lambda count: lambda: oracle_polyline(7, count=count), (16, 512)),
     "resample_by_arclength": (lambda count: lambda: resample_by_arclength(3, count=count, tol=1e-6), (8, 16)),
-    # the quadrature's node count grows with N: 240 speed evaluations at N = 3, 480 at 2^31 - 1
+    # the quadrature's node count grows with N: 60 kernel evaluations at N = 3, 120 at 2^31 - 1
     "arc_length": (lambda n: lambda: arc_length(n), (3, MAX_EXPONENT)),
     # the closed form reads no grid: the same checks at every N
     "convergence_gap": (lambda n: lambda: convergence_gap(n), (3, MAX_EXPONENT)),
@@ -445,7 +456,7 @@ class TestArcLength:
         assert arc_length(n, frame, a, b, tol) == turn
 
     def test_a_full_turn_failure_names_the_half_turn_it_integrates(self, monkeypatch):
-        monkeypatch.setattr(core, "_speeds", lambda thetas, n, frame: [1.0 / x for x in thetas])
+        monkeypatch.setattr(core, "_octant_speeds", lambda phis, n, frame: ([1.0 / x for x in phis],) * 4)
         with pytest.raises(QuadratureFailure) as caught:
             arc_length(1, IDENTITY, 1.0, 1.0 + TWO_PI)
         assert f"on [0.0, {math.pi!r}]" in str(caught.value)
@@ -467,14 +478,14 @@ class TestArcLength:
         # have the same length, and the full turn integrated panel by panel
         # over [0, 2*pi] agrees with twice the half within tol.
         tol = 1e-10
-        full = math.fsum(panel[2] for panel in _panels(n, frame, 0.0, TWO_PI, tol))
+        full = sampling._length(_panels(n, frame, 0.0, TWO_PI, tol))
         first, second = arc_length(n, frame, 0.0, math.pi, tol), arc_length(n, frame, math.pi, TWO_PI, tol)
         assert abs(first - second) <= tol * max(1.0, full)
         assert abs(2.0 * first - full) <= tol * max(1.0, full)
         assert abs(arc_length(n, frame, tol=tol) - full) <= tol * max(1.0, full)
 
     def test_a_large_exponent_in_a_skew_frame_against_mpmath(self):
-        # mpmath's quad at 30 digits on the graded _edges panels of the full
+        # mpmath's quad at 30 digits on the graded starting panels of the full
         # turn, which takes about 9 s, gives 9.0256410886236258599. Tanh-sinh
         # on the bare kink pieces misses the boundary layers at this N by
         # 1.2e-9.
@@ -522,7 +533,7 @@ class TestArcLength:
         assert arc_length(3) > chord
 
     def test_zero_span(self):
-        # Exactly +0.0 by the general path: one panel of half-width 0.0.
+        # Exactly +0.0 by the general path: the empty span covers no base panel.
         assert arc_length(5, theta_a=1.3, theta_b=1.3) == 0.0
         for frame in (*GOLDEN_FRAMES, NEAR_SINGULAR):
             for n in (1, 7, MAX_EXPONENT):
@@ -561,54 +572,88 @@ class TestArcLength:
             call(3, tol=tol)
 
     def test_quadrature_failure_on_a_singular_integrand(self, monkeypatch):
+        # Every image is 1/phi, singular at the base octant's start phi = 0: on
+        # [0, 1] that is theta = 0 alone, on [0.5, 2] theta = pi/2 from both
+        # sides, octant 1 folding back onto it and octant 2 forward.
         calls = [0]
 
-        def singular(thetas, n, frame):
-            calls[0] += len(thetas)
-            return [1.0 / x if x > 0.0 else math.inf for x in thetas]
+        def singular(phis, n, frame):
+            calls[0] += len(phis)
+            return ([1.0 / x if x > 0.0 else math.inf for x in phis],) * 4
 
-        monkeypatch.setattr(core, "_speeds", singular)
-        with pytest.raises(QuadratureFailure) as caught:
-            _panels(1, IDENTITY, 0.0, 1.0, 1e-10)
-        assert calls[0] <= sampling._EVAL_BUDGET
-        message = str(caught.value)
-        for part in ("N=1 ", repr(IDENTITY), "[0.0, 1.0]", f"{calls[0]} spent"):
-            assert part in message
+        monkeypatch.setattr(core, "_octant_speeds", singular)
+        for a, b, images in (
+            (0.0, 1.0, lambda x1: [(0.0, x1)]),
+            (0.5, 2.0, lambda x1: [(QUARTER - x1, QUARTER), (QUARTER, QUARTER + x1)]),
+        ):
+            calls[0] = 0
+            with pytest.raises(QuadratureFailure) as caught:
+                _panels(1, IDENTITY, a, b, 1e-10)
+            assert calls[0] <= sampling._EVAL_BUDGET
+            message = str(caught.value)
+            for part in ("N=1 ", repr(IDENTITY), f"[{a!r}, {b!r}]", f"{calls[0]} spent"):
+                assert part in message
+            x0, x1 = map(float, re.search(r"base panel \[(\S+), (\S+)\] still open", message).groups())
+            assert x0 == 0.0 < x1 < 1e-100
+            at = ", ".join(f"[{t0!r}, {t1!r}]" for t0, t1 in images(x1))
+            assert message.endswith(f"still open, at theta {at}"), message
 
     @pytest.mark.parametrize("n", [1, 16, 81, 82, 1000, 10**6, MAX_EXPONENT])
     def test_split_at_kinks_covers_the_span(self, n):
-        edges = _edges(0.1, 3.0, n)
-        assert edges[0] == 0.1
-        assert edges[-1] == 3.0
-        assert edges == sorted(set(edges))
         quarter = math.pi / 4.0
-        kinks = [k * quarter for k in (1, 2, 3)]
-        assert set(kinks) <= set(edges)
-        # Up to N = 81 the edges are the whole graded ladder; past it, the
-        # rungs from 16/N up to pi/8, exclusive, are gone.
-        ladder = _graded_ladder(0.1, 3.0, n)
+        # The base ladder: up to N = 81 the whole graded ladder below one
+        # diagonal; past it, the rungs from 16/N up to pi/8, exclusive, are gone.
+        edges = _ladder(n)
+        assert edges[0] == 0.0
+        assert edges[-1] == quarter
+        assert edges == sorted(set(edges))
+        ladder = _graded_ladder(0.0, quarter, n)
         if n <= 81:
             assert edges == [x for x, _ in ladder]
         assert edges == [x for x, d in ladder if not 16.0 / n <= d < math.pi / 8.0]
-        # inside each octant the widths halve toward its diagonal from the
-        # first rung below 16/N, down to the last rung, at most 1/(2N)
-        rungs = sorted(
-            (d for x, d in ladder if kinks[0] < x < kinks[1] and not 16.0 / n <= d < math.pi / 8.0), reverse=True
-        )
+        # the widths halve toward the diagonal from the first rung below 16/N,
+        # down to the last rung, at most 1/(2N)
+        rungs = [quarter - x for x in edges[1:-1]]
         assert rungs[-1] <= 1.0 / (2 * n) < [quarter, *rungs][-2]
         assert all(d < 16.0 / n for d in rungs[1:])
-        toward_diagonal = [quarter - rungs[0]] + [d0 - d1 for d0, d1 in zip(rungs, rungs[1:])] + [rungs[-1]]
-        for k in (1, 2):  # the octants [pi/4, pi/2] and [pi/2, 3*pi/4]
-            inside = [x for x in edges if kinks[k - 1] <= x <= kinks[k]]
-            widths = [x1 - x0 for x0, x1 in zip(inside, inside[1:])]
-            if k % 2:  # the diagonal is the lower end of the octant
-                widths.reverse()
-            assert widths == pytest.approx(toward_diagonal, rel=1e-12)
-        # the other span shapes arc_length sends: the half turn, a span from
-        # mid-octant that wraps past 2*pi, and a zero span
-        for a, b in ((0.0, math.pi), (5.9, 5.9 + 0.45 * TWO_PI), (1.3, 1.3)):
-            ladder = _graded_ladder(a, b, n)
-            assert _edges(a, b, n) == [x for x, d in ladder if not 16.0 / n <= d < math.pi / 8.0], (a, b)
+        # The octant pieces of every span shape arc_length sends, unfolded into
+        # theta, cover the span in order, end to end, and cut it where the
+        # graded ladder of the span, less the same rungs, does.
+        spans = (
+            (0.1, 3.0),
+            (0.0, math.pi),
+            (0.0, TWO_PI),
+            (5.9, 5.9 + 0.45 * TWO_PI),
+            (0.3, 0.3 + 0.9 * TWO_PI),
+            (quarter, 3.0 * quarter),
+            (1.3, 1.3),
+            (quarter, quarter),
+        )
+        for a, b in spans:
+            pieces = _pieces(a, b)
+            assert [k for k, _, _ in pieces] == list(range(math.floor(a / quarter), math.ceil(b / quarter)))
+            assert all(0.0 <= phi0 <= phi1 <= quarter for _, phi0, phi1 in pieces)
+            images = [sampling._theta_image(*piece) for piece in pieces]
+            if a == b:
+                assert all(t0 == t1 for t0, t1 in images)
+                assert _panels(n, IDENTITY, a, b, 1e-10) == []
+                continue
+            assert images[0][0] == a
+            assert images[-1][1] == b
+            for (k, _, _), (_, t1), (t0, _) in zip(pieces, images, images[1:]):
+                assert t1 == pytest.approx((k + 1) * quarter, abs=math.ulp(b)) == t0
+            cut = [x for x, d in _graded_ladder(a, b, n) if not 16.0 / n <= d < math.pi / 8.0]
+            assert _theta_edges(a, b, n) == pytest.approx(cut, abs=2 * math.ulp(b)), (a, b)
+
+
+def _theta_edges(a: float, b: float, n: int) -> list[float]:
+    """The starting edges of [a, b] in theta: in each octant piece, its ends
+    and the base ladder between them, unfolded through the piece."""
+    edges = []
+    for k, phi0, phi1 in _pieces(a, b):
+        cut = [sampling._theta_image(k, x, x)[0] for x in sorted({phi0, phi1, *_ladder(n)}) if phi0 <= x <= phi1]
+        edges += (cut[::-1] if k % 2 else cut)[1 if edges else 0 :]
+    return edges
 
 
 def _graded_ladder(a: float, b: float, n: int) -> list[tuple[float, float]]:
@@ -628,15 +673,16 @@ def _graded_ladder(a: float, b: float, n: int) -> list[tuple[float, float]]:
 
 
 def _count_speed(monkeypatch) -> list[int]:
-    """Count the speed evaluations of core._speeds, the arc-length integrand, from now on."""
+    """Count the kernel evaluations of core._octant_speeds, the arc-length integrand, from now on:
+    one per base-octant node, which gives the speed at up to four image nodes."""
     calls = [0]
-    original = core._speeds
+    original = core._octant_speeds
 
-    def counted(thetas, n, frame):
-        calls[0] += len(thetas)
-        return original(thetas, n, frame)
+    def counted(phis, n, frame):
+        calls[0] += len(phis)
+        return original(phis, n, frame)
 
-    monkeypatch.setattr(core, "_speeds", counted)
+    monkeypatch.setattr(core, "_octant_speeds", counted)
     return calls
 
 
@@ -717,6 +763,20 @@ class TestArcLengthMeetsTol:
             (10**4, GOLDEN_FRAME_IDS[3], 0.2, 0.786, 1e-12),  # ends 6e-4 past pi/4, inside 16/N
             (10**5, GOLDEN_FRAME_IDS[0], 1.0, 2.3561, 1e-12),  # ends 9e-5 short of 3*pi/4
             (10**5, GOLDEN_FRAME_IDS[2], 3.927, 5.4, 1e-6),  # starts 9e-6 past 5*pi/4
+            # The shapes the octant fold makes: spans that cover 0, 1, 2, 3 and
+            # 4 whole octants, the one of 3 past 2*pi; ends on k*pi/4; a span
+            # over pi, which folds two pieces of one image onto one base
+            # interval; ends within 1/N of a diagonal.
+            (5000, GOLDEN_FRAME_IDS[3], 0.1, 0.7, 1e-10),
+            (300, GOLDEN_FRAME_IDS[1], 0.5, 1.7, 1e-12),
+            (40, GOLDEN_FRAME_IDS[2], 2.0, 4.2, 1e-8),
+            (2000, GOLDEN_FRAME_IDS[3], 4.5, 7.5, 1e-10),
+            (100, GOLDEN_FRAME_IDS[1], 1.0, 5.0, 1e-10),
+            (500, GOLDEN_FRAME_IDS[2], math.pi / 4.0, 5.0 * math.pi / 4.0, 1e-12),
+            (50, GOLDEN_FRAME_IDS[3], math.pi / 2.0, 7.0 * math.pi / 4.0, 1e-10),
+            (1000, GOLDEN_FRAME_IDS[1], 0.3, 0.3 + 0.9 * TWO_PI, 1e-10),
+            (10**5, GOLDEN_FRAME_IDS[3], 0.5, math.pi / 4.0 + 3e-6, 1e-12),
+            (10**6, GOLDEN_FRAME_IDS[2], 3.0 * math.pi / 4.0 - 4e-7, 3.5, 1e-10),
         ],
     )
     def test_against_mpmath_on_the_whole_graded_ladder(self, n, frame_text, lo, hi, tol):
@@ -741,19 +801,21 @@ class TestArcLengthMeetsTol:
 @pytest.mark.parametrize("n", [10**6, 2**31 - 1])
 @pytest.mark.parametrize("frame", GOLDEN_FRAMES, ids=GOLDEN_FRAME_IDS)
 def test_a_turn_costs_the_same_at_every_large_exponent(monkeypatch, n, frame):
-    # 15 nodes on each of 8 starting panels per octant of the half turn, four
-    # octants: one from the kink to pi/8 from the diagonal, one on to the
-    # first rung below 16/N, and six that halve across the diagonal layer.
-    # Tol 1e-12 and below bisect the panel from pi/8 to the first rung once
-    # in each octant; the rounding floor keeps tol 1e-14 from bisecting into
-    # the speed's rounding noise. The whole graded ladder cost 15 nodes on
-    # each of ceil(log2(pi*N)) panels per octant at every tol.
+    # The four octants of the half turn fold onto the base octant, so a turn
+    # is 15 kernel nodes, each giving four image speeds, on each of the base
+    # ladder's 8 panels: one from the kink to pi/8 from the diagonal, one on
+    # to the first rung below 16/N, and six that halve across the diagonal
+    # layer. Tol 1e-12 and below bisect the panel from pi/8 to the first rung
+    # once; the rounding floor keeps tol 1e-14 from bisecting into the
+    # speed's rounding noise. Integrated octant by octant, the same panels
+    # cost four times as many nodes, 480 and 600, and the whole graded ladder
+    # 15 nodes on each of ceil(log2(pi*N)) panels per octant at every tol.
     calls = _count_speed(monkeypatch)
-    for tol, count in ((1e-6, 480), (1e-8, 480), (1e-10, 480), (1e-12, 600), (1e-14, 600)):
+    for tol, count in ((1e-6, 120), (1e-8, 120), (1e-10, 120), (1e-12, 150), (1e-14, 150)):
         calls[0] = 0
         arc_length(n, frame, tol=tol)
         assert calls[0] == count
-        assert count <= 4 * 15 * math.ceil(math.log2(math.pi * n))
+        assert count <= 15 * math.ceil(math.log2(math.pi * n))
 
 
 @pytest.mark.parametrize(
@@ -876,7 +938,7 @@ class TestResampleByArclength:
 
     def test_the_step_cap_error_names_n_frame_target_panel_and_steps(self, monkeypatch):
         frame = GOLDEN_FRAMES[3]
-        panel = sampling._series(_panels(7, frame, 0.0, math.pi, 1e-10)[0])
+        panel = sampling._series(sampling._unfold(_panels(7, frame, 0.0, math.pi, 1e-10))[0])
         target = 0.5 * panel[2]
         assert _newton_in_panel(7, frame, panel, 0.0, target) > 0.0
         monkeypatch.setattr(sampling, "_ROOT_STEPS", 1)
