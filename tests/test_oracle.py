@@ -33,8 +33,11 @@ _MAX_N = 2**31 - 1
 
 
 class _CountingMath:
-    """Stands in for the math module and counts evaluations of the equation,
-    one log1p call each."""
+    """Stands in for the math module and counts the midpoints the bisection
+    loop evaluates, one log call in (1, 3/2) each, in either regime: the
+    live one's log1p and the dead one's comparison both follow that log. The
+    live regime's first midpoint, 1.25, reads a log taken at import and is
+    not counted."""
 
     def __init__(self):
         self.evaluations = 0
@@ -42,9 +45,38 @@ class _CountingMath:
     def __getattr__(self, name):
         return getattr(math, name)
 
-    def log1p(self, x):
-        self.evaluations += 1
-        return math.log1p(x)
+    def log(self, x):
+        if 1.0 < x < 1.5:
+            self.evaluations += 1
+        return math.log(x)
+
+
+def _log_ratio(theta, n):
+    """2N*log(min/max) of |cos| and |sin|, as the oracle computes it: it takes
+    the dead regime below oracle._DEAD."""
+    c, s = math.fabs(math.cos(theta)), math.fabs(math.sin(theta))
+    log_c = math.log(c) if c > 0.0 else -math.inf
+    log_s = math.log(s) if s > 0.0 else -math.inf
+    return 2.0 * n * (min(log_c, log_s) - max(log_c, log_s))
+
+
+def _edge_cases():
+    """1,600 seeded (theta, N) whose 2N*log(min/max) lies in [-800, -700],
+    about the dead regime's threshold: at each of eight exponents from 1 to
+    2^31 - 1, 100 drawn over that range and 100 over [-746, -745], where
+    exp turns from 0.0 to the least subnormal at -745.13; in every octant
+    where the angle can hold the offset (at small N only beside theta = 0)."""
+    rng = random.Random(39)
+    for n in (1, 2, 7, 100, 10**4, 10**6, 10**8, _MAX_N):
+        for lo, hi in ((-800.0, -700.0), (-746.0, -745.0)):
+            found = 0
+            while found < 100:
+                phi = math.atan(math.exp(rng.uniform(lo, hi) / (2.0 * n)))
+                k = rng.randrange(-4, 4)
+                theta = k * math.pi / 2.0 + phi if rng.random() < 0.5 else (k + 1) * math.pi / 2.0 - phi
+                if lo <= _log_ratio(theta, n) <= hi:
+                    found += 1
+                    yield theta, n
 
 
 class TestBisectRadialFactor:
@@ -129,9 +161,10 @@ def _identity_cases():
 
 
 class TestBisectionSkipsOnlyCertainMidpoints:
-    """The oracle evaluates the equation at its first midpoint, then only at
-    midpoints within a relative 2^-48 of the root that value places, and
-    still returns plain bisection's double."""
+    """The oracle evaluates the equation only at midpoints near the root:
+    within a relative 2^-48 of the place its first midpoint's value gives
+    it, or, where the small term underflows, within 2^-50 of the square's
+    radius. It still returns plain bisection's double."""
 
     def test_matches_plain_bisection(self):
         for theta, n in _identity_cases():
@@ -143,12 +176,24 @@ class TestBisectionSkipsOnlyCertainMidpoints:
             assert bisect_radial_factor(theta, n) == reference_bisect(theta, n, 1.5)[0], (theta, n)
 
     def test_at_most_eight_evaluations_per_case(self, monkeypatch):
+        # the live regime's 7 in the loop and its first midpoint make 8; the
+        # dead regime evaluates no first midpoint and at most 5 in the loop
         counting = _CountingMath()
         monkeypatch.setattr(oracle, "math", counting)
         for theta, n in _identity_cases():
             counting.evaluations = 0
             bisect_radial_factor(theta, n)
-            assert counting.evaluations <= 8, (theta, n)
+            dead = _log_ratio(theta, n) < oracle._DEAD
+            assert counting.evaluations <= (5 if dead else 7), (theta, n)
+
+    def test_the_dead_regime_threshold_edge_matches_plain_bisection(self):
+        cases = list(_edge_cases())
+        dead = sum(_log_ratio(theta, n) < oracle._DEAD for theta, n in cases)
+        assert 0 < dead < len(cases)
+        for theta, n in cases:
+            got = bisect_radial_factor(theta, n)
+            assert got == reference_bisect(theta, n, 1.5)[0], (theta, n)
+            assert got == reference_bisect(theta, n)[0], (theta, n)
 
     def test_starts_at_the_band_integer_with_the_most_trailing_zeros(self):
         # the band's integers, in steps of 2^-52 above 1, are 1 to 2^51 - 1
@@ -159,7 +204,11 @@ class TestBisectionSkipsOnlyCertainMidpoints:
             want = max(range(first, last + 1), key=lambda k: (k & -k).bit_length())
             assert oracle._most_trailing_zeros(first, last) == want, (first, last)
 
-    @pytest.mark.parametrize("n, evaluations", [(1, 5), (100, 8), (_MAX_N, 8)])
+    # N = 1 and 100 are live: the loop's evaluations, one fewer than the 5
+    # and 8 counted with the first midpoint. At 2^31 - 1, theta 0.7 is dead:
+    # no first midpoint, and 4 in the band from 1/cos(0.7) where the band
+    # that midpoint placed took 7.
+    @pytest.mark.parametrize("n, evaluations", [(1, 4), (100, 7), (_MAX_N, 4)])
     def test_evaluations_are_pinned(self, monkeypatch, n, evaluations):
         counting = _CountingMath()
         monkeypatch.setattr(oracle, "math", counting)
@@ -172,12 +221,14 @@ class TestBisectionSkipsOnlyCertainMidpoints:
         # so the counter sees every evaluation, as it does for one angle
         counting = _CountingMath()
         monkeypatch.setattr(oracle, "math", counting)
-        curve = oracle_polyline(100, IDENTITY, 256)
-        polyline = counting.evaluations
-        counting.evaluations = 0
-        for theta in curve.thetas:
-            bisect_radial_factor(theta, 100)
-        assert polyline == counting.evaluations > 0
+        for n in (100, 10**6):  # mostly live, mostly dead
+            counting.evaluations = 0
+            curve = oracle_polyline(n, IDENTITY, 256)
+            polyline = counting.evaluations
+            counting.evaluations = 0
+            for theta in curve.thetas:
+                bisect_radial_factor(theta, n)
+            assert polyline == counting.evaluations > 0, n
 
     @pytest.mark.parametrize("n", [1, 7, 10**4, 10**6, _MAX_N])
     def test_polyline_vertices_match_plain_bisection(self, n):
