@@ -30,25 +30,23 @@ One private scalar kernel, ``_evaluate``, does this work for every
 one-angle evaluator: it takes cos, sin, m, r, log(r) and log1p(r**(2*N))
 once per angle and returns them with the clamped radial factor. The radial
 factor, the curve points, the square point and the limit factor are thin
-wrappers over it; ``curve_velocity`` computes the slope from its pieces in
-its own body. The square point and the limit factor read only (cos, sin,
-m), which do not depend on N, at MAX_EXPONENT: there the log1p and exp of
-r**(2*N) are skipped except within about 8.7e-8 rad of a diagonal.
-The speed has one batched body, ``_speeds``: a loop over many checked
-angles with the same radial factor, slope and frame inverse inline, its
-libm functions and per-call constants bound once; ``curve_speed`` is
-``_speeds`` of one angle. The arc-length integrand has a second,
-``_octant_speeds``: the radial factor keeps the square's symmetries, so it
-evaluates one radial factor and slope at an angle of the base octant
-[0, pi/4] and returns the speeds of the four octants of a half turn that
-fold onto it. The quadrature calls it once per panel for all 15 nodes.
+wrappers over it, and ``_slope`` adds the slope drho/dtheta from its
+pieces: the one body of ``curve_velocity`` and ``curve_speed``. The square
+point and the limit factor read only (cos, sin, m), which do not depend on
+N, at MAX_EXPONENT: there the log1p and exp of r**(2*N) are skipped except
+within about 8.7e-8 rad of a diagonal.
+The arc-length integrand has one batched body, ``_octant_speeds``: the
+radial factor keeps the square's symmetries, so it evaluates one radial
+factor and slope at an angle of the base octant [0, pi/4] and returns the
+speeds of the four octants of a half turn that fold onto it. The
+quadrature calls it once per panel for all 15 nodes.
 Curve points in bulk have the same kind of body, ``_points``, which every
 closed-form curve calls once; ``affine_curve_point`` stays on
 ``_evaluate``, as a batch of one costs more per call. Every copy,
-``_evaluate`` with ``curve_velocity``'s slope, ``_speeds``,
-``_octant_speeds`` and ``_points``, skips the same terms and gives the full
-expressions' doubles. Likewise ``_log_sums`` is the batched log-sum of
-``residual_log``, for the membership test and the residual command.
+``_evaluate`` with ``_slope``, ``_octant_speeds`` and ``_points``, skips
+the same terms and gives the full expressions' doubles. Likewise
+``_log_sums`` is the batched log-sum of ``residual_log``, for the
+membership test and the residual command.
 Each public function validates its arguments once and calls a private body
 that trusts them, as the package's own loops over checked values do; the
 quadrature's nodes, inside a span already checked, take no check.
@@ -254,7 +252,7 @@ def _evaluate(theta: float, n: int) -> tuple[float, float, float, float, float, 
 
     Returns (rho, cos, sin, m, log(r), log1p(r**(2*N))) with rho the clamped
     radial factor and m, r as in the module docstring; the last three are
-    the pieces ``curve_velocity``'s slope reuses. r is 0, and log(r) -inf,
+    the pieces ``_slope`` reuses. r is 0, and log(r) -inf,
     only at theta = +-0.0. Where 2*N*log(r) < -746, theta = +-0.0 included,
     r**(2*N) = exp(2*N*log(r)) is exactly 0.0, so log1p of it is 0.0 and
     rho is exp(-0.0) / m = 1.0 / m: those are returned without the calls.
@@ -471,11 +469,11 @@ def theta_of_point(p: Point2, frame: AffineFrame = IDENTITY) -> float:
     return _normalize(math.atan2(v, u))
 
 
-def curve_velocity(theta: float, n: int, frame: AffineFrame = IDENTITY) -> Point2:
-    """Derivative of affine_curve_point with respect to theta.
+def _slope(theta: float, n: int) -> tuple[float, float, float, float]:
+    """(rho, cos, sin, drho) for a checked angle and exponent: ``_evaluate``
+    and the slope drho/dtheta, the one body of the velocity and the speed.
 
-    The frame's inverse linear part applied to (drho*cos - rho*sin,
-    drho*sin + rho*cos). With S = cos^(2N) + sin^(2N) and rho = S^(-1/(2N)),
+    With S = cos^(2N) + sin^(2N) and rho = S^(-1/(2N)),
 
         drho/dtheta = S^(-1/(2N) - 1) * cos(theta) * sin(theta)
                       * (cos^(2N-2) - sin^(2N-2)),
@@ -487,7 +485,6 @@ def curve_velocity(theta: float, n: int, frame: AffineFrame = IDENTITY) -> Point
     r^(2N-2) is 0.0 when its log is below -746 or NaN (theta = +-0.0, N = 1),
     and the shape factor is exp(+-0.0) = 1.0 exactly when log1p(r^(2N)) is 0.0.
     """
-    theta, n, frame = _check_angle(theta), _check_exponent(n), _check_frame(frame)
     rho, c, s, m, log_r, log1p_power = _evaluate(theta, n)
     log_low = (2.0 * n - 2.0) * log_r
     low_power = math.exp(log_low) if log_low >= _EXP_ZERO else 0.0  # r^(2N-2)
@@ -495,71 +492,33 @@ def curve_velocity(theta: float, n: int, frame: AffineFrame = IDENTITY) -> Point
     drho = (c * s) / (m * m * m) * (1.0 - low_power) * shape
     if math.fabs(c) < math.fabs(s):
         drho = -drho
+    return rho, c, s, drho
+
+
+def curve_velocity(theta: float, n: int, frame: AffineFrame = IDENTITY) -> Point2:
+    """Derivative of affine_curve_point with respect to theta.
+
+    The frame's inverse linear part applied to (drho*cos - rho*sin,
+    drho*sin + rho*cos), with drho/dtheta as in ``_slope``.
+    """
+    theta, n, frame = _check_angle(theta), _check_exponent(n), _check_frame(frame)
+    rho, c, s, drho = _slope(theta, n)
     return _solve_linear(frame, drho * c - rho * s, drho * s + rho * c)
 
 
 def curve_speed(theta: float, n: int, frame: AffineFrame = IDENTITY) -> float:
     """Magnitude of curve_velocity, the arc-length integrand.
 
-    For an identity linear part |velocity|^2 equals rho^2 + drho^2 exactly,
-    so that form is used there; it avoids the sin^2 + cos^2 rounding noise
-    and makes the N = 1 speed exactly 1.0 everywhere.
+    The hypot of curve_velocity's double pair. For an identity linear part
+    |velocity|^2 equals rho^2 + drho^2 exactly, so hypot(rho, drho) is used
+    there, whatever the translation; it avoids the sin^2 + cos^2 rounding
+    noise and makes the N = 1 speed exactly 1.0 everywhere.
     """
-    return _speeds((_check_angle(theta),), _check_exponent(n), _check_frame(frame))[0]
-
-
-def _speeds(thetas, n: int, frame: AffineFrame) -> list[float]:
-    """curve_speed at each of the checked angles thetas, for a checked
-    exponent and frame: the one body of the arc-length integrand.
-
-    One loop with _evaluate's radial factor, curve_velocity's slope and
-    _solve_linear's inverse inline, and their libm functions and
-    per-call constants bound once, so the quadrature pays one Python call
-    per panel instead of several per node. Every double, sign of zero
-    included, is the one those functions give; the N = 1 slope is their +-0.0.
-    """
-    cos, sin, fabs, hypot, log, log1p, exp = _LIBM
-    two_n = 2.0 * n
-    low_n = 2.0 * n - 2.0  # the exponent of r^(2N-2)
-    shape_n = -(1.0 + 0.5 / n)  # the exponent of the shape factor 1 + r^(2N)
-    alpha, beta, delta, epsilon, det = frame.alpha, frame.beta, frame.delta, frame.epsilon, frame.det
-    identity = alpha == 1.0 and beta == 0.0 and delta == 0.0 and epsilon == 1.0
-    peak = exp(_LN2 * (n - 1) / two_n)
-    speeds = []
-    for theta in thetas:
-        c = cos(theta)
-        s = sin(theta)
-        ca = fabs(c)
-        sa = fabs(s)
-        if ca >= sa:
-            m, r = ca, sa / ca
-        else:
-            m, r = sa, ca / sa
-        log_r = log(r) if r > 0.0 else -math.inf
-        log_power = two_n * log_r
-        if log_power < _EXP_ZERO:
-            rho = 1.0 / m
-            shape = 1.0
-        else:
-            log1p_power = log1p(exp(log_power))
-            rho = exp(-log1p_power / two_n) / m
-            shape = exp(shape_n * log1p_power)
-        if rho < 1.0:
-            rho = 1.0
-        elif rho > peak:
-            rho = peak
-        log_low = low_n * log_r
-        low_power = exp(log_low) if log_low >= _EXP_ZERO else 0.0
-        slope = (c * s) / (m * m * m) * (1.0 - low_power) * shape
-        if ca < sa:
-            slope = -slope
-        if identity:
-            speeds.append(hypot(rho, slope))
-        else:
-            u = slope * c - rho * s
-            v = slope * s + rho * c
-            speeds.append(hypot((epsilon * u - beta * v) / det, (alpha * v - delta * u) / det))
-    return speeds
+    theta, n, frame = _check_angle(theta), _check_exponent(n), _check_frame(frame)
+    rho, c, s, drho = _slope(theta, n)
+    if frame.alpha == 1.0 and frame.beta == 0.0 and frame.delta == 0.0 and frame.epsilon == 1.0:
+        return math.hypot(rho, drho)
+    return math.hypot(*_solve_linear(frame, drho * c - rho * s, drho * s + rho * c))
 
 
 def _octant_speeds(phis, n: int, frame: AffineFrame) -> tuple[list[float], list[float], list[float], list[float]]:
@@ -573,10 +532,11 @@ def _octant_speeds(phis, n: int, frame: AffineFrame) -> tuple[list[float], list[
     the speed at the angle of octant k of a half turn that folds onto phi:
     the hypot of _solve_linear of that velocity, the frame's inverse applied
     to each permuted velocity from one radial factor and slope per phi.
-    These are _speeds' expressions with cos >= sin >= 0, which hold on the
-    base octant, so without the branch on the larger of |cos| and |sin| and
-    without the slope's sign flip; image 0 is _speeds at phi, double for
-    double. The identity keeps hypot(rho, slope), one list for all four.
+    These are _evaluate's and _slope's expressions with cos >= sin >= 0,
+    which hold on the base octant, so without the branch on the larger of
+    |cos| and |sin| and without the slope's sign flip; image 0 is
+    curve_speed at phi, double for double. The identity keeps
+    hypot(rho, slope), as curve_speed does, one list for all four.
     """
     cos, sin, _, hypot, log, log1p, exp = _LIBM
     two_n = 2.0 * n

@@ -225,6 +225,14 @@ class TestScalarCommands:
         )
         assert out == "1.5707963267948966\n"
 
+    def test_arclength_of_a_full_turn_from_a_large_start(self, capsys):
+        # 64 + 2*pi rounds up by half an ulp of 64, past the slack that covers starts near 0.
+        hi = 64.0 + 2.0 * math.pi
+        assert hi - 64.0 > 2.0 * math.pi + 4.0 * math.ulp(2.0 * math.pi)
+        code, out, err = invoke(capsys, "arclength", "--n", "3", "--theta-range", f"64,{hi!r}")
+        assert (code, err) == (0, "")
+        assert out == invoke(capsys, "arclength", "--n", "3")[1]
+
     def test_gap_of_the_circle(self, capsys):
         code, out, err = invoke(capsys, "gap", "--n", "1", "--count", "4096")
         assert code == 0

@@ -459,65 +459,6 @@ class TestThetaOfPoint:
             theta_of_point(inverse_affine((0.0, 0.0), frame), frame)
 
 
-class TestVelocityAndSpeed:
-    def test_circle_speed_is_exactly_unit(self):
-        thetas = [TWO_PI * k / 64.0 for k in range(64)]
-        for theta in thetas:
-            assert curve_speed(theta, 1) == 1.0
-            # The circle's own velocity, with no slope term: == leaves the sign of a zero free.
-            for frame in SPEED_FRAMES:
-                expected = core._solve_linear(frame, -math.sin(theta), math.cos(theta))
-                assert curve_velocity(theta, 1, frame) == expected, (theta, frame)
-        assert core._speeds(thetas, 1, IDENTITY) == [1.0] * 64
-
-    def test_matches_central_differences(self):
-        rng = random.Random(20250819)
-        h = 1e-6
-        worst = 0.0
-        for _ in range(64):
-            theta = rng.uniform(0.0, TWO_PI)
-            n = rng.randint(1, 50)
-            vx, vy = curve_velocity(theta, n)
-            ax, ay = affine_curve_point(theta + h, n)
-            bx, by = affine_curve_point(theta - h, n)
-            fx, fy = (ax - bx) / (2.0 * h), (ay - by) / (2.0 * h)
-            worst = max(worst, math.hypot(vx - fx, vy - fy) / math.hypot(vx, vy))
-        assert worst <= 1e-6
-
-    def test_speed_is_velocity_magnitude(self):
-        frame = AffineFrame(2.0, 1.0, 0.0, -1.0, 3.0, 2.0)
-        for n in (1, 6, 300):
-            for theta in (0.1, 0.8, 2.4, 5.1):
-                vx, vy = curve_velocity(theta, n, frame)
-                assert curve_speed(theta, n, frame) == pytest.approx(
-                    math.hypot(vx, vy), rel=1e-14
-                )
-
-    def test_framed_velocity_from_fd(self):
-        frame = AffineFrame(1.2, 0.3, -4.0, -0.5, 2.1, 0.7)
-        h = 1e-6
-        for theta in (0.4, 1.9, 3.7):
-            vx, vy = curve_velocity(theta, 9, frame)
-            ax, ay = affine_curve_point(theta + h, 9, frame)
-            bx, by = affine_curve_point(theta - h, 9, frame)
-            assert vx == pytest.approx((ax - bx) / (2.0 * h), rel=1e-6, abs=1e-9)
-            assert vy == pytest.approx((ay - by) / (2.0 * h), rel=1e-6, abs=1e-9)
-
-    def test_speed_positive_everywhere(self):
-        for n in (1, 2, 1000, MAX_EXPONENT):
-            for k in range(32):
-                assert curve_speed(TWO_PI * k / 32.0, n) > 0.0
-
-    def test_velocity_checks_the_angle_then_the_exponent_then_the_frame(self):
-        with pytest.raises(InvalidAngle):
-            curve_velocity(math.nan, 0, None)
-        with pytest.raises(ValueError, match=re.escape(f"exponent must be in [1, {MAX_EXPONENT}], got 0")):
-            curve_velocity(0.3, 0, None)
-        with pytest.raises(TypeError) as caught:
-            curve_velocity(0.3, 3, None)
-        assert str(caught.value) == "frame must be an AffineFrame, got NoneType"
-
-
 def _log_uniform_exponent(rng: random.Random, low: float = 1.0) -> int:
     return min(MAX_EXPONENT, max(1, round(math.exp(rng.uniform(math.log(low), math.log(MAX_EXPONENT))))))
 
@@ -558,48 +499,95 @@ SPEED_FRAMES = (
 SPEED_FRAME_IDS = ("identity", "rotation", "readme", "general", "near-singular", "1e11")
 
 
+class TestVelocityAndSpeed:
+    def test_circle_speed_is_exactly_unit(self):
+        thetas = [TWO_PI * k / 64.0 for k in range(64)]
+        for theta in thetas:
+            assert curve_speed(theta, 1) == 1.0
+            # The circle's own velocity, with no slope term: == leaves the sign of a zero free.
+            for frame in SPEED_FRAMES:
+                expected = core._solve_linear(frame, -math.sin(theta), math.cos(theta))
+                assert curve_velocity(theta, 1, frame) == expected, (theta, frame)
+
+    def test_matches_central_differences(self):
+        rng = random.Random(20250819)
+        h = 1e-6
+        worst = 0.0
+        for _ in range(64):
+            theta = rng.uniform(0.0, TWO_PI)
+            n = rng.randint(1, 50)
+            vx, vy = curve_velocity(theta, n)
+            ax, ay = affine_curve_point(theta + h, n)
+            bx, by = affine_curve_point(theta - h, n)
+            fx, fy = (ax - bx) / (2.0 * h), (ay - by) / (2.0 * h)
+            worst = max(worst, math.hypot(vx - fx, vy - fy) / math.hypot(vx, vy))
+        assert worst <= 1e-6
+
+    @pytest.mark.parametrize("frame", SPEED_FRAMES, ids=SPEED_FRAME_IDS)
+    @pytest.mark.parametrize("kind", KERNEL_CASES)
+    def test_speed_is_velocity_magnitude(self, kind, frame):
+        # Bit for bit: the speed is the hypot of the velocity's doubles, except
+        # that an identity linear part takes hypot(rho, drho), whatever its
+        # translation, and a translation moves neither.
+        shifted = AffineFrame(frame.alpha, frame.beta, -0.1, frame.delta, frame.epsilon, 0.05)
+        identity = (frame.alpha, frame.beta, frame.delta, frame.epsilon) == (1.0, 0.0, 0.0, 1.0)
+        for theta, n in KERNEL_CASES[kind]:
+            speed = curve_speed(theta, n, frame)
+            if not identity:
+                assert _packed([speed]) == _packed([math.hypot(*curve_velocity(theta, n, frame))]), (theta, n)
+            assert _packed([curve_speed(theta, n, shifted)]) == _packed([speed]), (theta, n)
+
+    def test_framed_velocity_from_fd(self):
+        frame = AffineFrame(1.2, 0.3, -4.0, -0.5, 2.1, 0.7)
+        h = 1e-6
+        for theta in (0.4, 1.9, 3.7):
+            vx, vy = curve_velocity(theta, 9, frame)
+            ax, ay = affine_curve_point(theta + h, 9, frame)
+            bx, by = affine_curve_point(theta - h, 9, frame)
+            assert vx == pytest.approx((ax - bx) / (2.0 * h), rel=1e-6, abs=1e-9)
+            assert vy == pytest.approx((ay - by) / (2.0 * h), rel=1e-6, abs=1e-9)
+
+    def test_speed_positive_everywhere(self):
+        for n in (1, 2, 1000, MAX_EXPONENT):
+            for k in range(32):
+                assert curve_speed(TWO_PI * k / 32.0, n) > 0.0
+
+    def test_velocity_checks_the_angle_then_the_exponent_then_the_frame(self):
+        with pytest.raises(InvalidAngle):
+            curve_velocity(math.nan, 0, None)
+        with pytest.raises(ValueError, match=re.escape(f"exponent must be in [1, {MAX_EXPONENT}], got 0")):
+            curve_velocity(0.3, 0, None)
+        with pytest.raises(TypeError) as caught:
+            curve_velocity(0.3, 3, None)
+        assert str(caught.value) == "frame must be an AffineFrame, got NoneType"
+
+
 class TestKernelSkipsOnlyKnownDoubles:
-    """The scalar kernel, curve_velocity's slope and the batched _speeds skip
+    """The scalar kernel with _slope, and the batched _octant_speeds, skip
     the terms whose doubles are known without computing them; the loops that
     compute every term give the same doubles, sign of zero included."""
 
     @pytest.mark.parametrize("kind", KERNEL_CASES)
     def test_the_kernel_matches_the_full_expressions(self, kind):
         # Each skip shows in a public double: those of r^(2N) and the clamp's in
-        # the radial factor and the points, the slope's in the velocity.
+        # the radial factor and the points, the slope's in the velocity and the
+        # speed, which is hypot(rho, slope) for an identity linear part.
         for theta, n in KERNEL_CASES[kind]:
             rho, c, s, m, log_r, log1p_power = reference_evaluate(theta, n)
             slope = reference_slope(n, c, s, m, log_r, log1p_power)
             got = [radial_factor(theta, n), *curve_point(theta, n)]
             expected = [rho, rho * c, rho * s]
             for frame in SPEED_FRAMES:
-                got.extend(curve_velocity(theta, n, frame))
-                expected.extend(core._solve_linear(frame, slope * c - rho * s, slope * s + rho * c))
+                velocity = core._solve_linear(frame, slope * c - rho * s, slope * s + rho * c)
+                identity = (frame.alpha, frame.beta, frame.delta, frame.epsilon) == (1.0, 0.0, 0.0, 1.0)
+                got.extend((*curve_velocity(theta, n, frame), curve_speed(theta, n, frame)))
+                expected.extend((*velocity, math.hypot(rho, slope) if identity else math.hypot(*velocity)))
             assert struct.pack(f"<{len(got)}d", *got) == struct.pack(f"<{len(expected)}d", *expected), (theta, n)
-
-    @pytest.mark.parametrize("frame", SPEED_FRAMES, ids=SPEED_FRAME_IDS)
-    @pytest.mark.parametrize("kind", KERNEL_CASES)
-    def test_the_batched_speeds_match_the_full_expressions(self, kind, frame):
-        # _speeds holds its own copy of the radial factor, the slope and the
-        # frame's inverse; one batch per exponent, as the quadrature calls it.
-        batches = {}
-        for theta, n in KERNEL_CASES[kind]:
-            batches.setdefault(n, []).append(theta)
-        identity = (frame.alpha, frame.beta, frame.delta, frame.epsilon) == (1.0, 0.0, 0.0, 1.0)
-        for n, thetas in batches.items():
-            for theta, got in zip(thetas, core._speeds(thetas, n, frame), strict=True):
-                rho, c, s, m, log_r, log1p_power = reference_evaluate(theta, n)
-                slope = reference_slope(n, c, s, m, log_r, log1p_power)
-                if identity:
-                    expected = math.hypot(rho, slope)
-                else:
-                    expected = math.hypot(*core._solve_linear(frame, slope * c - rho * s, slope * s + rho * c))
-                assert struct.pack("<d", got) == struct.pack("<d", expected), (theta, n)
 
     @pytest.mark.parametrize("frame", SPEED_FRAMES, ids=SPEED_FRAME_IDS)
     def test_the_octant_speeds_match_the_full_expressions(self, frame):
         # _octant_speeds holds one more copy of the radial factor and the slope,
-        # with the base octant's cos >= sin >= 0 in place of _speeds' branch, and
+        # with the base octant's cos >= sin >= 0 in place of _slope's branch, and
         # the frame's inverse of four velocities: w = (u, v), (-v, -u), (-v, u)
         # and (u, -v), those at phi, pi/2 - phi, pi/2 + phi and pi - phi.
         rng = random.Random(20261020)
@@ -613,7 +601,7 @@ class TestKernelSkipsOnlyKnownDoubles:
             phis += [rng.uniform(0.0, quarter) for _ in range(80)]
             assert all(0.0 <= phi <= quarter for phi in phis)
             got = core._octant_speeds(phis, n, frame)
-            speeds = core._speeds(phis, n, frame)
+            speeds = [curve_speed(phi, n, frame) for phi in phis]
             assert _packed(got[0]) == _packed(speeds), n
             for k, image in enumerate(images):
                 if identity:

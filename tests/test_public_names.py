@@ -4,6 +4,7 @@ import ast
 import collections
 import inspect
 import pathlib
+import re
 
 import fermatcurves
 from fermatcurves import cli, core, errors, oracle, sampling
@@ -85,3 +86,22 @@ def test_each_public_callable_keeps_its_parameters():
         or (inspect.isclass(obj) and not issubclass(obj, BaseException))
     }
     assert {name: tuple(inspect.signature(obj).parameters) for name, obj in callables.items()} == PARAMETERS
+
+
+def test_every_private_name_the_source_cites_resolves():
+    # A private name cited after a module prefix anywhere in src/ (core._x,
+    # sampling._x, oracle._x), or bare in a docstring (``_x``, _x's), names
+    # an attribute of that module, or of the docstring's own: no text
+    # outlives the code it describes.
+    modules = {"core": core, "sampling": sampling, "oracle": oracle}
+    cited = []
+    for path in sorted(pathlib.Path(fermatcurves.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        own = fermatcurves if path.stem == "__init__" else getattr(fermatcurves, path.stem)
+        cited += [(path.name, modules[prefix], name)
+                  for prefix, name in re.findall(r"\b(core|sampling|oracle)\.(_[A-Za-z]\w*)", text)]
+        docstrings = (ast.get_docstring(node) or "" for node in ast.walk(ast.parse(text))
+                      if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)))
+        cited += [(path.name, own, name) for doc in docstrings for name in re.findall(r"(?<![\w.])_[A-Za-z]\w*", doc)]
+    assert len(cited) > 50
+    assert [(file, module.__name__, name) for file, module, name in cited if not hasattr(module, name)] == []

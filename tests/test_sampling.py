@@ -445,10 +445,16 @@ class TestArcLength:
         # The speed is pi-periodic in every frame, so the length of a closed
         # circuit belongs to the curve, not to its start: every full turn,
         # one that ends in the span's slack too, is the turn from 0 to the bit.
+        # Up to 10**6, a + TWO_PI rounds by up to half an ulp of a either way,
+        # and a span that falls short of TWO_PI by that rounding is full too.
         turn = arc_length(n, frame, tol=tol)
         starts = [rng.uniform(-10.0, 10.0) for _ in range(8)]
         for a in starts:
             assert (a + TWO_PI) - a == TWO_PI
+            assert arc_length(n, frame, a, a + TWO_PI, tol) == turn, a
+        large = [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(1.0, 6.0) for _ in range(12)]
+        assert {((a + TWO_PI) - a > TWO_PI, (a + TWO_PI) - a < TWO_PI) for a in large} >= {(True, False), (False, True)}
+        for a in large:
             assert arc_length(n, frame, a, a + TWO_PI, tol) == turn, a
         a = starts[0]
         b = math.nextafter(a + TWO_PI, math.inf)
@@ -551,6 +557,13 @@ class TestArcLength:
     def test_span_barely_over_a_turn_is_clamped(self):
         b = math.nextafter(TWO_PI, 7.0)
         assert arc_length(1, theta_a=0.0, theta_b=b) == TWO_PI
+
+    def test_span_short_of_a_turn_by_rounding_only_is_a_turn(self):
+        # On the circle the length is the span: within the slack below 2*pi the
+        # closed circuit, past it the span itself.
+        step = math.ulp(TWO_PI)
+        assert arc_length(1, theta_a=0.0, theta_b=TWO_PI - 4.0 * step) == TWO_PI
+        assert arc_length(1, theta_a=0.0, theta_b=TWO_PI - 8.0 * step) == TWO_PI - 8.0 * step
 
     @pytest.mark.parametrize("tol", ["1e-6", True, None, 1e-6j])
     @pytest.mark.parametrize("call", [arc_length, resample_by_arclength])
