@@ -268,12 +268,12 @@ def arc_length(
 
     The span theta_b - theta_a must lie in [0, 2*pi]; a zero span returns
     exactly 0.0 and a full span, from any theta_a, is one closed circuit,
-    integrated as twice the half turn [0, pi] at tol / 2. A span counts as
-    full within the rounding of theta_a + 2*pi, about an ulp of the larger
-    end, so every arc_length(n, frame, a, a + TWO_PI) is the same double.
-    The error is at most about tol * max(1, arc length). Raises
-    QuadratureFailure if the tolerance cannot be met within the evaluation
-    budget.
+    integrated as twice the half turn [0, pi] at tol / 2. A span over 2*pi
+    is full only within a few ulps of 2*pi, or where theta_b is exactly
+    theta_a + 2*pi as rounded, which may overshoot by half an ulp of
+    theta_b; a span under 2*pi is integrated as given. The error is at
+    most about tol * max(1, arc length). Raises QuadratureFailure if the
+    tolerance cannot be met within the evaluation budget.
     """
     n = core._check_exponent(n)
     frame = core._check_frame(frame)
@@ -281,17 +281,15 @@ def arc_length(
     theta_b = core._check_angle(theta_b)
     tol = _check_tol(tol)
     span = theta_b - theta_a
-    # theta_a + 2*pi rounds by up to half an ulp of the larger end, either way:
-    # the fixed slack covers that only for ends near 0
-    slack = _SPAN_SLACK + max(math.ulp(theta_a), math.ulp(theta_b))
-    if span < 0.0 or span > TWO_PI + slack:
+    # theta_a + TWO_PI rounds to the nearest double, which far from 0 may lie
+    # past the fixed slack; that exact sum is a full turn from any start.
+    if span < 0.0 or (span > TWO_PI + _SPAN_SLACK and theta_b != theta_a + TWO_PI):
         raise ValueError(
             f"theta span must lie in [0, 2*pi], got {span!r} from ({theta_a!r}, {theta_b!r})"
         )
     # fsum: the panel widths telescope exactly, so a constant speed of 1.0
     # (the circle) sums to the exact span, and twice pi is exactly TWO_PI.
-    # A zero span is no turn even where an end's ulp passes 2*pi (past 2**55).
-    if span == 0.0 or span < TWO_PI - slack:
+    if span < TWO_PI:
         a = core._normalize(theta_a)
         return _length(_panels(n, frame, a, a + span, tol))
     return 2.0 * _length(_half_turn(n, frame, tol))

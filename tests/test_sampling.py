@@ -445,17 +445,24 @@ class TestArcLength:
         # The speed is pi-periodic in every frame, so the length of a closed
         # circuit belongs to the curve, not to its start: every full turn,
         # one that ends in the span's slack too, is the turn from 0 to the bit.
-        # Up to 10**6, a + TWO_PI rounds by up to half an ulp of a either way,
-        # and a span that falls short of TWO_PI by that rounding is full too.
+        # Up to 10**6, a + TWO_PI rounds by up to half an ulp of a either way:
+        # a span that overshoots is the full turn, one that falls short is
+        # integrated as given, and misses the turn by at most the shortfall
+        # times the largest speed, which is under half the turn.
         turn = arc_length(n, frame, tol=tol)
         starts = [rng.uniform(-10.0, 10.0) for _ in range(8)]
         for a in starts:
             assert (a + TWO_PI) - a == TWO_PI
             assert arc_length(n, frame, a, a + TWO_PI, tol) == turn, a
         large = [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(1.0, 6.0) for _ in range(12)]
-        assert {((a + TWO_PI) - a > TWO_PI, (a + TWO_PI) - a < TWO_PI) for a in large} >= {(True, False), (False, True)}
-        for a in large:
-            assert arc_length(n, frame, a, a + TWO_PI, tol) == turn, a
+        spans = [(a + TWO_PI) - a for a in large]
+        assert min(spans) < TWO_PI < max(spans)
+        for a, span in zip(large, spans):
+            got = arc_length(n, frame, a, a + TWO_PI, tol)
+            if span >= TWO_PI:
+                assert got == turn, a
+            else:
+                assert abs(got - turn) <= tol * max(1.0, turn) + (TWO_PI - span) * turn, a
         a = starts[0]
         b = math.nextafter(a + TWO_PI, math.inf)
         assert TWO_PI < b - a <= TWO_PI + sampling._SPAN_SLACK
@@ -558,12 +565,23 @@ class TestArcLength:
         b = math.nextafter(TWO_PI, 7.0)
         assert arc_length(1, theta_a=0.0, theta_b=b) == TWO_PI
 
-    def test_span_short_of_a_turn_by_rounding_only_is_a_turn(self):
-        # On the circle the length is the span: within the slack below 2*pi the
-        # closed circuit, past it the span itself.
-        step = math.ulp(TWO_PI)
-        assert arc_length(1, theta_a=0.0, theta_b=TWO_PI - 4.0 * step) == TWO_PI
-        assert arc_length(1, theta_a=0.0, theta_b=TWO_PI - 8.0 * step) == TWO_PI - 8.0 * step
+    def test_span_short_of_a_turn_is_the_span_given(self):
+        # On the circle the length is the span, however near 2*pi it falls
+        # and however large the start: 1e16 + TWO_PI rounds to 1e16 + 6.0.
+        b = TWO_PI - math.ulp(TWO_PI)
+        assert arc_length(1, theta_a=0.0, theta_b=b) == b
+        assert 1e16 + TWO_PI == 1e16 + 6.0
+        assert arc_length(1, IDENTITY, 1e16, 1e16 + 6.0) == 6.0
+
+    def test_span_over_a_turn_is_rejected_beyond_the_rounded_sum(self):
+        # Far from 0 only the exact sum a + TWO_PI may overshoot the fixed slack.
+        with pytest.raises(ValueError, match="span"):
+            arc_length(1, IDENTITY, 1e16, 1e16 + 8.0)
+        a = 2.0**54
+        assert (a + TWO_PI) - a == 8.0
+        assert arc_length(1, IDENTITY, a, a + TWO_PI) == TWO_PI
+        with pytest.raises(ValueError, match="span"):
+            arc_length(1, IDENTITY, 64.0, math.nextafter(64.0 + TWO_PI, math.inf))
 
     @pytest.mark.parametrize("tol", ["1e-6", True, None, 1e-6j])
     @pytest.mark.parametrize("call", [arc_length, resample_by_arclength])
