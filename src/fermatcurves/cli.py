@@ -15,8 +15,9 @@ back to the exact same double, so emitted files round-trip bit-for-bit; a
 sample and svg check each request's flags once, --tol, --theta-range, N and
 --count in that order, svg after N and its caps of 256 curves and of 2**20
 vertices in all. A uniform request, full turn or --theta-range arc,
-builds all its curves on one theta grid, an arc's from exactly LO to exactly
-HI; an arc-length one builds each curve on its own equal-arc grid.
+builds all its curves on one theta grid; an arc-length one builds each
+curve on its own equal-arc grid. An arc is open and runs from exactly LO to
+exactly HI, and its grid, uniform or equal-arc, is held to the theta rule.
 """
 
 from __future__ import annotations
@@ -202,8 +203,6 @@ def _sample_curves(ns, exponents, frame: AffineFrame) -> list[SampledCurve]:
     tol = _check_tol(ns.tol)
     lo, hi = _parse_range(ns.theta_range)
     full_turn = lo == 0.0 and hi == TWO_PI
-    if ns.resample == "arclength" and not full_turn:
-        raise ValueError("arc-length resampling supports only the full default theta range")
     if not 0.0 <= lo < hi <= TWO_PI:
         raise ValueError(
             f"--theta-range must satisfy 0 <= LO < HI <= 2*pi for sampling, got {lo!r},{hi!r}"
@@ -211,7 +210,9 @@ def _sample_curves(ns, exponents, frame: AffineFrame) -> list[SampledCurve]:
     exponents = [_check_exponent(n) for n in exponents]
     count = _check_count(ns.count)
     if ns.resample == "arclength":
-        return [_polyline(_arclength_thetas(n, frame, count, tol), n, frame, True) for n in exponents]
+        return [
+            _polyline(_arclength_thetas(n, frame, count, tol, lo, hi, full_turn), n, frame, full_turn) for n in exponents
+        ]
     if full_turn:
         thetas = _uniform_thetas(count)
     else:

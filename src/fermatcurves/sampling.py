@@ -26,13 +26,14 @@ core._log_sums call.
 The gap to the limit square has a closed form, at a diagonal in every frame
 (convergence_gap), so it reads no grid.
 
-Resampling by arc length takes the accepted panels of the half turn [0, pi],
-unfolded into theta order, as its cumulative table; a sample past the half
-length is the one found for the same arc length in the first half, moved on
-by pi. Inside its panel a sample is found by Newton's method on the integral
-of the panel's own degree-14 interpolant of the speed, a Legendre series
-through the 15 Kronrod node values, computed once per panel, so resampling
-evaluates the speed only at the quadrature nodes.
+Resampling by arc length takes the accepted panels of its span, unfolded
+into theta order through the span's octant pieces, as its cumulative table;
+a full turn takes the half turn [0, pi]'s, and a sample past the half length
+is the one found for the same arc length in the first half, moved on by pi.
+Inside its panel a sample is found by Newton's method on the integral of the
+panel's own degree-14 interpolant of the speed, a Legendre series through
+the 15 Kronrod node values, computed once per panel, so resampling evaluates
+the speed only at the quadrature nodes.
 """
 
 from __future__ import annotations
@@ -463,17 +464,19 @@ def _gauss_kronrod(n: int, frame: AffineFrame, x0: float, x1: float, weights):
     return integrals, error, images
 
 
-def _unfold(panels) -> list[tuple[float, float, float, list[float]]]:
-    """The half turn's accepted base panels as panels (t0, t1, integral,
-    speeds) of [0, pi] in theta order: octant k's image of each, with the
-    panel order and the node speeds reversed where octant k runs backwards
-    in phi (odd k). The Kronrod nodes are symmetric, so a reversed panel's
-    speeds are its nodes' in increasing theta."""
+def _unfold(panels, pieces) -> list[tuple[float, float, float, list[float]]]:
+    """The accepted base panels of a span (_panels) as panels (t0, t1,
+    integral, speeds) of the span in theta order: per octant piece
+    (_pieces), octant k's image of each panel it covers, with the panel
+    order and the node speeds reversed where octant k runs backwards in phi
+    (odd k). The Kronrod nodes are symmetric, so a reversed panel's speeds
+    are its nodes' in increasing theta."""
     table = []
-    for k in range(4):
+    for k, phi0, phi1 in pieces:
         for x0, x1, _, integrals, images in reversed(panels) if k % 2 else panels:
-            speeds = images[k]
-            table.append((*_theta_image(k, x0, x1), integrals[k], speeds[::-1] if k % 2 else speeds))
+            if phi0 <= x0 and x1 <= phi1:
+                speeds = images[k % 4]
+                table.append((*_theta_image(k, x0, x1), integrals[k % 4], speeds[::-1] if k % 2 else speeds))
     return table
 
 
@@ -505,24 +508,35 @@ def resample_by_arclength(
     return _polyline(_arclength_thetas(n, frame, count, _check_tol(tol)), n, frame, True)
 
 
-def _arclength_thetas(n: int, frame: AffineFrame, count: int, tol: float) -> tuple[float, ...]:
-    """resample_by_arclength's thetas, for checked arguments."""
-    panels = _unfold(_half_turn(n, frame, tol))
+def _arclength_thetas(
+    n: int, frame: AffineFrame, count: int, tol: float, lo: float = 0.0, hi: float = TWO_PI, full_turn: bool = True
+) -> tuple[float, ...]:
+    """count thetas at equal arc-length steps, for checked arguments: a full
+    turn from 0 on the half turn's table (_half_turn), a target past its
+    length placed pi on from the same arc length in the first half; or the
+    arc [lo, hi] on its own panels at tol, with no mirror, from exactly lo to
+    exactly hi, its grid held to the theta rule (_check_thetas).
+    """
+    a, b = (0.0, math.pi) if full_turn else (lo + 0.0, hi)  # + 0.0: from lo = -0.0 an arc starts at 0.0
+    panels = _unfold(_half_turn(n, frame, tol) if full_turn else _panels(n, frame, a, b, tol), _pieces(a, b))
     cum = list(itertools.accumulate((panel[2] for panel in panels), initial=0.0))
-    half = math.fsum(panel[2] for panel in panels)
-    step = 2.0 * half / count
+    length = math.fsum(panel[2] for panel in panels)
+    step = 2.0 * length / count if full_turn else length / (count - 1)
     series = {}
-    thetas = [0.0]
-    for j in range(1, count):
+    thetas = [a]
+    for j in range(1, count if full_turn else count - 1):
         target = step * j
-        if target == half:
-            thetas.append(math.pi)
+        if target in (0.0, length):  # the full turn's mirror point, or an arc of no length
+            thetas.append(math.pi if full_turn else a)
             continue
-        shift, offset = (math.pi, half) if target > half else (0.0, 0.0)
+        shift, offset = (math.pi, length) if target > length else (0.0, 0.0)
         i = min(_bisect.bisect_right(cum, target - offset) - 1, len(panels) - 1)
         if i not in series:
             series[i] = _series(panels[i])
         thetas.append(shift + _newton_in_panel(n, frame, series[i], cum[i] + offset, target))
+    if not full_turn:
+        thetas.append(hi)
+        _check_thetas(thetas)  # a few ulps wide, or of no length, an arc's samples tie
     return tuple(thetas)
 
 

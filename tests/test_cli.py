@@ -271,6 +271,23 @@ class TestSvgCommand:
             assert not path.get("d").endswith("Z")
             assert path.get("d").count("L") == 4
 
+    def test_theta_range_draws_open_arclength_arcs(self, capsys):
+        code, out, err = invoke(
+            capsys, "svg", "--n", "3", "--count", "5", "--theta-range", "0,1", "--resample", "arclength"
+        )
+        assert (code, err) == (0, "")
+        paths = [child for child in ET.fromstring(out) if child.tag.endswith("path")]
+        assert len(paths) == 3
+        for path in paths:
+            assert " Z" not in path.get("d")
+            assert path.get("d").count("L") == 4
+        code, out, err = invoke(
+            capsys, "sample", "--n", "3", "--count", "5", "--theta-range", "0,1", "--resample", "arclength",
+            "--format", "json",
+        )
+        assert (code, err) == (0, "")
+        assert cli.curve_from_json(out).closed is False
+
     def test_paths_are_ordered_innermost_first(self, capsys):
         code, out, err = invoke(capsys, "svg", "--n", "5", "--count", "64")
         root = ET.fromstring(out)
@@ -503,8 +520,13 @@ class TestFailureModes:
 
     @pytest.mark.parametrize(
         "extra",
-        [(), ("--theta-range", "5.1516686345346425,5.441085925337452"), ("--resample", "arclength")],
-        ids=["full-turn", "arc", "arclength"],
+        [
+            (),
+            ("--theta-range", "5.1516686345346425,5.441085925337452"),
+            ("--resample", "arclength"),
+            ("--resample", "arclength", "--theta-range", "5.1516686345346425,5.441085925337452"),
+        ],
+        ids=["full-turn", "arc", "arclength", "arclength arc"],
     )
     def test_a_bad_exponent_is_named_before_a_bad_count(self, capsys, extra):
         code, out, err = invoke(capsys, "sample", "--n", "0", "--count", "1", *extra, "--format", "json")
@@ -562,12 +584,48 @@ class TestFailureModes:
         assert code == 2
         assert "theta-range" in err
 
-    def test_partial_range_with_arclength_resampling(self, capsys):
+    def test_arclength_arcs_run_from_exactly_lo_to_exactly_hi(self, capsys):
+        # An equal-arc grid's first sample is LO, printed 0 for -0 as on the
+        # uniform arc, and its last is HI itself, not the end of count - 1 steps.
+        rng = random.Random(22)
+        cases = [("-0", 1.0, 8), ("1", 2.0 * math.pi, 3)]
+        for _ in range(200):
+            lo, hi = sorted(rng.uniform(0.0, 2.0 * math.pi) for _ in range(2))
+            cases.append((repr(lo), hi, rng.choice((3, 8, 64))))
+        for lo, hi, count in cases:
+            code, out, err = invoke(
+                capsys, "sample", "--n", "3", "--count", str(count), "--resample", "arclength",
+                "--theta-range", f"{lo},{hi!r}",
+            )
+            rows = out.splitlines()
+            assert (code, err, len(rows)) == (0, "", count + 1)
+            first, last = rows[1].split(",")[0], rows[-1].split(",")[0]
+            assert (first, float(last)) == (cli.fmt(float(lo) + 0.0), float(hi))
+
+    @pytest.mark.parametrize("theta_range, tie", [("1,1.0000000000000002", "1.0"), ("0,5e-324", "0.0")])
+    def test_an_arclength_arc_whose_grid_ties_is_rejected(self, capsys, monkeypatch, theta_range, tie):
+        # Across a range one ulp wide, or one whose arc length rounds to 0, the
+        # equal-arc grid ties, and the theta rule names the tie, as it does
+        # for the uniform arc; pi, the full turn's mirror point, never enters.
+        monkeypatch.setattr(SampledCurve, "__post_init__", _refuse_checks)
         code, out, err = invoke(
-            capsys, "sample", "--n", "2", "--resample", "arclength", "--theta-range", "0,1"
+            capsys, "sample", "--n", "3", "--theta-range", theta_range, "--count", "100", "--resample", "arclength"
         )
-        assert code == 2
-        assert "arc-length" in err
+        assert (code, out) == (2, "")
+        assert err == f"error: thetas must be strictly increasing, got thetas[0] = {tie} then thetas[1] = {tie}\n"
+
+    @pytest.mark.parametrize(
+        "extra, line",
+        [
+            (("--theta-range", "1,0.5", "--n", "0"),
+             "error: --theta-range must satisfy 0 <= LO < HI <= 2*pi for sampling, got 1.0,0.5"),
+            (("--theta-range", "0,1", "--n", "3"), "error: need at least 3 samples, got 1"),
+        ],
+        ids=["range-before-n", "count"],
+    )
+    def test_an_arclength_arc_checks_its_range_and_count_as_a_uniform_one(self, capsys, extra, line):
+        code, out, err = invoke(capsys, "sample", "--resample", "arclength", "--count", "1", *extra)
+        assert (code, out, err) == (2, "", line + "\n")
 
     def test_gap_grid_minimum_names_the_count_flag(self, capsys):
         code, out, err = invoke(capsys, "gap", "--n", "3", "--count", "8")

@@ -383,6 +383,7 @@ CURVE_CALLS = {  # a call and the curves it builds
     "sample_uniform_theta": (lambda: sample_uniform_theta(7, GOLDEN_FRAMES[3], 64), 1),
     "resample_by_arclength": (lambda: resample_by_arclength(7, GOLDEN_FRAMES[3], 64), 1),
     "theta-range arc": (lambda: _run_ok("sample", "--n", "7", "--theta-range", "0.5,2"), 1),
+    "arclength arc": (lambda: _run_ok("sample", "--n", "7", "--theta-range", "0.5,2", "--resample", "arclength"), 1),
     "residual": (lambda: _run_ok("residual", "--n", "7", "--count", "100"), 1),
     "svg family": (lambda: _run_ok("svg", "--n", "5", "--count", "32"), 5),
     "oracle-diff": (lambda: _run_ok("oracle-diff", "--n", "7", "--count", "64"), 1),
@@ -871,6 +872,16 @@ def test_near_singular_frames_end_within_the_budget(monkeypatch, n, frame):
     assert calls[0] <= sampling._EVAL_BUDGET
 
 
+def _arclength_arc(capsys, n: int, frame_text: str, lo: float, hi: float, count: int) -> SampledCurve:
+    """The curve that sample --resample arclength prints as JSON for the arc [lo, hi], read back."""
+    argv = ["sample", "--n", str(n), "--frame", frame_text, "--count", str(count), "--resample", "arclength",
+            "--theta-range", f"{lo!r},{hi!r}", "--format", "json"]
+    code = cli.run(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, ""), argv
+    return cli.curve_from_json(captured.out)
+
+
 class TestResampleByArclength:
     def test_circle_comes_back_uniform(self):
         curve = resample_by_arclength(1, count=4)
@@ -932,6 +943,51 @@ class TestResampleByArclength:
         for a, b in zip(bounds, bounds[1:]):
             assert abs(arc_length(1000, frame, a, b) - step) <= 2e-10 * max(1.0, total)
 
+    def test_equal_arc_gaps_on_seeded_arcs(self, capsys):
+        # sample --resample arclength --theta-range: count samples from exactly
+        # LO to exactly HI, count - 1 equal arc-length steps apart, as an open
+        # curve that the public constructor accepts (curve_from_json).
+        rng = random.Random(42)
+        for j in range(60):
+            frame_text = GOLDEN_FRAME_IDS[j % 4]
+            frame = GOLDEN_FRAMES[j % 4]
+            n = min(MAX_EXPONENT, round(MAX_EXPONENT ** rng.random()))
+            count = (3, 8, 33)[j % 3]
+            lo, hi = sorted(rng.uniform(0.0, TWO_PI) for _ in range(2))
+            curve = _arclength_arc(capsys, n, frame_text, lo, hi, count)
+            assert (curve.thetas[0], curve.thetas[-1], curve.closed, len(curve)) == (lo, hi, False, count)
+            total = arc_length(n, frame, lo, hi)
+            step = total / (count - 1)
+            for a, b in zip(curve.thetas, curve.thetas[1:]):
+                assert abs(arc_length(n, frame, a, b) - step) <= 2e-10 * max(1.0, total), (n, frame_text, lo, hi)
+
+    @pytest.mark.parametrize(
+        "n, frame_text, lo, hi",
+        [
+            (7, GOLDEN_FRAME_IDS[0], 0.3, 2.1),
+            (372, GOLDEN_FRAME_IDS[1], 1.0, 5.0),
+            (10**4, GOLDEN_FRAME_IDS[2], 4.5, TWO_PI),
+            (10**5, GOLDEN_FRAME_IDS[3], math.pi / 4.0, 3.0),
+        ],
+    )
+    def test_equal_arc_gaps_on_arcs_against_mpmath(self, capsys, n, frame_text, lo, hi):
+        # Each gap integrated by tanh-sinh on every rung of the whole graded
+        # ladder, which resolves the 1/(4N) diagonal layer at these N.
+        count = 8
+        frame = GOLDEN_FRAMES[GOLDEN_FRAME_IDS.index(frame_text)]
+        curve = _arclength_arc(capsys, n, frame_text, lo, hi, count)
+        assert (curve.thetas[0], curve.thetas[-1], curve.closed) == (lo, hi, False)
+        with mpmath.workdps(20):
+            gaps = [
+                mpmath.quad(lambda t: _mp_speed(t, n, frame), [x for x, _ in _graded_ladder(a, b, n)])
+                for a, b in zip(curve.thetas, curve.thetas[1:])
+            ]
+            total = float(mpmath.fsum(gaps))
+            step = total / (count - 1)
+            for gap in gaps:
+                assert abs(float(gap) - step) <= 2e-10 * max(1.0, total)
+        assert abs(arc_length(n, frame, lo, hi) - total) <= 1e-10 * max(1.0, total)
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_resampled_eighths_against_mpmath(self, n):
         # A rotation of a D4-symmetric curve: the eighths of arc length lie at k*pi/4.
@@ -969,7 +1025,7 @@ class TestResampleByArclength:
 
     def test_the_step_cap_error_names_n_frame_target_panel_and_steps(self, monkeypatch):
         frame = GOLDEN_FRAMES[3]
-        panel = sampling._series(sampling._unfold(_panels(7, frame, 0.0, math.pi, 1e-10))[0])
+        panel = sampling._series(sampling._unfold(_panels(7, frame, 0.0, math.pi, 1e-10), _pieces(0.0, math.pi))[0])
         target = 0.5 * panel[2]
         assert _newton_in_panel(7, frame, panel, 0.0, target) > 0.0
         monkeypatch.setattr(sampling, "_ROOT_STEPS", 1)
