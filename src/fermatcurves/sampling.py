@@ -16,8 +16,9 @@ toward its diagonal across the layer only, from below 16/N: at a distance
 d beyond 8/N the layer's term, about e^(-4Nd), is under e^(-32), below the
 least tol. Bisection only refines what the error estimate still flags.
 Every affine image of the curve is centrally symmetric, so the speed is
-pi-periodic in theta and a full turn, in any frame and from any start, is
-twice the half turn [0, pi]: four whole base octants, one of each image.
+pi-periodic in theta: a full turn, in any frame and from any start, is the
+span [0, 2*pi], whose octants k and k + 4 fold onto the same image at
+weight 2, and resampling carries the period by the mirror below.
 The nodes lie inside a span checked once at the public call, so they take
 no input check. In the same way every closed-form curve takes its points
 from one core._points call, and SampledCurve checks membership through one
@@ -27,9 +28,10 @@ The gap to the limit square has a closed form, at a diagonal in every frame
 (convergence_gap), so it reads no grid.
 
 Resampling by arc length takes the accepted panels of its span, unfolded
-into theta order through the span's octant pieces, as its cumulative table;
-a full turn takes the half turn [0, pi]'s, and a sample past the half length
-is the one found for the same arc length in the first half, moved on by pi.
+into theta order through the span's octant pieces, as its cumulative table.
+A full turn unfolds its panels through the pieces of [0, pi] only, and a
+sample past the half length is the one found for the same arc length in the
+first half, moved on by pi.
 Inside its panel a sample is found by Newton's method on the integral of the
 panel's own degree-14 interpolant of the speed, a Legendre series through
 the 15 Kronrod node values, computed once per panel, so resampling evaluates
@@ -135,10 +137,11 @@ _NODES = 15
 # QUADPACK's floor on the error test: the rounding of a 15-term sum.
 _ROUNDING = 50.0 * math.ulp(1.0)
 # Kernel evaluations per quadrature, each one base-octant node and its four
-# image speeds: over 32x the most any exponent, frame, span and tol were
-# measured to take (510, in a sweep of 88 exponents up to 2^31 - 1, 11
-# frames up to kappa 8e11, two full turns and one partial span, and tol
-# 1e-6 to 1e-14), so a call that cannot meet its tol ends in bounded time.
+# image speeds: over 13x the most any exponent, frame, span and tol were
+# measured to take (1,215, and 1,170 on a full turn, in a sweep of 88
+# exponents up to 2^31 - 1, 11 frames up to kappa 8e11, two full turns and
+# one partial span, and tol 1e-6 to 1e-14), so a call that cannot meet its
+# tol ends in bounded time.
 _EVAL_BUDGET = 2**14
 _ROOT_STEPS = 60
 
@@ -269,12 +272,12 @@ def arc_length(
 
     The span theta_b - theta_a must lie in [0, 2*pi]; a zero span returns
     exactly 0.0 and a full span, from any theta_a, is one closed circuit,
-    integrated as twice the half turn [0, pi] at tol / 2. A span over 2*pi
-    is full only within a few ulps of 2*pi, or where theta_b is exactly
-    theta_a + 2*pi as rounded, which may overshoot by half an ulp of
-    theta_b; a span under 2*pi is integrated as given. The error is at
-    most about tol * max(1, arc length). Raises QuadratureFailure if the
-    tolerance cannot be met within the evaluation budget.
+    integrated as the turn [0, 2*pi]. A span over 2*pi is full only within
+    a few ulps of 2*pi, or where theta_b is exactly theta_a + 2*pi as
+    rounded, which may overshoot by half an ulp of theta_b; a span under
+    2*pi is integrated as given. The error is at most about
+    tol * max(1, arc length), on every span alike. Raises QuadratureFailure
+    if the tolerance cannot be met within the evaluation budget.
     """
     n = core._check_exponent(n)
     frame = core._check_frame(frame)
@@ -288,27 +291,16 @@ def arc_length(
         raise ValueError(
             f"theta span must lie in [0, 2*pi], got {span!r} from ({theta_a!r}, {theta_b!r})"
         )
-    # fsum: the panel widths telescope exactly, so a constant speed of 1.0
-    # (the circle) sums to the exact span, and twice pi is exactly TWO_PI.
-    if span < TWO_PI:
-        a = core._normalize(theta_a)
-        return _length(_panels(n, frame, a, a + span, tol))
-    return 2.0 * _length(_half_turn(n, frame, tol))
+    # A full span, from any start, is the turn [0, 2*pi]. fsum: the panel
+    # widths telescope exactly, so a constant speed of 1.0 (the circle) sums
+    # to the exact span, eight times fl(pi/4), which is exactly TWO_PI.
+    a = core._normalize(theta_a) if span < TWO_PI else 0.0
+    return _length(_panels(n, frame, a, a + min(span, TWO_PI), tol))
 
 
 def _length(panels) -> float:
     """The arc length of accepted base panels: each image's integral as many times as pieces cover it."""
     return math.fsum(w * integral for panel in panels for w, integral in zip(panel[2], panel[3]))
-
-
-def _half_turn(n: int, frame: AffineFrame, tol: float):
-    """Accepted base panels of the half turn [0, pi], which stand for every
-    full turn: four whole octants, one of each image.
-
-    The speed is pi-periodic, so a turn from any start is twice this half;
-    at tol / 2 twice the half still meets the full turn's bound tol * max(1, L).
-    """
-    return _panels(n, frame, 0.0, math.pi, 0.5 * tol)
 
 
 def _panels(n: int, frame: AffineFrame, a: float, b: float, tol: float):
@@ -322,13 +314,14 @@ def _panels(n: int, frame: AffineFrame, a: float, b: float, tol: float):
     left out. integrals and images are each image's K15 integral over the
     panel and its speed at the 15 Kronrod nodes (core._octant_speeds), so
     the arc length is the weighted sum of the integrals, and resampling
-    reads the speeds. The error target tol * max(1, L), with L the starting
-    panels' estimate of the arc length, is shared equally among them, and a
-    bisected panel passes half its share to each half. A panel is accepted
-    once sum(w * |K15 - G7|) over its images is within its share or within
-    the rounding floor of its 15-term sums; images cannot cancel each
-    other's errors. Raises QuadratureFailure when a bisection would take
-    the kernel evaluations past the budget.
+    reads the speeds. On a full turn [0, 2*pi] every weight is 2. The error
+    target tol * max(1, L), with L the starting panels' estimate of the arc
+    length, is shared equally among them, and a bisected panel passes half
+    its share to each half. A panel is accepted once sum(w * |K15 - G7|)
+    over its images is within its share or within the rounding floor of its
+    15-term sums; images cannot cancel each other's errors. Raises
+    QuadratureFailure when a bisection would take the kernel evaluations
+    past the budget.
     """
     pieces = _pieces(a, b)
     edges = sorted({*_ladder(n), *(end for _, phi0, phi1 in pieces for end in (phi0, phi1))})
@@ -488,9 +481,9 @@ def resample_by_arclength(
 ) -> SampledCurve:
     """Sample one full turn at ``count`` equal arc-length steps.
 
-    The accepted quadrature panels of the half turn [0, pi], the ones
-    arc_length integrates every full turn with, unfolded from the base
-    octant into theta order, form a cumulative arc-length table that
+    The accepted quadrature panels of the full turn [0, 2*pi], the ones
+    arc_length sums, unfolded from the base octant into theta order over
+    the half turn [0, pi], form a cumulative arc-length table that
     brackets each target; a target past the half length is
     placed pi on from the same arc length in the first half, and one that
     lands on it exactly is pi. Inside the bracketing panel the arc length
@@ -511,14 +504,15 @@ def resample_by_arclength(
 def _arclength_thetas(
     n: int, frame: AffineFrame, count: int, tol: float, lo: float = 0.0, hi: float = TWO_PI, full_turn: bool = True
 ) -> tuple[float, ...]:
-    """count thetas at equal arc-length steps, for checked arguments: a full
-    turn from 0 on the half turn's table (_half_turn), a target past its
-    length placed pi on from the same arc length in the first half; or the
-    arc [lo, hi] on its own panels at tol, with no mirror, from exactly lo to
-    exactly hi, its grid held to the theta rule (_check_thetas).
+    """count thetas at equal arc-length steps, for checked arguments, on the
+    panels of the span at tol (_panels): a full turn from 0 on the panels of
+    [0, 2*pi] unfolded over [0, pi], a target past that half's length placed
+    pi on from the same arc length in the first half; or the arc [lo, hi],
+    with no mirror, from exactly lo to exactly hi, its grid held to the theta
+    rule (_check_thetas).
     """
-    a, b = (0.0, math.pi) if full_turn else (lo + 0.0, hi)  # + 0.0: from lo = -0.0 an arc starts at 0.0
-    panels = _unfold(_half_turn(n, frame, tol) if full_turn else _panels(n, frame, a, b, tol), _pieces(a, b))
+    a, b = lo + 0.0, hi  # + 0.0: from lo = -0.0 the span starts at 0.0; a full turn is (0.0, TWO_PI)
+    panels = _unfold(_panels(n, frame, a, b, tol), _pieces(a, math.pi if full_turn else b))
     cum = list(itertools.accumulate((panel[2] for panel in panels), initial=0.0))
     length = math.fsum(panel[2] for panel in panels)
     step = 2.0 * length / count if full_turn else length / (count - 1)
